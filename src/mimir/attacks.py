@@ -18,7 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .mi import PenaltyConfig, penalty_mi
-from .model import MaskPlan, ModelParams, _pixel_mask, encode_full, forward_autoencoder
+from .model import (MaskPlan, ModelParams, _pixel_mask, _pooled_logits, encode_full,
+                    forward_autoencoder)
 
 Array = np.ndarray
 
@@ -156,9 +157,7 @@ def _classifier_objective(params: ModelParams, labels: Array, lam: float,
 
     def objective(x_adv: Tensor) -> Tensor:
         latent = encode_full(params, x_adv)
-        pooled = ad.reduce_mean(latent.z, axes=1)
-        logits = ad.add(ad.matmul(pooled, params["head.weight"]), params["head.bias"])
-        ce = ad.cross_entropy(logits, labels)
+        ce = ad.cross_entropy(_pooled_logits(params, latent.z), labels)
         if lam == 0.0:
             return ce
         pen = penalty_mi(ad.reshape(x_adv, (x_adv.shape[0], -1)),

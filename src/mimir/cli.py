@@ -30,20 +30,21 @@ from .evaluate import AttackJob, evaluate, landscape_grid, write_eval_csv, write
 from .mi import hsic, renyi_mi
 from .model import init_params, encode_full
 from .autodiff import Tensor
-from .train import (TrainState, EpochMetrics, finetune_epoch, load_checkpoint,
-                    pretrain_epoch, save_checkpoint)
+from .train import TrainState, finetune_epoch, load_checkpoint, pretrain_epoch, save_checkpoint
 
 METRICS_HEADER = "epoch,loss_mse,loss_mi,loss_total,lr,seconds\n"
 
 
-def _append_metrics(path: str, epoch: int, metrics: EpochMetrics, lam: float) -> None:
-    fresh = not os.path.exists(path)
-    total = metrics.loss_mse + lam * metrics.loss_mi
-    with open(path, "a", encoding="utf-8", newline="\n") as fh:
-        if fresh:
-            fh.write(METRICS_HEADER)
-        fh.write(f"{epoch},{metrics.loss_mse:.10e},{metrics.loss_mi:.10e},"
-                 f"{total:.10e},{metrics.lr:.10e},0.000\n")
+def _run_epochs(epoch_fn, state: TrainState, dataset: Dataset, train_cfg, path: str) -> None:
+    """Run every epoch into a fresh metrics CSV, so a rerun leaves exactly one run's rows."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(METRICS_HEADER)
+        for _ in range(train_cfg.total_epochs):
+            metrics = epoch_fn(state, dataset, train_cfg)
+            total = metrics.loss_mse + train_cfg.lam * metrics.loss_mi
+            fh.write(f"{state.epoch},{metrics.loss_mse:.10e},{metrics.loss_mi:.10e},"
+                     f"{total:.10e},{metrics.lr:.10e},0.000\n")
+            fh.flush()
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -66,10 +67,8 @@ def _cmd_pretrain(cfg: ExperimentConfig) -> int:
     attack = cfg.attack_spec(pretrain_attack_spec())
     train_cfg = cfg.train_config(attack, default_betas=(0.9, 0.95))
     state = TrainState.create(params, cfg.seed)
-    metrics_path = os.path.join(cfg.out_dir, "metrics_pretrain.csv")
-    for _ in range(train_cfg.total_epochs):
-        metrics = pretrain_epoch(state, dataset, train_cfg)
-        _append_metrics(metrics_path, state.epoch, metrics, train_cfg.lam)
+    _run_epochs(pretrain_epoch, state, dataset, train_cfg,
+                os.path.join(cfg.out_dir, "metrics_pretrain.csv"))
     save_checkpoint(state, os.path.join(cfg.out_dir, "pretrain.ckpt"))
     return 0
 
@@ -84,10 +83,8 @@ def _cmd_finetune(cfg: ExperimentConfig) -> int:
     attack = cfg.attack_spec(finetune_attack_spec())
     train_cfg = cfg.train_config(attack, default_betas=(0.9, 0.999))
     state = TrainState.create(params, cfg.seed)
-    metrics_path = os.path.join(cfg.out_dir, "metrics_finetune.csv")
-    for _ in range(train_cfg.total_epochs):
-        metrics = finetune_epoch(state, dataset, train_cfg)
-        _append_metrics(metrics_path, state.epoch, metrics, 0.0)
+    _run_epochs(finetune_epoch, state, dataset, train_cfg,
+                os.path.join(cfg.out_dir, "metrics_finetune.csv"))
     save_checkpoint(state, os.path.join(cfg.out_dir, "finetune.ckpt"))
     return 0
 

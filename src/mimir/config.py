@@ -159,7 +159,6 @@ class ExperimentConfig:
             lam=g("train.lambda", 1e-5),
             estimator=g("train.estimator", "hsic"),
             layer_decay=g("train.layer_decay", 1.0),
-            seed=self.seed,
             recon_masked_only=g("train.recon_masked_only", False),
         )
 

@@ -1,12 +1,12 @@
 """Kernel-based dependence measures and an exact discrete-MI oracle.
 
-Two parallel paths live here. The numpy path (``rbf_gram``, ``renyi_entropy``,
-``hsic``, ...) is for estimation and monitoring and goes through an explicit
-symmetric eigensolver. The graph path (``penalty_mi``) builds the same
-quantities out of autodiff ops so the penalty can be differentiated through
-the encoder; it is restricted to HSIC and the alpha=2 Renyi mutual
-information, where tr(K_norm^2) reduces to a plain Frobenius sum and no
-eigendecomposition is needed.
+Two paths live here. The numpy path (``rbf_gram``, ``renyi_entropy``,
+``hsic``, ...) is for estimation and monitoring and takes Gram spectra from
+LAPACK. The graph path (``penalty_mi``) builds the same quantities out of
+autodiff ops so the penalty can be differentiated through the encoder; it is
+restricted to HSIC and the alpha=2 Renyi mutual information, where
+tr(K_norm^2) reduces to a plain Frobenius sum and no eigendecomposition is
+needed. Both paths share one HSIC centering.
 
 All entropies and mutual informations are in bits (log base 2).
 """
@@ -66,17 +66,27 @@ def _as_sample_matrix(samples) -> Array:
     return x
 
 
+def _pairwise_sq_dists(x: Array) -> Array:
+    """Squared distances from direct row differences, one [n, d] difference at a time.
+
+    Direct differences, unlike ||a||^2 + ||b||^2 - 2 a.b, keep the Gram diagonal
+    exactly 1 and duplicate rows at exactly zero distance.
+    """
+    d2 = np.empty((x.shape[0], x.shape[0]))
+    for i in range(x.shape[0]):
+        diff = x - x[i]
+        d2[i] = np.einsum("jk,jk->j", diff, diff)
+    return d2
+
+
 def rbf_gram(samples, sigma: float) -> GramMatrix:
     """K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), exactly symmetric."""
     if sigma <= 0.0:
         raise ValueError("rbf_gram: sigma must be positive")
     x = _as_sample_matrix(samples)
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("rbf_gram: needs at least 2 samples")
-    diff = x[:, None, :] - x[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return GramMatrix(np.exp(-d2 / (2.0 * sigma * sigma)), float(sigma))
+    return GramMatrix(np.exp(-_pairwise_sq_dists(x) / (2.0 * sigma * sigma)), float(sigma))
 
 
 def median_bandwidth(samples) -> float:
@@ -85,9 +95,7 @@ def median_bandwidth(samples) -> float:
     n = x.shape[0]
     if n < 2:
         raise ValueError("median_bandwidth: needs at least 2 samples")
-    diff = x[:, None, :] - x[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    upper = d[np.triu_indices(n, k=1)]
+    upper = np.sqrt(_pairwise_sq_dists(x)[np.triu_indices(n, k=1)])
     nonzero = upper[upper > 0.0]
     if nonzero.size == 0:
         return 1.0
@@ -95,50 +103,20 @@ def median_bandwidth(samples) -> float:
 
 
 def symmetric_eigenvalues(matrix, tol: float | None = None) -> Spectrum:
-    """All eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
+    """All eigenvalues of a symmetric matrix, from LAPACK's ``eigvalsh``, descending.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below ``tol``
-    (default 1e-12 * N). Eigenvalues within ``tol`` of zero, negative or
+    Eigenvalues within ``tol`` (default 1e-12 * N) of zero, negative or
     positive, are numerical noise on PSD Gram matrices and are snapped to
     exactly zero; fractional orders would otherwise amplify them.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"symmetric_eigenvalues: expected a square matrix, got {a.shape}")
-    n = a.shape[0]
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise ValueError("symmetric_eigenvalues: matrix is not symmetric within 1e-10")
-    a = 0.5 * (a + a.T)
     if tol is None:
-        tol = 1e-12 * n
-
-    def off_norm(m: Array) -> float:
-        off = m - np.diag(np.diag(m))
-        return float(np.sqrt((off * off).sum()))
-
-    for _ in range(100):  # each sweep reduces the off-diagonal mass quadratically
-        if off_norm(a) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) if theta != 0.0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    if off_norm(a) > tol:
-        raise RuntimeError("symmetric_eigenvalues: Jacobi sweeps did not converge")
-
-    lam = np.sort(np.diag(a))[::-1]
-    lam = np.maximum(lam, 0.0)
+        tol = 1e-12 * a.shape[0]
+    lam = np.maximum(np.linalg.eigvalsh(0.5 * (a + a.T))[::-1], 0.0)  # eigvalsh is ascending
     lam[lam < tol] = 0.0
     return Spectrum(lam)
 
@@ -183,11 +161,6 @@ def renyi_mi(x_samples, y_samples, alpha: float,
     return MIEstimate(value=value, estimator="renyi", alpha=float(alpha))
 
 
-def _double_center(k: Array) -> Array:
-    # H K H with H = I - (1/N) 1 1^T, written so a constant K centers to exact zeros
-    return ((k - k.mean(axis=0, keepdims=True)) - k.mean(axis=1, keepdims=True)) + k.mean()
-
-
 def hsic(x_samples, y_samples,
          sigma_x: float | None = None, sigma_y: float | None = None) -> MIEstimate:
     """Biased empirical HSIC, (1/N^2) tr(K_x H K_y H) with H = I - (1/N) 1 1^T.
@@ -204,8 +177,8 @@ def hsic(x_samples, y_samples,
         raise ValueError("hsic: needs at least 2 samples")
     sx = median_bandwidth(x) if sigma_x is None else sigma_x
     sy = median_bandwidth(y) if sigma_y is None else sigma_y
-    kx, ky = rbf_gram(x, sx).K, rbf_gram(y, sy).K
-    value = float((_double_center(kx) * _double_center(ky)).sum() / (n * n))
+    trace = _hsic_trace(ad.constant(rbf_gram(x, sx).K), ad.constant(rbf_gram(y, sy).K))
+    value = trace.item() / (n * n)
     return MIEstimate(value=value, estimator="hsic")
 
 
@@ -243,14 +216,15 @@ def _gram_graph(x: Tensor, sigma: float) -> Tensor:
 
 
 def _center_graph(k: Tensor) -> Tensor:
+    # H K H with H = I - (1/N) 1 1^T, written so a constant K centers to exact zeros
     row = ad.reduce_mean(k, axes=0, keepdims=True)
     col = ad.reduce_mean(k, axes=1, keepdims=True)
     return ad.add(ad.sub(ad.sub(k, row), col), ad.reduce_mean(k))
 
 
-def _hsic_graph(kx: Tensor, ky: Tensor, n: int) -> Tensor:
+def _hsic_trace(kx: Tensor, ky: Tensor) -> Tensor:
     # tr(Kx H Ky H) as the product of doubly-centered Grams (H is idempotent)
-    return ad.scale(ad.reduce_sum(ad.mul(_center_graph(kx), _center_graph(ky))), 1.0 / (n * n))
+    return ad.reduce_sum(ad.mul(_center_graph(kx), _center_graph(ky)))
 
 
 def _renyi2_entropy_graph(k: Tensor, n: int) -> Tensor:
@@ -280,7 +254,7 @@ def penalty_mi(x_batch: Tensor, z_batch: Tensor, config: PenaltyConfig) -> Tenso
     kx = _gram_graph(x, sx)
     kz = _gram_graph(z, sy)
     if config.estimator == "hsic":
-        return _hsic_graph(kx, kz, n)
+        return ad.scale(_hsic_trace(kx, kz), 1.0 / (n * n))
     joint = ad.mul(kx, kz)
     hx = _renyi2_entropy_graph(kx, n)
     hz = _renyi2_entropy_graph(kz, n)
@@ -300,11 +274,6 @@ def discrete_mi(joint_pmf) -> float:
         raise ValueError("discrete_mi: probabilities must be non-negative")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"discrete_mi: pmf sums to {p.sum()}, not 1")
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    total = 0.0
-    for i in range(p.shape[0]):
-        for j in range(p.shape[1]):
-            if p[i, j] > 0.0:
-                total += p[i, j] * np.log2(p[i, j] / (px[i] * py[j]))
-    return float(total)
+    outer = p.sum(axis=1, keepdims=True) * p.sum(axis=0, keepdims=True)
+    support = p > 0.0
+    return float(np.sum(p[support] * np.log2(p[support] / outer[support])))

@@ -374,8 +374,12 @@ def encode_full(params: ModelParams, images: Tensor) -> LatentBatch:
     return encode(params, patchify(images, params.config.patch_size), plan)
 
 
+def _pooled_logits(params: ModelParams, z: Tensor) -> Tensor:
+    """Mean-pool encoder tokens [B, N, D] and apply the linear head."""
+    pooled = ad.reduce_mean(z, axes=1)
+    return ad.add(ad.matmul(pooled, params["head.weight"]), params["head.bias"])
+
+
 def classify(params: ModelParams, images: Tensor) -> Tensor:
     """Mean-pool the full-visibility encoder tokens and apply the linear head."""
-    latent = encode_full(params, images)
-    pooled = ad.reduce_mean(latent.z, axes=1)
-    return ad.add(ad.matmul(pooled, params["head.weight"]), params["head.bias"])
+    return _pooled_logits(params, encode_full(params, images).z)

@@ -62,7 +62,6 @@ class TrainConfig:
     lam: float = 1e-5
     estimator: str = "hsic"
     layer_decay: float = 1.0
-    seed: int = 0
     recon_masked_only: bool = False
 
     def __post_init__(self):
@@ -74,8 +73,7 @@ class TrainConfig:
             raise ValueError("layer_decay must lie in (0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.estimator not in ("hsic", "renyi2"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        PenaltyConfig(estimator=self.estimator)  # rejects unknown estimator names
         if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
             raise ValueError("betas must lie in [0, 1)")
 

@@ -30,13 +30,13 @@ def trained_model(tiny_config, tiny_dataset):
     """A quickly but genuinely trained classifier for attack/eval tests."""
     params = init_params(tiny_config, np.random.default_rng(5))
     pre_cfg = TrainConfig(base_lr=2e-3, total_epochs=40, batch_size=16,
-                          attack=pretrain_attack_spec(), warmup_epochs=4, lam=1e-5, seed=5)
+                          attack=pretrain_attack_spec(), warmup_epochs=4, lam=1e-5)
     state = TrainState.create(params, 5)
     for _ in range(40):
         pretrain_epoch(state, tiny_dataset, pre_cfg)
     ft_cfg = TrainConfig(base_lr=1e-3, total_epochs=25, batch_size=16,
                          attack=finetune_attack_spec(), warmup_epochs=2,
-                         betas=(0.9, 0.999), layer_decay=0.65, lam=0.0, seed=5)
+                         betas=(0.9, 0.999), layer_decay=0.65, lam=0.0)
     state = TrainState.create(state.params, 5)
     for _ in range(25):
         finetune_epoch(state, tiny_dataset, ft_cfg)

@@ -67,7 +67,7 @@ def test_criterion_2_gradient_suite():
     plan = sample_mask(cfg.num_patches, cfg.mask_ratio, rng, batch_size=3)
     delta = rng.uniform(-EPS_8_255, EPS_8_255, size=imgs.shape)
     train_cfg = TrainConfig(base_lr=1e-3, total_epochs=2, batch_size=4,
-                            attack=pretrain_attack_spec(), lam=1e-3, seed=0)
+                            attack=pretrain_attack_spec(), lam=1e-3)
     base_latent = encode(params, patchify(Tensor(imgs + delta), 2), plan)
     base_vis = ad.gather_rows(patchify(Tensor(imgs + delta), 2), plan.visible)
     pen = PenaltyConfig(estimator="hsic",
@@ -199,7 +199,7 @@ def test_criterion_6_desk_scale_end_to_end(tiny_config):
         ds = synth_dataset(4, 8, 16, 0.1, np.random.default_rng([seed, 1]), channels=1)
         pre_cfg = TrainConfig(base_lr=2e-3, total_epochs=200, batch_size=16,
                               attack=pretrain_attack_spec(), warmup_epochs=10,
-                              lam=1e-5, estimator="hsic", seed=seed)
+                              lam=1e-5, estimator="hsic")
         params = init_params(tiny_config, np.random.default_rng([seed, 0]))
         state = TrainState.create(params, seed)
         first = last = None
@@ -212,7 +212,7 @@ def test_criterion_6_desk_scale_end_to_end(tiny_config):
 
         ft_cfg = TrainConfig(base_lr=1e-3, total_epochs=50, batch_size=16,
                              attack=finetune_attack_spec(), warmup_epochs=5,
-                             betas=(0.9, 0.999), layer_decay=0.65, lam=0.0, seed=seed)
+                             betas=(0.9, 0.999), layer_decay=0.65, lam=0.0)
         tuned = TrainState.create(state.params, seed)
         for _ in range(ft_cfg.total_epochs):
             finetune_epoch(tuned, ds, ft_cfg)
@@ -240,7 +240,7 @@ def test_criterion_6_desk_scale_end_to_end(tiny_config):
 def test_criterion_7_determinism_and_persistence(tiny_config, tmp_path):
     ds = synth_dataset(4, 4, 16, 0.1, np.random.default_rng(3), channels=1)
     cfg = TrainConfig(base_lr=1e-3, total_epochs=4, batch_size=8,
-                      attack=pretrain_attack_spec(), warmup_epochs=1, lam=1e-5, seed=0)
+                      attack=pretrain_attack_spec(), warmup_epochs=1, lam=1e-5)
 
     def run(epochs):
         params = init_params(tiny_config, np.random.default_rng(0))

@@ -297,6 +297,17 @@ class TestRunConfig:
                             (out / "pretrain.ckpt").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_rerun_into_same_dir_rewrites_metrics(self, tmp_path):
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        for out, runs in ((once, 1), (twice, 2)):
+            cfg = tmp_path / f"{out.name}.cfg"
+            cfg.write_text(BASE_CONFIG.format(out=out))
+            for _ in range(runs):
+                assert run_config(cfg) == 0
+        rerun = (twice / "metrics_pretrain.csv").read_bytes()
+        assert [line.split(",")[0] for line in rerun.decode().splitlines()[1:]] == ["1", "2", "3"]
+        assert rerun == (once / "metrics_pretrain.csv").read_bytes()
+
     def test_checkpoint_roundtrip_through_cli(self, tmp_path):
         out = tmp_path / "out"
         cfg = tmp_path / "p.cfg"

@@ -34,6 +34,35 @@ class TestRbfGram:
         assert np.linalg.eigvalsh(norm.K).min() >= -1e-10
 
 
+def cube_sq_dists(x):
+    """Reference pairwise squared distances through the full [n, n, d] difference cube."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def random_sets_with_duplicate_rows():
+    rng = np.random.default_rng(17)
+    for n, d in ((3, 1), (5, 3), (9, 1), (16, 7), (33, 48)):
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+        x[-1] = x[0]  # a duplicated non-zero row
+        yield x
+
+
+class TestPairwiseDistances:
+    def test_rbf_gram_matches_difference_cube_exactly(self):
+        for x in random_sets_with_duplicate_rows():
+            for sigma in (0.3, 1.7):
+                expected = np.exp(-cube_sq_dists(x) / (2.0 * sigma * sigma))
+                assert np.array_equal(mi.rbf_gram(x, sigma).K, expected)
+
+    def test_median_bandwidth_matches_difference_cube_exactly(self):
+        for x in random_sets_with_duplicate_rows():
+            d = np.sqrt(cube_sq_dists(x))
+            upper = d[np.triu_indices(x.shape[0], k=1)]
+            expected = float(np.median(upper[upper > 0.0]))
+            assert mi.median_bandwidth(x) == expected
+
+
 class TestMedianBandwidth:
     def test_three_points(self):
         assert mi.median_bandwidth([[0.0], [1.0], [2.0]]) == 1.0
@@ -49,7 +78,7 @@ class TestMedianBandwidth:
             mi.median_bandwidth([[1.0]])
 
 
-class TestJacobi:
+class TestSymmetricEigenvalues:
     def test_diagonal(self):
         spec = mi.symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0]))
         assert np.array_equal(spec.eigenvalues, [3.0, 2.0, 1.0])
@@ -271,6 +300,21 @@ class TestDiscreteMI:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             mi.discrete_mi([[1.1, -0.1], [0.0, 0.0]])
+
+    def test_matches_double_loop_on_pmfs_with_zeros(self):
+        rng = np.random.default_rng(18)
+        for shape in ((2, 2), (3, 5), (6, 4), (1, 7)):
+            for _ in range(20):
+                p = rng.uniform(size=shape) * (rng.uniform(size=shape) > 0.3)
+                p[0, 0] = 1.0
+                p /= p.sum()
+                px, py = p.sum(axis=1), p.sum(axis=0)
+                expected = 0.0
+                for i in range(shape[0]):
+                    for j in range(shape[1]):
+                        if p[i, j] > 0.0:
+                            expected += p[i, j] * np.log2(p[i, j] / (px[i] * py[j]))
+                assert abs(mi.discrete_mi(p) - expected) <= 1e-12
 
 
 def random_chain(rng, nx=3, ny=4, nz=3):

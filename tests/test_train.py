@@ -19,7 +19,7 @@ from conftest import tiny_vit_config
 
 def small_train_config(**overrides):
     base = dict(base_lr=1e-3, total_epochs=4, batch_size=8, attack=pretrain_attack_spec(),
-                warmup_epochs=1, lam=1e-5, estimator="hsic", seed=0)
+                warmup_epochs=1, lam=1e-5, estimator="hsic")
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -36,6 +36,10 @@ class TestConfigValidation:
     def test_layer_decay_range(self):
         with pytest.raises(ValueError):
             small_train_config(layer_decay=0.0)
+
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ValueError, match="shannon"):
+            small_train_config(estimator="shannon")
 
     def test_paper_defaults(self):
         cfg = small_train_config()
