@@ -5,7 +5,9 @@ perturbed input, projecting onto the epsilon-ball and the pixel box after
 every step, and returns the best iterate visited (including the starting
 point). The four concrete objectives follow: classification cross-entropy,
 reconstruction error for pre-training, the MI-aware adaptive attack, and
-the feature-distance adaptive attack.
+the feature-distance adaptive attack. Each objective is built on
+``ModelParams.constants()``, so the reverse pass walks only the input path
+and never writes a parameter's ``.grad``.
 """
 
 from __future__ import annotations
@@ -154,6 +156,7 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
 def _classifier_objective(params: ModelParams, labels: Array, lam: float,
                           penalty: PenaltyConfig | None) -> Callable[[Tensor], Tensor]:
     labels = np.asarray(labels, dtype=np.int64)
+    params = params.constants()
 
     def objective(x_adv: Tensor) -> Tensor:
         latent = encode_full(params, x_adv)
@@ -201,8 +204,9 @@ def attack_fea(params: ModelParams, images: Array, spec: AttackSpec,
     """
     if spec.init == "zero":
         raise ValueError("attack_fea: zero init has an identically zero gradient; use random init")
+    params = params.constants()
     x = np.asarray(images, dtype=np.float64)
-    natural = encode_full(params, Tensor(x)).z.detach()
+    natural = encode_full(params, Tensor(x)).z
 
     def objective(x_adv: Tensor) -> Tensor:
         return ad.mse_loss(encode_full(params, x_adv).z, natural)
@@ -218,6 +222,7 @@ def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: Attac
     their natural values after initialization and every step (their
     gradients are zero anyway, but random init would otherwise touch them).
     """
+    params = params.constants()
     x = np.asarray(images, dtype=np.float64)
     cfg = params.config
     masked_pixels = _pixel_mask(plan, cfg)

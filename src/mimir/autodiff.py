@@ -8,7 +8,9 @@ blow-ups surface where they happen instead of propagating.
 Gradient accumulation contract: ``backward`` adds into ``Tensor.grad`` of
 every reachable leaf that requires gradients. Callers zero leaf gradients
 explicitly between optimization steps; running ``backward`` twice over the
-same graph doubles the accumulated leaf gradients.
+same graph doubles the accumulated leaf gradients. Attacks and forward-only
+passes run on ``ModelParams.constants()``, so they never touch parameter
+``.grad``.
 """
 
 from __future__ import annotations
@@ -398,8 +400,12 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU (erf form, not the tanh approximation)."""
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-    return _result(a.data * cdf, "gelu", [(a, lambda g: g * (cdf + a.data * pdf))])
+
+    def grad_a(g: Array) -> Array:
+        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
+        return g * (cdf + a.data * pdf)
+
+    return _result(a.data * cdf, "gelu", [(a, grad_a)])
 
 
 # ---------------------------------------------------------------------------

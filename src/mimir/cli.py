@@ -172,7 +172,7 @@ def _cmd_landscape(cfg: ExperimentConfig) -> int:
 def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
     """Dependence estimates between inputs and their encoder latents."""
     dataset = _build_dataset(cfg)
-    params = load_checkpoint(cfg.get("checkpoint")).params
+    params = load_checkpoint(cfg.get("checkpoint")).params.constants()
     n = min(len(dataset), cfg.get("mi.batch_size", 64))
     if n < 2:
         raise ConfigError("mi-estimate needs at least 2 samples")

@@ -44,7 +44,7 @@ class EvalReport:
 
 
 def _predict(params: ModelParams, images: Array) -> Array:
-    return np.argmax(classify(params, Tensor(images)).data, axis=1)
+    return np.argmax(classify(params.constants(), Tensor(images)).data, axis=1)
 
 
 def _run_job(params: ModelParams, job: AttackJob, images: Array, labels: Array,
@@ -91,6 +91,7 @@ def write_eval_csv(report: EvalReport, path) -> None:
 
 
 def _dataset_ce(params: ModelParams, dataset: Dataset, batch_size: int) -> float:
+    params = params.constants()
     total = 0.0
     for start in range(0, len(dataset), batch_size):
         x = dataset.images[start:start + batch_size]

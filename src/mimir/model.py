@@ -168,6 +168,11 @@ class ModelParams:
         for _, t in self.trainable():
             t.zero_grad()
 
+    def constants(self) -> "ModelParams":
+        """Constant copy of every tensor; a graph built on the copy never reaches a parameter."""
+        return ModelParams(config=self.config,
+                           tensors={name: Tensor(t.data) for name, t in self.tensors.items()})
+
 
 def sincos_position_table(dim: int, grid: int) -> Array:
     """Fixed 2-D sin/cos table for a grid x grid patch layout, row-major.

@@ -37,7 +37,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .attacks import AttackSpec, attack_ce, attack_recon
 from .mi import PenaltyConfig, penalty_mi
-from .model import (MaskPlan, ModelParams, ViTConfig, classify, decode, encode,
+from .model import (MaskPlan, ModelParams, ViTConfig, classify, decode, encode, init_params,
                     patchify, sample_mask)
 
 Array = np.ndarray
@@ -349,6 +349,26 @@ def save_checkpoint(state: TrainState, path) -> None:
         fh.write(b"".join(chunks))
 
 
+def _check_shapes(params: ModelParams, m: dict[str, Array], v: dict[str, Array]) -> None:
+    """Tensors must match ``init_params`` of the stored config; moments must match their params."""
+    expected = init_params(params.config, np.random.default_rng(0)).tensors
+    stray = sorted(set(expected) ^ set(params.tensors))
+    if stray:
+        raise CheckpointError(f"tensors {stray} are missing or unexpected for the stored config")
+    for name, t in params.tensors.items():
+        if t.shape != expected[name].shape:
+            raise CheckpointError(f"tensor {name!r} has shape {t.shape}, "
+                                  f"its config needs {expected[name].shape}")
+    trainable = {name for name, _ in params.trainable()}
+    if set(m) != trainable or set(v) != trainable:
+        raise CheckpointError("optimizer tables do not match the trainable parameters")
+    for table, moments in (("m", m), ("v", v)):
+        for name, data in moments.items():
+            if data.shape != params[name].shape:
+                raise CheckpointError(f"{table}[{name!r}] has shape {data.shape}, "
+                                      f"its parameter has {params[name].shape}")
+
+
 def load_checkpoint(path) -> TrainState:
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
@@ -376,7 +396,5 @@ def load_checkpoint(path) -> TrainState:
         raise CheckpointError("trailing bytes after checkpoint payload")
     rng = np.random.default_rng(0)
     rng.bit_generator.state = rng_state
-    trainable = {name for name, _ in params.trainable()}
-    if set(m) != trainable or set(v) != trainable:
-        raise CheckpointError("optimizer tables do not match the trainable parameters")
+    _check_shapes(params, m, v)
     return TrainState(params=params, m=m, v=v, step=int(step), epoch=int(epoch), rng=rng)

@@ -5,8 +5,9 @@ from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import (AttackSpec, EPS_8_255, attack_ce, attack_fea, attack_mi,
                            attack_recon, linf_project, pgd, pretrain_attack_spec)
-from mimir.mi import PenaltyConfig
-from mimir.model import classify, init_params, sample_mask, _pixel_mask
+from mimir.mi import PenaltyConfig, penalty_mi
+from mimir.model import (classify, encode_full, forward_autoencoder, init_params, sample_mask,
+                         _pixel_mask, _pooled_logits)
 
 from conftest import tiny_vit_config
 
@@ -127,8 +128,7 @@ class TestPgdEngine:
         assert (x + pert.delta).min() >= 0.0 and (x + pert.delta).max() <= 1.0
 
 
-@pytest.fixture(scope="module")
-def small_model():
+def _small_model():
     cfg = tiny_vit_config(image_size=8, enc_layers=1, enc_dim=16, enc_heads=2,
                           dec_layers=1, dec_dim=8, dec_heads=2, num_classes=3)
     rng = np.random.default_rng(0)
@@ -137,6 +137,76 @@ def small_model():
     imgs = rng.uniform(0.2, 0.8, size=(4, 1, 8, 8))
     labels = np.array([0, 1, 2, 0])
     return cfg, params, imgs, labels
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    return _small_model()
+
+
+ATTACKS = ["ce", "mi", "fea", "recon"]
+SPEC_3 = AttackSpec(epsilon=EPS_8_255, step_size=2 / 255, iters=3, init="random")
+LAM = 1e-2
+
+
+def _run_attack(kind, params, imgs, labels, plan, rng):
+    if kind == "ce":
+        return attack_ce(params, imgs, labels, SPEC_3, rng)
+    if kind == "mi":
+        return attack_mi(params, PenaltyConfig(), imgs, labels, LAM, SPEC_3, rng)
+    if kind == "fea":
+        return attack_fea(params, imgs, SPEC_3, rng)
+    return attack_recon(params, imgs, plan, SPEC_3, rng)
+
+
+def _live_reference(kind, params, imgs, labels, plan, rng):
+    """``pgd`` with the attack's objective built on the live, trainable parameters."""
+    x = np.asarray(imgs, dtype=np.float64)
+    extra = None
+    if kind in ("ce", "mi"):
+        def objective(x_adv):
+            z = encode_full(params, x_adv).z
+            ce = ad.cross_entropy(_pooled_logits(params, z), labels)
+            if kind == "ce":
+                return ce
+            pen = penalty_mi(ad.reshape(x_adv, (x_adv.shape[0], -1)),
+                             ad.reshape(z, (z.shape[0], -1)), PenaltyConfig())
+            return ad.add(ce, ad.scale(pen, LAM))
+    elif kind == "fea":
+        natural = encode_full(params, Tensor(x)).z.detach()
+
+        def objective(x_adv):
+            return ad.mse_loss(encode_full(params, x_adv).z, natural)
+    else:
+        masked = _pixel_mask(plan, params.config)
+
+        def extra(x_adv):
+            out = x_adv.copy()
+            out[masked] = x[masked]
+            return out
+
+        def objective(x_adv):
+            return ad.mse_loss(forward_autoencoder(params, x_adv, plan), Tensor(x))
+    return pgd(objective, x, SPEC_3, rng, extra_project=extra)
+
+
+class TestInputOnlyGradients:
+    @pytest.mark.parametrize("kind", ATTACKS)
+    def test_no_parameter_grad_written(self, kind):
+        cfg, params, imgs, labels = _small_model()
+        plan = sample_mask(cfg.num_patches, 0.5, np.random.default_rng(1), batch_size=4)
+        _run_attack(kind, params, imgs, labels, plan, np.random.default_rng(2))
+        assert [name for name, t in params.tensors.items() if t.grad is not None] == []
+
+    @pytest.mark.parametrize("kind", ATTACKS)
+    def test_bit_identical_to_live_parameter_graph(self, kind):
+        cfg, params, imgs, labels = _small_model()
+        plan = sample_mask(cfg.num_patches, 0.5, np.random.default_rng(1), batch_size=4)
+        got = _run_attack(kind, params, imgs, labels, plan, np.random.default_rng(2))
+        ref = _live_reference(kind, params, imgs, labels, plan, np.random.default_rng(2))
+        assert np.array_equal(got.delta, ref.delta)
+        assert got.achieved_loss == ref.achieved_loss
+        assert np.any(got.delta != 0.0)
 
 
 class TestAttackCE:

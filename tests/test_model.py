@@ -245,3 +245,23 @@ class TestInit:
         params = init_params(tiny_config, np.random.default_rng(0))
         assert not params["enc_pos"].requires_grad
         assert not params["dec_pos"].requires_grad
+
+
+class TestConstants:
+    def test_equal_independent_and_constant(self, tiny_config):
+        params = init_params(tiny_config, np.random.default_rng(0))
+        const = params.constants()
+        assert const.config == params.config
+        assert list(const.tensors) == list(params.tensors)
+        for name, t in params.tensors.items():
+            assert np.array_equal(const[name].data, t.data), name
+            assert not np.shares_memory(const[name].data, t.data), name
+            assert not const[name].requires_grad, name
+
+    def test_forward_on_constants_builds_no_graph(self, tiny_config):
+        params = init_params(tiny_config, np.random.default_rng(0))
+        params["head.weight"].data = np.random.default_rng(1).normal(size=(32, 4))
+        imgs = np.random.default_rng(2).uniform(size=(2, 1, 16, 16))
+        logits = classify(params.constants(), Tensor(imgs))
+        assert not logits.requires_grad and logits.is_leaf
+        assert np.array_equal(logits.data, classify(params, Tensor(imgs)).data)

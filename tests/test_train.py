@@ -9,7 +9,7 @@ from mimir.autodiff import Tensor
 from mimir.attacks import AttackSpec, finetune_attack_spec, pretrain_attack_spec
 from mimir.data import synth_dataset
 from mimir.mi import PenaltyConfig, median_bandwidth
-from mimir.model import ViTConfig, classify, encode, init_params, patchify, sample_mask
+from mimir.model import ModelParams, ViTConfig, classify, encode, init_params, patchify, sample_mask
 from mimir.train import (CheckpointError, TrainConfig, TrainState, adamw_step, cosine_lr,
                          finetune_epoch, layer_lr_scales, load_checkpoint, mimir_loss,
                          pretrain_epoch, save_checkpoint, _mimir_loss_parts)
@@ -343,6 +343,32 @@ class TestCheckpoint:
         path = tmp_path / "corrupt.ckpt"
         path.write_bytes(blob)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_tensor_shape_disagreeing_with_config_rejected(self, tmp_path):
+        params = init_params(tiny_vit_config(enc_dim=32), np.random.default_rng(0))
+        wrong = ModelParams(config=tiny_vit_config(enc_dim=64), tensors=params.tensors)
+        assert wrong["patch_embed.weight"].shape == (16, 32)
+        path = tmp_path / "arch.ckpt"
+        save_checkpoint(TrainState.create(wrong, 0), path)
+        with pytest.raises(CheckpointError, match="patch_embed.weight"):
+            load_checkpoint(path)
+
+    def test_unexpected_tensor_rejected(self, tmp_path):
+        params = init_params(tiny_vit_config(), np.random.default_rng(0))
+        params.tensors["stray"] = Tensor(np.zeros(3))
+        path = tmp_path / "stray.ckpt"
+        save_checkpoint(TrainState.create(params, 0), path)
+        with pytest.raises(CheckpointError, match="stray"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("table", ["m", "v"])
+    def test_moment_shape_disagreeing_with_param_rejected(self, table, tmp_path):
+        state = TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0)
+        getattr(state, table)["head.bias"] = np.zeros(7)
+        path = tmp_path / "moment.ckpt"
+        save_checkpoint(state, path)
+        with pytest.raises(CheckpointError, match=rf"{table}\['head.bias'\]"):
             load_checkpoint(path)
 
     def test_resume_reproduces_uninterrupted_run(self, pretrain_setup, tmp_path):
