@@ -5,6 +5,13 @@ op records vector-Jacobian products for the parents that require gradients.
 Forward results of arithmetic ops are checked for NaN/Inf so numerical
 blow-ups surface where they happen instead of propagating.
 
+Two fused ops carry the transformer: ``linear`` (``x @ w + b`` as one node)
+and ``attention`` (head split, scaled ``q kᵀ``, softmax, mixing of ``v`` and
+head merge as one node, whose backward computes the score gradient once for
+both ``q`` and ``k``). Their forward values are bit-identical to the same
+computation spelled out with ``matmul``, ``add``, ``reshape``, ``transpose``,
+``scale`` and ``softmax``.
+
 Gradient accumulation contract: ``backward`` adds into ``Tensor.grad`` of
 every reachable leaf that requires gradients. Callers zero leaf gradients
 explicitly between optimization steps; running ``backward`` twice over the
@@ -256,6 +263,86 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
 
     return _result(np.matmul(a.data, b.data), "matmul", [(a, grad_a), (b, grad_b)])
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of ``x``, as one graph node."""
+    if x.ndim < 2 or w.ndim != 2:
+        raise ValueError(f"linear: needs x of rank >= 2 and a 2-D weight, got {x.shape} and {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ValueError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ValueError(f"linear: bias shape {b.shape} does not match output dim {w.shape[1]}")
+    out = np.matmul(x.data, w.data)
+    edges = [
+        (x, lambda g: np.matmul(g, w.data.T)),
+        (w, lambda g: _unbroadcast(np.matmul(x.data.swapaxes(-1, -2), g), w.shape)),
+    ]
+    if b is not None:
+        out += b.data
+        edges.append((b, lambda g: _unbroadcast(g, b.shape)))
+    return _result(out, "linear", edges)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention over ``[B, N, D]`` projections.
+
+    Splits D into ``heads`` heads, mixes ``v`` by ``softmax(q kᵀ / sqrt(D / heads))``
+    over the last axis and merges the heads back to ``[B, N, D]``. The
+    backward visit computes the score gradient once for both ``q`` and ``k``.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ValueError(f"attention: q, k, v must share one [B, N, D] shape, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    bsz, n, dim = q.shape
+    if heads < 1 or dim % heads != 0:
+        raise ValueError(f"attention: dim {dim} is not divisible by {heads} heads")
+    hd = dim // heads
+
+    def split(a: Array, axes: tuple[int, ...]) -> Array:
+        return np.ascontiguousarray(a.reshape(bsz, n, heads, hd).transpose(axes))
+
+    def merge(a: Array, axes: tuple[int, ...]) -> Array:
+        return a.transpose(axes).reshape(bsz, n, dim)
+
+    qh, kt, vh = split(q.data, (0, 2, 1, 3)), split(k.data, (0, 2, 3, 1)), split(v.data, (0, 2, 1, 3))
+    p = np.matmul(qh, kt)
+    scl = 1.0 / math.sqrt(hd)
+    p *= scl
+    _ensure_finite(p, "attention")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merge(np.matmul(p, vh), (0, 2, 1, 3))
+
+    def grads(g: Array) -> dict[int, Array]:
+        gh = g.reshape(bsz, n, heads, hd).transpose(0, 2, 1, 3)
+        found: dict[int, Array] = {}
+        if q.requires_grad or k.requires_grad:
+            ds = np.matmul(gh, vh.swapaxes(-1, -2))
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scl
+            if q.requires_grad:
+                found[0] = merge(np.matmul(ds, kt.swapaxes(-1, -2)), (0, 2, 1, 3))
+            if k.requires_grad:
+                found[1] = merge(np.matmul(qh.swapaxes(-1, -2), ds), (0, 3, 1, 2))
+        if v.requires_grad:
+            found[2] = merge(np.matmul(p.swapaxes(-1, -2), gh), (0, 2, 1, 3))
+        return found
+
+    # backward calls the kept parents' VJPs back to back with one g: the first
+    # call computes every needed gradient, each call takes its own.
+    pending: dict[int, Array] = {}
+
+    def vjp_of(i: int) -> Callable[[Array], Array]:
+        def vjp(g: Array) -> Array:
+            if not pending:
+                pending.update(grads(g))
+            return pending.pop(i)
+        return vjp
+
+    return _result(out, "attention", [(q, vjp_of(0)), (k, vjp_of(1)), (v, vjp_of(2))])
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

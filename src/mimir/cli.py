@@ -28,7 +28,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .data import Dataset, load_cifar10_binary, synth_dataset
 from .evaluate import AttackJob, evaluate, landscape_grid, write_eval_csv, write_landscape_csv
 from .mi import hsic, renyi_mi
-from .model import init_params, encode_full
+from .model import ModelParams, encode_full, init_params
 from .autodiff import Tensor
 from .train import TrainState, finetune_epoch, load_checkpoint, pretrain_epoch, save_checkpoint
 
@@ -61,6 +61,13 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     )
 
 
+def _load_params(cfg: ExperimentConfig) -> ModelParams:
+    """The checkpoint's parameters, after checking the config's ``model.*`` keys against it."""
+    params = load_checkpoint(cfg.get("checkpoint")).params
+    cfg.check_model_keys(params.config)
+    return params
+
+
 def _cmd_pretrain(cfg: ExperimentConfig) -> int:
     dataset = _build_dataset(cfg)
     params = init_params(cfg.vit_config(), np.random.default_rng([cfg.seed, 0]))
@@ -75,9 +82,8 @@ def _cmd_pretrain(cfg: ExperimentConfig) -> int:
 
 def _cmd_finetune(cfg: ExperimentConfig) -> int:
     dataset = _build_dataset(cfg)
-    checkpoint = cfg.get("checkpoint")
-    if checkpoint is not None:
-        params = load_checkpoint(checkpoint).params
+    if cfg.get("checkpoint") is not None:
+        params = _load_params(cfg)
     else:
         params = init_params(cfg.vit_config(), np.random.default_rng([cfg.seed, 0]))
     attack = cfg.attack_spec(finetune_attack_spec())
@@ -122,7 +128,7 @@ def _subset(dataset: Dataset, cfg: ExperimentConfig) -> Dataset:
 
 def _cmd_eval(cfg: ExperimentConfig) -> int:
     dataset = _subset(_build_dataset(cfg), cfg)
-    params = load_checkpoint(cfg.get("checkpoint")).params
+    params = _load_params(cfg)
     report = evaluate(params, dataset, _eval_jobs(cfg), seed=cfg.seed,
                       batch_size=cfg.get("eval.batch_size", 64))
     write_eval_csv(report, os.path.join(cfg.out_dir, "eval.csv"))
@@ -132,7 +138,7 @@ def _cmd_eval(cfg: ExperimentConfig) -> int:
 def _cmd_attack(cfg: ExperimentConfig) -> int:
     """Craft perturbations for the configured budget and record their statistics."""
     dataset = _subset(_build_dataset(cfg), cfg)
-    params = load_checkpoint(cfg.get("checkpoint")).params
+    params = _load_params(cfg)
     spec = cfg.attack_spec(AttackSpec(epsilon=EPS_8_255, step_size=STEP_2_255,
                                       iters=20, init="random"))
     batch_size = cfg.get("eval.batch_size", 64)
@@ -160,7 +166,7 @@ def _cmd_bounds(cfg: ExperimentConfig) -> int:
 
 def _cmd_landscape(cfg: ExperimentConfig) -> int:
     dataset = _build_dataset(cfg)
-    params = load_checkpoint(cfg.get("checkpoint")).params
+    params = _load_params(cfg)
     rows = landscape_grid(params, dataset, cfg.get("landscape.half_width"),
                           cfg.get("landscape.resolution"),
                           np.random.default_rng(cfg.seed),
@@ -172,7 +178,7 @@ def _cmd_landscape(cfg: ExperimentConfig) -> int:
 def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
     """Dependence estimates between inputs and their encoder latents."""
     dataset = _build_dataset(cfg)
-    params = load_checkpoint(cfg.get("checkpoint")).params.constants()
+    params = _load_params(cfg).constants()
     n = min(len(dataset), cfg.get("mi.batch_size", 64))
     if n < 2:
         raise ConfigError("mi-estimate needs at least 2 samples")

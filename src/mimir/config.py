@@ -137,6 +137,14 @@ class ExperimentConfig:
             mask_ratio=g("model.mask_ratio", 0.75),
         )
 
+    def check_model_keys(self, stored: ViTConfig) -> None:
+        """Reject any ``model.*`` key that contradicts the architecture a checkpoint stores."""
+        for key, value in sorted(self.values.items()):
+            name = key.removeprefix("model.")
+            if name != key and getattr(stored, name) != value:
+                raise ConfigError(f"{key} = {value} contradicts the checkpoint, "
+                                  f"which has {name} = {getattr(stored, name)}")
+
     def attack_spec(self, default: AttackSpec) -> AttackSpec:
         g = self.values.get
         return AttackSpec(

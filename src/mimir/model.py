@@ -205,48 +205,68 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> Array:
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
 
 
-def _block_params(rng: np.random.Generator, tensors: dict[str, Tensor],
-                  prefix: str, dim: int, mlp_ratio: int) -> None:
+def _block_specs(specs: dict[str, tuple[tuple[int, ...], str]], prefix: str, dim: int,
+                 mlp_ratio: int) -> None:
     hidden = dim * mlp_ratio
-    tensors[f"{prefix}.ln1.gamma"] = Tensor(np.ones(dim), requires_grad=True)
-    tensors[f"{prefix}.ln1.beta"] = Tensor(np.zeros(dim), requires_grad=True)
+    specs[f"{prefix}.ln1.gamma"] = ((dim,), "ones")
+    specs[f"{prefix}.ln1.beta"] = ((dim,), "zeros")
     # no key bias: softmax is invariant to a constant shift of the attention
     # logits, so a key bias would be a dead parameter
     for name in ("wq", "wk", "wv", "wo"):
-        tensors[f"{prefix}.attn.{name}"] = Tensor(_trunc_normal(rng, (dim, dim)), requires_grad=True)
+        specs[f"{prefix}.attn.{name}"] = ((dim, dim), "normal")
         if name != "wk":
-            tensors[f"{prefix}.attn.b{name[1]}"] = Tensor(np.zeros(dim), requires_grad=True)
-    tensors[f"{prefix}.ln2.gamma"] = Tensor(np.ones(dim), requires_grad=True)
-    tensors[f"{prefix}.ln2.beta"] = Tensor(np.zeros(dim), requires_grad=True)
-    tensors[f"{prefix}.mlp.w1"] = Tensor(_trunc_normal(rng, (dim, hidden)), requires_grad=True)
-    tensors[f"{prefix}.mlp.b1"] = Tensor(np.zeros(hidden), requires_grad=True)
-    tensors[f"{prefix}.mlp.w2"] = Tensor(_trunc_normal(rng, (hidden, dim)), requires_grad=True)
-    tensors[f"{prefix}.mlp.b2"] = Tensor(np.zeros(dim), requires_grad=True)
+            specs[f"{prefix}.attn.b{name[1]}"] = ((dim,), "zeros")
+    specs[f"{prefix}.ln2.gamma"] = ((dim,), "ones")
+    specs[f"{prefix}.ln2.beta"] = ((dim,), "zeros")
+    specs[f"{prefix}.mlp.w1"] = ((dim, hidden), "normal")
+    specs[f"{prefix}.mlp.b1"] = ((hidden,), "zeros")
+    specs[f"{prefix}.mlp.w2"] = ((hidden, dim), "normal")
+    specs[f"{prefix}.mlp.b2"] = ((dim,), "zeros")
+
+
+def param_specs(config: ViTConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Name -> (shape, init) of every model tensor, in the order ``init_params`` draws them.
+
+    ``init`` is ``normal`` (truncated normal), ``ones``, ``zeros`` or ``sincos``
+    (the fixed position table, the only tensor without gradients).
+    """
+    enc, dec = config.enc_dim, config.dec_dim
+    specs: dict[str, tuple[tuple[int, ...], str]] = {
+        "patch_embed.weight": ((config.patch_dim, enc), "normal"),
+        "patch_embed.bias": ((enc,), "zeros"),
+        "enc_pos": ((config.num_patches, enc), "sincos"),
+    }
+    for i in range(config.enc_layers):
+        _block_specs(specs, f"enc.{i}", enc, config.enc_mlp_ratio)
+    specs["enc_norm.gamma"] = ((enc,), "ones")
+    specs["enc_norm.beta"] = ((enc,), "zeros")
+    specs["dec_embed.weight"] = ((enc, dec), "normal")
+    specs["dec_embed.bias"] = ((dec,), "zeros")
+    specs["mask_token"] = ((dec,), "normal")
+    specs["dec_pos"] = ((config.num_patches, dec), "sincos")
+    for i in range(config.dec_layers):
+        _block_specs(specs, f"dec.{i}", dec, config.dec_mlp_ratio)
+    specs["dec_norm.gamma"] = ((dec,), "ones")
+    specs["dec_norm.beta"] = ((dec,), "zeros")
+    specs["dec_out.weight"] = ((dec, config.patch_dim), "normal")
+    specs["dec_out.bias"] = ((config.patch_dim,), "zeros")
+    specs["head.weight"] = ((enc, config.num_classes), "zeros")
+    specs["head.bias"] = ((config.num_classes,), "zeros")
+    return specs
 
 
 def init_params(config: ViTConfig, rng: np.random.Generator) -> ModelParams:
     """Truncated-normal (std 0.02) weights, zero biases and head, fixed position tables."""
-    t: dict[str, Tensor] = {}
-    t["patch_embed.weight"] = Tensor(_trunc_normal(rng, (config.patch_dim, config.enc_dim)), requires_grad=True)
-    t["patch_embed.bias"] = Tensor(np.zeros(config.enc_dim), requires_grad=True)
-    t["enc_pos"] = Tensor(sincos_position_table(config.enc_dim, config.grid))
-    for i in range(config.enc_layers):
-        _block_params(rng, t, f"enc.{i}", config.enc_dim, config.enc_mlp_ratio)
-    t["enc_norm.gamma"] = Tensor(np.ones(config.enc_dim), requires_grad=True)
-    t["enc_norm.beta"] = Tensor(np.zeros(config.enc_dim), requires_grad=True)
-    t["dec_embed.weight"] = Tensor(_trunc_normal(rng, (config.enc_dim, config.dec_dim)), requires_grad=True)
-    t["dec_embed.bias"] = Tensor(np.zeros(config.dec_dim), requires_grad=True)
-    t["mask_token"] = Tensor(_trunc_normal(rng, (config.dec_dim,)), requires_grad=True)
-    t["dec_pos"] = Tensor(sincos_position_table(config.dec_dim, config.grid))
-    for i in range(config.dec_layers):
-        _block_params(rng, t, f"dec.{i}", config.dec_dim, config.dec_mlp_ratio)
-    t["dec_norm.gamma"] = Tensor(np.ones(config.dec_dim), requires_grad=True)
-    t["dec_norm.beta"] = Tensor(np.zeros(config.dec_dim), requires_grad=True)
-    t["dec_out.weight"] = Tensor(_trunc_normal(rng, (config.dec_dim, config.patch_dim)), requires_grad=True)
-    t["dec_out.bias"] = Tensor(np.zeros(config.patch_dim), requires_grad=True)
-    t["head.weight"] = Tensor(np.zeros((config.enc_dim, config.num_classes)), requires_grad=True)
-    t["head.bias"] = Tensor(np.zeros(config.num_classes), requires_grad=True)
-    return ModelParams(config=config, tensors=t)
+    tensors: dict[str, Tensor] = {}
+    for name, (shape, init) in param_specs(config).items():
+        if init == "sincos":
+            tensors[name] = Tensor(sincos_position_table(shape[1], config.grid))
+        elif init == "normal":
+            tensors[name] = Tensor(_trunc_normal(rng, shape), requires_grad=True)
+        else:
+            tensors[name] = Tensor(np.ones(shape) if init == "ones" else np.zeros(shape),
+                                   requires_grad=True)
+    return ModelParams(config=config, tensors=tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +315,16 @@ def _pixel_mask(plan: MaskPlan, config: ViTConfig) -> Array:
 # transformer forward
 
 def _attention(params: ModelParams, prefix: str, x: Tensor, heads: int) -> Tensor:
-    b, n, dim = x.shape
-    hd = dim // heads
-    scl = 1.0 / math.sqrt(hd)
-
-    def proj(name: str) -> Tensor:
-        y = ad.matmul(x, params[f"{prefix}.attn.{name}"])
-        if name != "wk":
-            y = ad.add(y, params[f"{prefix}.attn.b{name[1]}"])
-        return ad.transpose(ad.reshape(y, (b, n, heads, hd)), (0, 2, 1, 3))
-
-    q, k, v = proj("wq"), proj("wk"), proj("wv")
-    att = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scl), axis=-1)
-    mixed = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, n, dim))
-    return ad.add(ad.matmul(mixed, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
+    name = f"{prefix}.attn."
+    q = ad.linear(x, params[name + "wq"], params[name + "bq"])
+    k = ad.linear(x, params[name + "wk"])
+    v = ad.linear(x, params[name + "wv"], params[name + "bv"])
+    return ad.linear(ad.attention(q, k, v, heads), params[name + "wo"], params[name + "bo"])
 
 
 def _mlp(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    h = ad.gelu(ad.add(ad.matmul(x, params[f"{prefix}.mlp.w1"]), params[f"{prefix}.mlp.b1"]))
-    return ad.add(ad.matmul(h, params[f"{prefix}.mlp.w2"]), params[f"{prefix}.mlp.b2"])
+    h = ad.gelu(ad.linear(x, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
+    return ad.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
 
 
 def _block(params: ModelParams, prefix: str, x: Tensor, heads: int) -> Tensor:
@@ -333,7 +344,7 @@ def encode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> LatentBatch:
     if plan.batch != patches.shape[0]:
         raise ValueError(f"encode: plan batch {plan.batch} != input batch {patches.shape[0]}")
     vis = ad.gather_rows(patches, plan.visible)
-    x = ad.add(ad.matmul(vis, params["patch_embed.weight"]), params["patch_embed.bias"])
+    x = ad.linear(vis, params["patch_embed.weight"], params["patch_embed.bias"])
     pos = Tensor(params["enc_pos"].data[plan.visible])
     x = ad.add(x, pos)
     for i in range(cfg.enc_layers):
@@ -351,7 +362,7 @@ def decode(params: ModelParams, latent: LatentBatch, plan: MaskPlan) -> Tensor:
     if z.shape[1] != plan.num_visible:
         raise ValueError(f"decode: latent has {z.shape[1]} tokens, plan expects {plan.num_visible}")
     b = z.shape[0]
-    x = ad.add(ad.matmul(z, params["dec_embed.weight"]), params["dec_embed.bias"])
+    x = ad.linear(z, params["dec_embed.weight"], params["dec_embed.bias"])
     n_masked = plan.num_patches - plan.num_visible
     if n_masked > 0:
         mask_tok = ad.expand(params["mask_token"], (b, n_masked, cfg.dec_dim))
@@ -361,7 +372,7 @@ def decode(params: ModelParams, latent: LatentBatch, plan: MaskPlan) -> Tensor:
     for i in range(cfg.dec_layers):
         x = _block(params, f"dec.{i}", x, cfg.dec_heads)
     x = ad.layer_norm(x, params["dec_norm.gamma"], params["dec_norm.beta"])
-    return ad.add(ad.matmul(x, params["dec_out.weight"]), params["dec_out.bias"])
+    return ad.linear(x, params["dec_out.weight"], params["dec_out.bias"])
 
 
 def forward_autoencoder(params: ModelParams, images: Tensor, plan: MaskPlan) -> Tensor:
@@ -382,7 +393,7 @@ def encode_full(params: ModelParams, images: Tensor) -> LatentBatch:
 def _pooled_logits(params: ModelParams, z: Tensor) -> Tensor:
     """Mean-pool encoder tokens [B, N, D] and apply the linear head."""
     pooled = ad.reduce_mean(z, axes=1)
-    return ad.add(ad.matmul(pooled, params["head.weight"]), params["head.bias"])
+    return ad.linear(pooled, params["head.weight"], params["head.bias"])
 
 
 def classify(params: ModelParams, images: Tensor) -> Tensor:

@@ -37,7 +37,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .attacks import AttackSpec, attack_ce, attack_recon
 from .mi import PenaltyConfig, penalty_mi
-from .model import (MaskPlan, ModelParams, ViTConfig, classify, decode, encode, init_params,
+from .model import (MaskPlan, ModelParams, ViTConfig, classify, decode, encode, param_specs,
                     patchify, sample_mask)
 
 Array = np.ndarray
@@ -350,15 +350,15 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def _check_shapes(params: ModelParams, m: dict[str, Array], v: dict[str, Array]) -> None:
-    """Tensors must match ``init_params`` of the stored config; moments must match their params."""
-    expected = init_params(params.config, np.random.default_rng(0)).tensors
+    """Tensors must match ``param_specs`` of the stored config; moments must match their params."""
+    expected = {name: shape for name, (shape, _) in param_specs(params.config).items()}
     stray = sorted(set(expected) ^ set(params.tensors))
     if stray:
         raise CheckpointError(f"tensors {stray} are missing or unexpected for the stored config")
     for name, t in params.tensors.items():
-        if t.shape != expected[name].shape:
+        if t.shape != expected[name]:
             raise CheckpointError(f"tensor {name!r} has shape {t.shape}, "
-                                  f"its config needs {expected[name].shape}")
+                                  f"its config needs {expected[name]}")
     trainable = {name for name, _ in params.trainable()}
     if set(m) != trainable or set(v) != trainable:
         raise CheckpointError("optimizer tables do not match the trainable parameters")

@@ -125,6 +125,32 @@ def case_builders():
         point = Tensor(rng.normal(size=(4,)))
         return _scalarize(lambda t: ad.expand(t, (3, 2, 4)), rng, (3, 2, 4)), point
 
+    def at_operand(op, shapes, point_at, out_shape):
+        """Operand ``point_at`` is the point; the others are fixed draws (None stays None)."""
+        def build(rng):
+            arrays = {name: None if shape is None else rng.normal(size=shape)
+                      for name, shape in shapes.items()}
+            point = Tensor(arrays[point_at])
+
+            def f(t):
+                return op(**{name: t if name == point_at else None if a is None else Tensor(a)
+                             for name, a in arrays.items()})
+
+            return _scalarize(f, rng, out_shape), point
+        return build
+
+    def linear(lead, bias, point_at):
+        shapes = {"x": lead + (4,), "w": (4, 3), "b": (3,) if bias else None}
+        return at_operand(ad.linear, shapes, point_at, lead + (3,))
+
+    def attention(point_at):
+        return at_operand(lambda q, k, v: ad.attention(q, k, v, heads=2),
+                          {"q": (2, 3, 4), "k": (2, 3, 4), "v": (2, 3, 4)}, point_at, (2, 3, 4))
+
+    def build_self_attention(rng):
+        point = Tensor(rng.normal(size=(2, 3, 4)))
+        return _scalarize(lambda t: ad.attention(t, t, t, heads=2), rng, (2, 3, 4)), point
+
     return {
         "add": build_add_broadcast,
         "sub": unary(lambda t: ad.sub(t, Tensor(np.full((1,), 0.25))), -2.0, 2.0),
@@ -151,6 +177,15 @@ def case_builders():
         "gather_rows": build_gather,
         "concat": build_concat,
         "expand": build_expand,
+        "linear_x_3d": linear((2, 3), True, "x"),
+        "linear_x_2d_no_bias": linear((5,), False, "x"),
+        "linear_w_3d_no_bias": linear((2, 3), False, "w"),
+        "linear_w_2d": linear((5,), True, "w"),
+        "linear_b_3d": linear((2, 3), True, "b"),
+        "attention_q": attention("q"),
+        "attention_k": attention("k"),
+        "attention_v": attention("v"),
+        "attention_qkv_shared": build_self_attention,
     }
 
 

@@ -46,6 +46,71 @@ class TestMatmul:
         assert ad.matmul(a, b).shape == (4, 2, 5)
 
 
+class TestLinear:
+    def test_matches_matmul_plus_bias_bitwise(self):
+        rng = np.random.default_rng(0)
+        x, w, b = (Tensor(rng.normal(size=s)) for s in ((2, 5, 4), (4, 3), (3,)))
+        assert np.array_equal(ad.linear(x, w, b).data, ad.add(ad.matmul(x, w), b).data)
+        assert np.array_equal(ad.linear(x, w).data, ad.matmul(x, w).data)
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((2, 4), (3, 5), None),        # inner dimensions differ
+        ((2, 4), (4, 5), (4,)),        # bias does not match the output dim
+        ((2, 4), (4, 5), (1, 5)),      # bias is not 1-D
+        ((4,), (4, 5), None),          # x has no batch axis
+        ((2, 4), (2, 4, 5), None),     # weight is not 2-D
+    ])
+    def test_shape_mismatch_rejected(self, x_shape, w_shape, b_shape):
+        b = None if b_shape is None else Tensor(np.zeros(b_shape))
+        with pytest.raises(ValueError, match="linear"):
+            ad.linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), b)
+
+
+class TestAttention:
+    def test_uniform_scores_average_values(self):
+        v = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4)))
+        zeros = Tensor(np.zeros((2, 3, 4)))
+        out = ad.attention(zeros, zeros, v, heads=2)
+        assert np.allclose(out.data, v.data.mean(axis=1, keepdims=True).repeat(3, axis=1))
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4), (2, 5, 4), (2, 5, 4)),   # keys and values of another length
+        ((2, 3, 4), (2, 3, 4), (2, 3, 8)),   # values of another width
+        ((3, 4), (3, 4), (3, 4)),            # no batch axis
+    ])
+    def test_shape_mismatch_rejected(self, shapes):
+        q, k, v = (Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(ValueError, match="attention"):
+            ad.attention(q, k, v, heads=2)
+
+    @pytest.mark.parametrize("heads", [3, 0, -2])
+    def test_dim_not_divisible_by_heads_rejected(self, heads):
+        t = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="heads"):
+            ad.attention(t, t, t, heads=heads)
+
+    def test_each_backward_visit_uses_its_own_gradient(self):
+        rng = np.random.default_rng(1)
+        t = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        weights = [Tensor(rng.normal(size=(2, 3, 4))) for _ in range(2)]
+
+        def grad_of(out, w):
+            t.zero_grad()
+            ad.backward(ad.reduce_sum(ad.mul(out, w)))
+            return t.grad
+
+        shared = ad.attention(t, t, t, heads=2)  # one node, two backward passes
+        for w in weights:
+            fresh = grad_of(ad.attention(t, t, t, heads=2), w)
+            assert np.array_equal(grad_of(shared, w), fresh)
+
+    def test_non_finite_scores_raise(self):
+        q = Tensor(np.array([[[np.nan, 0.0], [1.0, 2.0]]]))
+        t = Tensor(np.ones((1, 2, 2)))
+        with pytest.raises(FloatingPointError, match="attention"):
+            ad.attention(q, t, t, heads=1)
+
+
 class TestElementwise:
     def test_add_zero_identity(self):
         x = Tensor(np.array([1.5, -2.0]))

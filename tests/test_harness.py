@@ -308,6 +308,23 @@ class TestRunConfig:
         assert [line.split(",")[0] for line in rerun.decode().splitlines()[1:]] == ["1", "2", "3"]
         assert rerun == (once / "metrics_pretrain.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["finetune", "attack", "eval", "landscape", "mi-estimate"])
+    def test_model_key_contradicting_checkpoint_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        pre = tmp_path / "pre.cfg"
+        pre.write_text(BASE_CONFIG.format(out=out).replace("train.total_epochs = 3",
+                                                           "train.total_epochs = 2"))
+        assert run_config(pre) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=out).replace("command = pretrain", f"command = {command}")
+                       .replace("model.enc_dim = 32", "model.enc_dim = 64")
+                       + f"checkpoint = {out / 'pretrain.ckpt'}\n"
+                       "landscape.half_width = 0.1\nlandscape.resolution = 2\n")
+        assert run_config(cfg) == 1
+        err = capsys.readouterr().err
+        assert "model.enc_dim = 64" in err and "enc_dim = 32" in err
+
     def test_checkpoint_roundtrip_through_cli(self, tmp_path):
         out = tmp_path / "out"
         cfg = tmp_path / "p.cfg"

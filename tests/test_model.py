@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mimir import autodiff as ad
+from mimir import model
 from mimir.autodiff import Tensor
 from mimir.model import (MaskPlan, ViTConfig, classify, decode, encode,
                          forward_autoencoder, full_visibility_plan, init_params, patchify,
@@ -218,6 +219,56 @@ class TestInit:
         for name in a.tensors:
             assert np.array_equal(a[name].data, b[name].data), name
 
+    def test_draws_follow_the_layout_order(self, tiny_config):
+        """Same names, order, flags and bytes as drawing tensor by tensor in layout order."""
+        rng = np.random.default_rng(4)
+        expected = {}
+
+        def normal(name, shape):
+            out = rng.normal(0.0, 0.02, size=shape)
+            while (bad := np.abs(out) > 0.04).any():
+                out[bad] = rng.normal(0.0, 0.02, size=int(bad.sum()))
+            expected[name] = (out, True)
+
+        def block(prefix, dim):
+            expected[f"{prefix}.ln1.gamma"] = (np.ones(dim), True)
+            expected[f"{prefix}.ln1.beta"] = (np.zeros(dim), True)
+            for w in ("wq", "wk", "wv", "wo"):
+                normal(f"{prefix}.attn.{w}", (dim, dim))
+                if w != "wk":
+                    expected[f"{prefix}.attn.b{w[1]}"] = (np.zeros(dim), True)
+            expected[f"{prefix}.ln2.gamma"] = (np.ones(dim), True)
+            expected[f"{prefix}.ln2.beta"] = (np.zeros(dim), True)
+            normal(f"{prefix}.mlp.w1", (dim, 4 * dim))
+            expected[f"{prefix}.mlp.b1"] = (np.zeros(4 * dim), True)
+            normal(f"{prefix}.mlp.w2", (4 * dim, dim))
+            expected[f"{prefix}.mlp.b2"] = (np.zeros(dim), True)
+
+        normal("patch_embed.weight", (16, 32))
+        expected["patch_embed.bias"] = (np.zeros(32), True)
+        expected["enc_pos"] = (sincos_position_table(32, 4), False)
+        for i in range(2):
+            block(f"enc.{i}", 32)
+        expected["enc_norm.gamma"] = (np.ones(32), True)
+        expected["enc_norm.beta"] = (np.zeros(32), True)
+        normal("dec_embed.weight", (32, 16))
+        expected["dec_embed.bias"] = (np.zeros(16), True)
+        normal("mask_token", (16,))
+        expected["dec_pos"] = (sincos_position_table(16, 4), False)
+        block("dec.0", 16)
+        expected["dec_norm.gamma"] = (np.ones(16), True)
+        expected["dec_norm.beta"] = (np.zeros(16), True)
+        normal("dec_out.weight", (16, 16))
+        expected["dec_out.bias"] = (np.zeros(16), True)
+        expected["head.weight"] = (np.zeros((32, 4)), True)
+        expected["head.bias"] = (np.zeros(4), True)
+
+        params = init_params(tiny_config, np.random.default_rng(4))
+        assert list(params.tensors) == list(expected)
+        for name, (data, trainable) in expected.items():
+            assert params[name].requires_grad == trainable, name
+            assert params[name].data.tobytes() == data.tobytes(), name
+
     def test_position_table_row_zero_closed_form(self):
         table = sincos_position_table(32, 4)
         expected = np.concatenate([np.zeros(8), np.ones(8), np.zeros(8), np.ones(8)])
@@ -265,3 +316,73 @@ class TestConstants:
         logits = classify(params.constants(), Tensor(imgs))
         assert not logits.requires_grad and logits.is_leaf
         assert np.array_equal(logits.data, classify(params, Tensor(imgs)).data)
+
+
+def _reference_linear(x, w, b=None):
+    y = ad.matmul(x, w)
+    return y if b is None else ad.add(y, b)
+
+
+def _reference_attention(q, k, v, heads):
+    """The multi-head core as separate matmul/reshape/transpose/scale/softmax ops."""
+    b, n, dim = q.shape
+    hd = dim // heads
+
+    def split(t):
+        return ad.transpose(ad.reshape(t, (b, n, heads, hd)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    att = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd)), axis=-1)
+    return ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, n, dim))
+
+
+def _graph_nodes(out, stop):
+    """Distinct non-leaf nodes between ``out`` and the tensor ``stop``."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node is stop or node.is_leaf:
+            continue
+        seen.add(id(node))
+        stack.extend(parent for parent, _ in node._parents)
+    return len(seen)
+
+
+class TestFusedOps:
+    @pytest.fixture()
+    def perturbed(self, tiny_config):
+        rng = np.random.default_rng(3)
+        params = init_params(tiny_config, rng)
+        for _, t in params.trainable():  # non-zero head and biases
+            t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
+        imgs = rng.uniform(size=(3, 1, 16, 16))
+        plan = sample_mask(tiny_config.num_patches, tiny_config.mask_ratio, rng, batch_size=3)
+        return params, imgs, plan
+
+    def _run(self, params, imgs, plan):
+        x = Tensor(imgs, requires_grad=True)
+        latent = encode(params, patchify(x, 4), plan)
+        recon = decode(params, latent, plan)
+        logits = classify(params, x)
+        params.zero_grads()
+        ad.backward(ad.add(ad.mse_loss(recon, Tensor(patchify(Tensor(imgs), 4).data)),
+                           ad.cross_entropy(logits, np.arange(3))))
+        grads = {name: t.grad for name, t in params.trainable()}
+        return latent.z.data, recon.data, logits.data, x.grad, grads
+
+    def test_outputs_bit_identical_to_separate_ops(self, perturbed, monkeypatch):
+        fused = self._run(*perturbed)
+        monkeypatch.setattr(ad, "linear", _reference_linear)
+        monkeypatch.setattr(ad, "attention", _reference_attention)
+        reference = self._run(*perturbed)
+        for got, want in zip(fused[:3], reference[:3]):
+            assert np.array_equal(got, want)
+        # gradients may differ in the last bit where accumulation order changes
+        assert np.allclose(fused[3], reference[3], rtol=1e-12, atol=1e-15)
+        for name, g in fused[4].items():
+            assert np.allclose(g, reference[4][name], rtol=1e-12, atol=1e-15), name
+
+    def test_block_is_twelve_graph_nodes(self, perturbed):
+        params = perturbed[0]
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 5, 32)), requires_grad=True)
+        assert _graph_nodes(model._block(params, "enc.0", x, heads=4), x) == 12
