@@ -464,18 +464,31 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     dim = a.shape[-1]
     if gamma.shape != (dim,) or beta.shape != (dim,):
         raise ValueError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match feature dim {dim}")
-    mean = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gamma.data + beta.data
+    # In place, in the operation order of centered = a - mean(a);
+    # xhat = centered * (1 / sqrt(mean(centered²) + eps)); out = xhat * gamma + beta.
+    xhat = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / dim
+    out = np.multiply(xhat, xhat)  # the squares first, then the output
+    inv = np.add.reduce(out, axis=-1, keepdims=True) / dim
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
     lead = tuple(range(a.ndim - 1))
 
     def grad_a(g: Array) -> Array:
+        # (dim * gh - sum(gh) - xhat * sum(gh * xhat)) * inv / dim with gh = g * gamma
         gh = g * gamma.data
-        term = dim * gh - gh.sum(axis=-1, keepdims=True) - xhat * (gh * xhat).sum(axis=-1, keepdims=True)
-        return term * inv / dim
+        gh_sum = np.add.reduce(gh, axis=-1, keepdims=True)
+        proj = gh * xhat
+        np.multiply(xhat, np.add.reduce(proj, axis=-1, keepdims=True), out=proj)
+        gh *= dim
+        gh -= gh_sum
+        gh -= proj
+        gh *= inv
+        gh /= dim
+        return gh
 
     return _result(out, "layer_norm", [
         (a, grad_a),
@@ -486,11 +499,21 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU (erf form, not the tanh approximation)."""
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    cdf = np.multiply(a.data, _INV_SQRT2, out=np.empty_like(a.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5  # 0.5 * (1 + erf(a / sqrt 2))
 
     def grad_a(g: Array) -> Array:
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return g * (cdf + a.data * pdf)
+        # g * (cdf + a * pdf) with pdf = exp(-0.5 * a * a) / sqrt(2 pi), in one buffer
+        d = np.multiply(a.data, -0.5, out=np.empty_like(a.data))
+        d *= a.data
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= a.data
+        d += cdf
+        d *= g
+        return d
 
     return _result(a.data * cdf, "gelu", [(a, grad_a)])
 

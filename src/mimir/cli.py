@@ -27,7 +27,7 @@ from .bounds import bound_curves, write_bound_curve_csv
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import Dataset, load_cifar10_binary, synth_dataset
 from .evaluate import AttackJob, evaluate, landscape_grid, write_eval_csv, write_landscape_csv
-from .mi import hsic, renyi_mi
+from .mi import hsic_from_grams, rbf_gram, renyi_mi_from_grams
 from .model import ModelParams, encode_full, init_params
 from .autodiff import Tensor
 from .train import TrainState, finetune_epoch, load_checkpoint, pretrain_epoch, save_checkpoint
@@ -184,10 +184,11 @@ def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
         raise ConfigError("mi-estimate needs at least 2 samples")
     x = dataset.images[:n]
     z = encode_full(params, Tensor(x)).z.data
-    x_flat = x.reshape(n, -1)
-    z_flat = z.reshape(n, -1)
-    alpha = cfg.get("mi.alpha", 2.0)
-    estimates = [hsic(x_flat, z_flat), renyi_mi(x_flat, z_flat, alpha=alpha)]
+    # one median-bandwidth Gram per variable, shared by both estimators
+    gram_x = rbf_gram(x.reshape(n, -1))
+    gram_z = rbf_gram(z.reshape(n, -1))
+    estimates = [hsic_from_grams(gram_x, gram_z),
+                 renyi_mi_from_grams(gram_x, gram_z, alpha=cfg.get("mi.alpha", 2.0))]
     path = os.path.join(cfg.out_dir, "mi.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("estimator,alpha,value\n")

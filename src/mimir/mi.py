@@ -67,39 +67,56 @@ def _as_sample_matrix(samples) -> Array:
 
 
 def _pairwise_sq_dists(x: Array) -> Array:
-    """Squared distances from direct row differences, one [n, d] difference at a time.
+    """Squared distances from direct row differences, upper triangle mirrored.
 
     Direct differences, unlike ||a||^2 + ||b||^2 - 2 a.b, keep the Gram diagonal
-    exactly 1 and duplicate rows at exactly zero distance.
+    exactly 1 and duplicate rows at exactly zero distance. Row i's differences
+    to the rows after it go into one reused [n-1, d] buffer; (a - b)^2 equals
+    (b - a)^2 bit for bit, so the mirrored lower triangle is exact.
     """
-    d2 = np.empty((x.shape[0], x.shape[0]))
-    for i in range(x.shape[0]):
-        diff = x - x[i]
-        d2[i] = np.einsum("jk,jk->j", diff, diff)
+    n = x.shape[0]
+    d2 = np.zeros((n, n))
+    buf = np.empty((n - 1, x.shape[1]))
+    for i in range(n - 1):
+        diff = np.subtract(x[i + 1:], x[i], out=buf[: n - 1 - i])
+        row = np.einsum("jk,jk->j", diff, diff, out=d2[i, i + 1:])
+        d2[i + 1:, i] = row
     return d2
 
 
-def rbf_gram(samples, sigma: float) -> GramMatrix:
-    """K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), exactly symmetric."""
-    if sigma <= 0.0:
+def _median_of_sq_dists(d2: Array) -> float:
+    upper = np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)])
+    nonzero = upper[upper > 0.0]
+    if nonzero.size == 0:
+        return 1.0
+    return float(np.median(nonzero))
+
+
+def rbf_gram(samples, sigma: float | None = None) -> GramMatrix:
+    """K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), exactly symmetric.
+
+    Without ``sigma`` the bandwidth is ``median_bandwidth`` of the samples,
+    taken from the same distance matrix as K.
+    """
+    if sigma is not None and sigma <= 0.0:
         raise ValueError("rbf_gram: sigma must be positive")
     x = _as_sample_matrix(samples)
     if x.shape[0] < 2:
         raise ValueError("rbf_gram: needs at least 2 samples")
-    return GramMatrix(np.exp(-_pairwise_sq_dists(x) / (2.0 * sigma * sigma)), float(sigma))
+    d2 = _pairwise_sq_dists(x)
+    if sigma is None:
+        sigma = _median_of_sq_dists(d2)
+    k = np.negative(d2, out=d2)
+    k /= 2.0 * sigma * sigma
+    return GramMatrix(np.exp(k, out=k), float(sigma))
 
 
 def median_bandwidth(samples) -> float:
     """Median of the nonzero pairwise distances; 1.0 if all points coincide."""
     x = _as_sample_matrix(samples)
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("median_bandwidth: needs at least 2 samples")
-    upper = np.sqrt(_pairwise_sq_dists(x)[np.triu_indices(n, k=1)])
-    nonzero = upper[upper > 0.0]
-    if nonzero.size == 0:
-        return 1.0
-    return float(np.median(nonzero))
+    return _median_of_sq_dists(_pairwise_sq_dists(x))
 
 
 def symmetric_eigenvalues(matrix, tol: float | None = None) -> Spectrum:
@@ -147,39 +164,46 @@ def renyi_joint_entropy(gram_x: GramMatrix, gram_y: GramMatrix, alpha: float) ->
     return renyi_entropy(GramMatrix(had / np.trace(had), 0.0, normalized=True), alpha)
 
 
-def renyi_mi(x_samples, y_samples, alpha: float,
-             sigma_x: float | None = None, sigma_y: float | None = None) -> MIEstimate:
-    """H_a(X) + H_a(Y) - H_a(X, Y) with RBF Grams (median bandwidth by default)."""
-    x = _as_sample_matrix(x_samples)
-    y = _as_sample_matrix(y_samples)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("renyi_mi: sample sets must be paired")
-    sx = median_bandwidth(x) if sigma_x is None else sigma_x
-    sy = median_bandwidth(y) if sigma_y is None else sigma_y
-    gx, gy = rbf_gram(x, sx), rbf_gram(y, sy)
-    value = renyi_entropy(gx, alpha) + renyi_entropy(gy, alpha) - renyi_joint_entropy(gx, gy, alpha)
+def renyi_mi_from_grams(gram_x: GramMatrix, gram_y: GramMatrix, alpha: float) -> MIEstimate:
+    """H_a(X) + H_a(Y) - H_a(X, Y) from the two paired Grams."""
+    value = (renyi_entropy(gram_x, alpha) + renyi_entropy(gram_y, alpha)
+             - renyi_joint_entropy(gram_x, gram_y, alpha))
     return MIEstimate(value=value, estimator="renyi", alpha=float(alpha))
 
 
-def hsic(x_samples, y_samples,
-         sigma_x: float | None = None, sigma_y: float | None = None) -> MIEstimate:
+def hsic_from_grams(gram_x: GramMatrix, gram_y: GramMatrix) -> MIEstimate:
     """Biased empirical HSIC, (1/N^2) tr(K_x H K_y H) with H = I - (1/N) 1 1^T.
 
     H is idempotent, so the trace equals the elementwise product of the two
     doubly-centered Grams; that form makes a constant variable give exactly 0.
     """
+    n = gram_x.n
+    if gram_y.n != n:
+        raise ValueError(f"hsic: size mismatch {n} vs {gram_y.n}")
+    trace = _hsic_trace(ad.constant(gram_x.K), ad.constant(gram_y.K))
+    return MIEstimate(value=trace.item() / (n * n), estimator="hsic")
+
+
+def _paired_grams(x_samples, y_samples, sigma_x: float | None, sigma_y: float | None,
+                  name: str) -> tuple[GramMatrix, GramMatrix]:
     x = _as_sample_matrix(x_samples)
     y = _as_sample_matrix(y_samples)
-    n = x.shape[0]
-    if n != y.shape[0]:
-        raise ValueError("hsic: sample sets must be paired")
-    if n < 2:
-        raise ValueError("hsic: needs at least 2 samples")
-    sx = median_bandwidth(x) if sigma_x is None else sigma_x
-    sy = median_bandwidth(y) if sigma_y is None else sigma_y
-    trace = _hsic_trace(ad.constant(rbf_gram(x, sx).K), ad.constant(rbf_gram(y, sy).K))
-    value = trace.item() / (n * n)
-    return MIEstimate(value=value, estimator="hsic")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"{name}: sample sets must be paired")
+    return rbf_gram(x, sigma_x), rbf_gram(y, sigma_y)
+
+
+def renyi_mi(x_samples, y_samples, alpha: float,
+             sigma_x: float | None = None, sigma_y: float | None = None) -> MIEstimate:
+    """H_a(X) + H_a(Y) - H_a(X, Y) with RBF Grams (median bandwidth by default)."""
+    return renyi_mi_from_grams(*_paired_grams(x_samples, y_samples, sigma_x, sigma_y, "renyi_mi"),
+                               alpha)
+
+
+def hsic(x_samples, y_samples,
+         sigma_x: float | None = None, sigma_y: float | None = None) -> MIEstimate:
+    """Biased empirical HSIC with RBF Grams (median bandwidth by default)."""
+    return hsic_from_grams(*_paired_grams(x_samples, y_samples, sigma_x, sigma_y, "hsic"))
 
 
 # ---------------------------------------------------------------------------

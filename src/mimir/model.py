@@ -39,6 +39,9 @@ class ViTConfig:
     mask_ratio: float = 0.75
 
     def __post_init__(self):
+        if min(self.patch_size, self.channels, self.enc_layers, self.dec_layers, self.enc_heads,
+               self.dec_heads, self.enc_mlp_ratio, self.dec_mlp_ratio) < 1:
+            raise ValueError("all architecture extents must be at least 1")
         if self.image_size <= 0 or self.image_size % self.patch_size != 0:
             raise ValueError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.enc_dim % self.enc_heads != 0:
@@ -51,9 +54,6 @@ class ViTConfig:
             raise ValueError(f"mask_ratio must lie in [0, 1), got {self.mask_ratio}")
         if self.num_classes < 1:
             raise ValueError("num_classes must be at least 1")
-        if min(self.channels, self.enc_layers, self.dec_layers, self.enc_heads, self.dec_heads,
-               self.enc_mlp_ratio, self.dec_mlp_ratio) < 1:
-            raise ValueError("all architecture extents must be at least 1")
 
     @property
     def grid(self) -> int:
@@ -334,23 +334,31 @@ def _block(params: ModelParams, prefix: str, x: Tensor, heads: int) -> Tensor:
     return ad.add(x, _mlp(params, prefix, x=h))
 
 
-def encode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> LatentBatch:
-    """Embed and transform only the visible patches; mask tokens never appear here."""
-    cfg = params.config
+def _check_patches(cfg: ViTConfig, patches: Tensor) -> None:
     if patches.ndim != 3 or patches.shape[2] != cfg.patch_dim:
         raise ValueError(f"encode: expected [B, P, {cfg.patch_dim}], got {patches.shape}")
+
+
+def _encoder(params: ModelParams, tokens: Tensor, pos: Tensor) -> Tensor:
+    """Embed patch tokens, add their position rows and run the encoder blocks."""
+    cfg = params.config
+    x = ad.linear(tokens, params["patch_embed.weight"], params["patch_embed.bias"])
+    x = ad.add(x, pos)
+    for i in range(cfg.enc_layers):
+        x = _block(params, f"enc.{i}", x, cfg.enc_heads)
+    return ad.layer_norm(x, params["enc_norm.gamma"], params["enc_norm.beta"])
+
+
+def encode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> LatentBatch:
+    """Embed and transform only the visible patches; mask tokens never appear here."""
+    _check_patches(params.config, patches)
     if plan.num_patches != patches.shape[1]:
         raise ValueError(f"encode: plan covers {plan.num_patches} patches, input has {patches.shape[1]}")
     if plan.batch != patches.shape[0]:
         raise ValueError(f"encode: plan batch {plan.batch} != input batch {patches.shape[0]}")
     vis = ad.gather_rows(patches, plan.visible)
-    x = ad.linear(vis, params["patch_embed.weight"], params["patch_embed.bias"])
     pos = Tensor(params["enc_pos"].data[plan.visible])
-    x = ad.add(x, pos)
-    for i in range(cfg.enc_layers):
-        x = _block(params, f"enc.{i}", x, cfg.enc_heads)
-    x = ad.layer_norm(x, params["enc_norm.gamma"], params["enc_norm.beta"])
-    return LatentBatch(z=x, plan=plan)
+    return LatentBatch(z=_encoder(params, vis, pos), plan=plan)
 
 
 def decode(params: ModelParams, latent: LatentBatch, plan: MaskPlan) -> Tensor:
@@ -386,8 +394,13 @@ def forward_autoencoder(params: ModelParams, images: Tensor, plan: MaskPlan) -> 
 
 def encode_full(params: ModelParams, images: Tensor) -> LatentBatch:
     """Encoder over every patch (identity plan); shared by classify and attacks."""
-    plan = full_visibility_plan(params.config.num_patches, images.shape[0])
-    return encode(params, patchify(images, params.config.patch_size), plan)
+    patches = patchify(images, params.config.patch_size)
+    _check_patches(params.config, patches)
+    # The identity plan moves nothing: the patches and the position table go
+    # in as they are, with no gather (nor its scatter backward), bit-identical
+    # to ``encode`` under ``full_visibility_plan``.
+    z = _encoder(params, patches, Tensor(params["enc_pos"].data))
+    return LatentBatch(z=z, plan=full_visibility_plan(params.config.num_patches, images.shape[0]))
 
 
 def _pooled_logits(params: ModelParams, z: Tensor) -> Tensor:

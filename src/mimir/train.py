@@ -378,23 +378,24 @@ def load_checkpoint(path) -> TrainState:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = r.unpack("<I")
+    config_blob = r.take(cfg_len)
     try:
-        config = ViTConfig(**json.loads(r.take(cfg_len).decode("utf-8")))
-    except (json.JSONDecodeError, TypeError, UnicodeDecodeError) as exc:
-        raise CheckpointError("corrupt architecture description") from exc
+        config = ViTConfig(**json.loads(config_blob.decode("utf-8")))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt architecture description: {exc!r}") from exc
     tensors = {name: Tensor(data, requires_grad=rg) for name, data, rg in _read_tensor_table(r)}
     params = ModelParams(config=config, tensors=tensors)
     m = {name: data for name, data, _ in _read_tensor_table(r)}
     v = {name: data for name, data, _ in _read_tensor_table(r)}
     step, epoch = r.unpack("<QQ")
     (rng_len,) = r.unpack("<I")
-    try:
-        rng_state = json.loads(r.take(rng_len).decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointError("corrupt rng state") from exc
+    rng_blob = r.take(rng_len)
     if not r.exhausted:
         raise CheckpointError("trailing bytes after checkpoint payload")
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = rng_state
+    try:
+        rng.bit_generator.state = json.loads(rng_blob.decode("utf-8"))
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise CheckpointError(f"corrupt rng state: {exc!r}") from exc
     _check_shapes(params, m, v)
     return TrainState(params=params, m=m, v=v, step=int(step), epoch=int(epoch), rng=rng)

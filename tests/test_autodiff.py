@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor, tensor_create
@@ -167,6 +170,81 @@ class TestReductionsAndNN:
         out = ad.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).data
         assert np.max(np.abs(out.mean(axis=-1))) < 1e-12
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-5
+
+
+def _reference_gelu(a, g):
+    """gelu's forward and VJP as plain out-of-place expressions."""
+    cdf = 0.5 * (1.0 + erf(a * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * a * a) * (1.0 / math.sqrt(2.0 * math.pi))
+    return a * cdf, g * (cdf + a * pdf)
+
+
+def _reference_layer_norm(a, gamma, beta, g, eps=1e-6):
+    """layer_norm's forward and its three VJPs (a, gamma, beta) as plain expressions."""
+    dim = a.shape[-1]
+    mean = a.mean(axis=-1, keepdims=True)
+    centered = a - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    gh = g * gamma
+    term = dim * gh - gh.sum(axis=-1, keepdims=True) - xhat * (gh * xhat).sum(axis=-1, keepdims=True)
+    lead = tuple(range(a.ndim - 1))
+    return xhat * gamma + beta, [term * inv / dim, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+
+# Activation shapes of the tiny16 and mid32 ViTs: tokens, MLP hidden, decoder tokens.
+MODEL_SHAPES = [(16, 16, 32), (16, 16, 128), (16, 16, 16), (32, 64, 96), (32, 64, 384),
+                (32, 64, 64)]
+
+
+class TestInPlaceKernels:
+    """gelu and layer_norm build their temporaries in place; the bits must not move."""
+
+    @staticmethod
+    def _vjps_twice(out, g):
+        """Each parent's VJP run twice: a clobbered saved tensor would change the second."""
+        first = [vjp(g) for _, vjp in out._parents]
+        second = [vjp(g) for _, vjp in out._parents]
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+        return first
+
+    @pytest.mark.parametrize("shape", MODEL_SHAPES)
+    def test_gelu_bit_identical_and_inputs_untouched(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.normal(size=shape) * 2.0
+        g = rng.normal(size=shape)
+        a_before, g_before = a.copy(), g.copy()
+        t = Tensor(a, requires_grad=True)
+        out = ad.gelu(t)
+        forward = out.data.copy()
+        (grad,) = self._vjps_twice(out, g)
+        want_out, want_grad = _reference_gelu(a_before, g_before)
+        assert np.array_equal(forward, want_out) and np.array_equal(out.data, want_out)
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(t.data, a_before) and np.array_equal(g, g_before)
+        assert not np.shares_memory(grad, g) and not np.shares_memory(grad, t.data)
+
+    @pytest.mark.parametrize("shape", MODEL_SHAPES)
+    def test_layer_norm_bit_identical_and_inputs_untouched(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        a = rng.normal(size=shape) * 3.0 + 0.5
+        gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        g = rng.normal(size=shape)
+        a_before, g_before = a.copy(), g.copy()
+        t = Tensor(a, requires_grad=True)
+        out = ad.layer_norm(t, Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True))
+        forward = out.data.copy()
+        grads = self._vjps_twice(out, g)
+        want_out, want_grads = _reference_layer_norm(a_before, gamma, beta, g_before)
+        assert np.array_equal(forward, want_out) and np.array_equal(out.data, want_out)
+        assert len(grads) == 3
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(got, want)
+        assert np.array_equal(t.data, a_before) and np.array_equal(g, g_before)
+        for got in grads:
+            assert not np.shares_memory(got, g) and not np.shares_memory(got, t.data)
 
 
 class TestLosses:

@@ -8,8 +8,9 @@ from mimir.cli import run_config
 from mimir.config import ConfigError, ExperimentConfig, load_config, parse_config_text, serialize_config
 from mimir.data import class_templates, load_cifar10_binary, synth_dataset
 from mimir.evaluate import AttackJob, evaluate, landscape_grid
-from mimir.model import classify, init_params
-from mimir.train import load_checkpoint
+from mimir import mi
+from mimir.model import classify, encode_full, init_params
+from mimir.train import TrainState, load_checkpoint, save_checkpoint
 
 from conftest import tiny_vit_config
 
@@ -324,6 +325,39 @@ class TestRunConfig:
         assert run_config(cfg) == 1
         err = capsys.readouterr().err
         assert "model.enc_dim = 64" in err and "enc_dim = 32" in err
+
+    @staticmethod
+    def _mi_estimate_config(tmp_path, checkpoint):
+        cfg = tmp_path / "mi.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "mi").replace("command = pretrain",
+                                                                       "command = mi-estimate")
+                       + f"checkpoint = {checkpoint}\nmi.alpha = 1.5\n")
+        return cfg
+
+    def test_mi_estimate_computes_two_distance_matrices(self, tmp_path, monkeypatch):
+        """One pairwise-distance matrix per variable feeds both estimators, bit for bit."""
+        params = init_params(tiny_vit_config(), np.random.default_rng(0))
+        save_checkpoint(TrainState.create(params, 0), tmp_path / "m.ckpt")
+        calls = []
+        pairwise = mi._pairwise_sq_dists
+        monkeypatch.setattr(mi, "_pairwise_sq_dists", lambda x: calls.append(x.shape) or pairwise(x))
+        assert run_config(self._mi_estimate_config(tmp_path, tmp_path / "m.ckpt")) == 0
+        assert calls == [(16, 256), (16, 512)]
+        x = synth_dataset(4, 4, 16, 0.1, np.random.default_rng([0, 1]), channels=1).images
+        z = encode_full(params.constants(), Tensor(x)).z.data.reshape(16, -1)
+        x = x.reshape(16, -1)
+        want = [f"hsic,,{mi.hsic(x, z).value:.10e}",
+                f"renyi,1.5,{mi.renyi_mi(x, z, alpha=1.5).value:.10e}"]
+        assert (tmp_path / "mi" / "mi.csv").read_text().splitlines()[1:] == want
+
+    def test_corrupt_rng_block_exits_with_error(self, tmp_path, capsys):
+        state = TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0)
+        save_checkpoint(state, tmp_path / "m.ckpt")
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        tail = blob.rindex(b'"uinteger"')
+        (tmp_path / "m.ckpt").write_bytes(blob[:tail] + b'"uintegeR"' + blob[tail + 10:])
+        assert run_config(self._mi_estimate_config(tmp_path, tmp_path / "m.ckpt")) == 1
+        assert "rng state" in capsys.readouterr().err
 
     def test_checkpoint_roundtrip_through_cli(self, tmp_path):
         out = tmp_path / "out"

@@ -63,6 +63,33 @@ class TestPairwiseDistances:
             assert mi.median_bandwidth(x) == expected
 
 
+class TestSharedGrams:
+    """Estimators built from Grams that share one distance matrix per variable."""
+
+    def test_gram_without_sigma_uses_the_median_bandwidth(self):
+        for x in random_sets_with_duplicate_rows():
+            sigma = mi.median_bandwidth(x)
+            gram = mi.rbf_gram(x)
+            assert gram.sigma == sigma
+            assert np.array_equal(gram.K, mi.rbf_gram(x, sigma).K)
+
+    def test_estimates_from_grams_match_the_sample_estimators_exactly(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(12, 5))
+        y = np.tanh(x @ rng.normal(size=(5, 3))) + 0.1 * rng.normal(size=(12, 3))
+        gx, gy = mi.rbf_gram(x), mi.rbf_gram(y)
+        assert mi.hsic_from_grams(gx, gy) == mi.hsic(x, y)
+        for alpha in (2.0, 1.5):
+            assert mi.renyi_mi_from_grams(gx, gy, alpha) == mi.renyi_mi(x, y, alpha)
+
+    def test_size_mismatch(self):
+        gx, gy = mi.rbf_gram(np.eye(3)), mi.rbf_gram(np.eye(4))
+        with pytest.raises(ValueError):
+            mi.hsic_from_grams(gx, gy)
+        with pytest.raises(ValueError):
+            mi.renyi_mi_from_grams(gx, gy, 2.0)
+
+
 class TestMedianBandwidth:
     def test_three_points(self):
         assert mi.median_bandwidth([[0.0], [1.0], [2.0]]) == 1.0

@@ -24,6 +24,11 @@ class TestConfig:
     def test_default_mask_ratio(self):
         assert ViTConfig(image_size=32).mask_ratio == 0.75
 
+    @pytest.mark.parametrize("key", ["patch_size", "enc_heads", "dec_heads"])
+    def test_zero_divisor_extent_rejected(self, key):
+        with pytest.raises(ValueError, match="at least 1"):
+            tiny_vit_config(**{key: 0})
+
     def test_cifar_patching(self):
         cfg = ViTConfig(image_size=32, channels=3, patch_size=2)
         assert cfg.num_patches == 256
@@ -209,6 +214,43 @@ class TestClassify:
         pooled = ad.reduce_mean(latent.z, axes=1)
         manual = ad.add(ad.matmul(pooled, params["head.weight"]), params["head.bias"])
         assert np.array_equal(manual.data, classify(params, Tensor(imgs)).data)
+
+
+class TestEncodeFull:
+    def test_matches_encode_under_full_visibility_plan(self, tiny_config):
+        """The identity plan skips the gather; outputs and input gradients stay exact."""
+        rng = np.random.default_rng(11)
+        params = init_params(tiny_config, rng)
+        imgs = rng.uniform(size=(3, 1, 16, 16))
+        weights = Tensor(rng.normal(size=(3, 16, 32)))
+        results = []
+        for run in (lambda x: model.encode_full(params, x),
+                    lambda x: encode(params, patchify(x, 4), full_visibility_plan(16, 3))):
+            x = Tensor(imgs, requires_grad=True)
+            latent = run(x)
+            ad.backward(ad.reduce_sum(ad.mul(latent.z, weights)))
+            results.append((latent.z.data, x.grad, latent.plan))
+        (z_full, grad_full, plan_full), (z_ref, grad_ref, plan_ref) = results
+        assert np.array_equal(z_full, z_ref)
+        assert np.array_equal(grad_full, grad_ref)
+        assert plan_full.same_plan(plan_ref)
+
+    def test_no_gather_in_graph(self, tiny_config):
+        params = init_params(tiny_config, np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).uniform(size=(2, 1, 16, 16)), requires_grad=True)
+        ops, stack, seen = set(), [model.encode_full(params, x).z], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops.add(node._op)
+                stack.extend(parent for parent, _ in node._parents)
+        assert "linear" in ops and "gather_rows" not in ops
+
+    def test_wrong_channel_count_rejected(self, tiny_config):
+        params = init_params(tiny_config, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="encode: expected"):
+            model.encode_full(params, Tensor(np.zeros((1, 3, 16, 16))))
 
 
 class TestInit:

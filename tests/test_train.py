@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 
@@ -370,6 +371,86 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         with pytest.raises(CheckpointError, match=rf"{table}\['head.bias'\]"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _fresh_blob(tmp_path, config=None) -> tuple[TrainState, bytes]:
+        state = TrainState.create(init_params(config or tiny_vit_config(),
+                                              np.random.default_rng(0)), 0)
+        save_checkpoint(state, tmp_path / "fresh.ckpt")
+        return state, (tmp_path / "fresh.ckpt").read_bytes()
+
+    @staticmethod
+    def _rng_block_start(state: TrainState, blob: bytes) -> int:
+        """Offset of the rng block's length field, the last block of the file."""
+        stored = json.dumps(state.rng.bit_generator.state, sort_keys=True,
+                            separators=(",", ":")).encode("utf-8")
+        return len(blob) - len(stored) - 4
+
+    def _with_rng_block(self, state: TrainState, blob: bytes, rng_json: bytes) -> bytes:
+        return (blob[:self._rng_block_start(state, blob)] + struct.pack("<I", len(rng_json))
+                + rng_json)
+
+    @staticmethod
+    def _with_config_block(blob: bytes, config_json: bytes) -> bytes:
+        (stored,) = struct.unpack("<I", blob[8:12])
+        return blob[:8] + struct.pack("<I", len(config_json)) + config_json + blob[12 + stored:]
+
+    @pytest.mark.parametrize("rng_json", [b"[]", b'{"bit_generator":"MT19937"}'])
+    def test_rng_block_of_wrong_kind_rejected(self, rng_json, tmp_path):
+        state, blob = self._fresh_blob(tmp_path)
+        path = tmp_path / "rng.ckpt"
+        path.write_bytes(self._with_rng_block(state, blob, rng_json))
+        with pytest.raises(CheckpointError, match="rng state"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["uinteger", "has_uint32", "state"])
+    def test_rng_block_missing_key_rejected(self, key, tmp_path):
+        state, blob = self._fresh_blob(tmp_path)
+        rng_state = dict(state.rng.bit_generator.state)
+        del rng_state[key]
+        path = tmp_path / "rng.ckpt"
+        path.write_bytes(self._with_rng_block(state, blob, json.dumps(rng_state).encode("utf-8")))
+        with pytest.raises(CheckpointError, match="rng state"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [("image_size", 0), ("patch_size", 0),
+                                           ("mask_ratio", 1.5)])
+    def test_invalid_architecture_block_rejected(self, key, value, tmp_path):
+        _, blob = self._fresh_blob(tmp_path)
+        config = json.loads(blob[12:12 + struct.unpack("<I", blob[8:12])[0]])
+        config[key] = value
+        path = tmp_path / "arch.ckpt"
+        path.write_bytes(self._with_config_block(blob, json.dumps(config).encode("utf-8")))
+        with pytest.raises(CheckpointError, match="architecture"):
+            load_checkpoint(path)
+
+    def test_byte_flips_raise_only_checkpoint_error(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # The smallest valid architecture: the blob is mostly structure, not payload.
+        small = ViTConfig(image_size=4, channels=1, patch_size=4, enc_layers=1, enc_dim=4,
+                          enc_heads=1, enc_mlp_ratio=1, dec_layers=1, dec_dim=4, dec_heads=1,
+                          dec_mlp_ratio=1, num_classes=1)
+        state, blob = self._fresh_blob(tmp_path, small)
+        path = tmp_path / "flip.ckpt"
+        config_end = 12 + struct.unpack("<I", blob[8:12])[0]
+        # anywhere, or inside the architecture block, or inside the rng block
+        position = st.one_of(st.integers(0, len(blob) - 1), st.integers(8, config_end - 1),
+                             st.integers(self._rng_block_start(state, blob), len(blob) - 1))
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.lists(st.tuples(position, st.integers(1, 255)), min_size=1, max_size=3))
+        def flip(edits):
+            corrupt = bytearray(blob)
+            for pos, mask in edits:
+                corrupt[pos] ^= mask
+            path.write_bytes(bytes(corrupt))
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+
+        flip()
 
     def test_resume_reproduces_uninterrupted_run(self, pretrain_setup, tmp_path):
         _, ds = pretrain_setup
