@@ -8,20 +8,29 @@ reconstruction error for pre-training, the MI-aware adaptive attack, and
 the feature-distance adaptive attack. Each objective is built on
 ``ModelParams.constants()``, so the reverse pass walks only the input path
 and never writes a parameter's ``.grad``.
+
+A trainer that steps on the loss at the returned point passes
+``keep_forward=True`` to ``attack_recon`` or ``attack_ce``. Their last
+iterate is then scored by a forward on the live parameters, and when that
+iterate is the returned point, the forward is handed back in
+``Perturbation.last_forward`` for the trainer's backward. The attack itself
+still runs no backward through that forward, so it writes no ``.grad``.
+Evaluation, ``attack_mi`` and ``attack_fea`` score every point on the
+constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .mi import PenaltyConfig, penalty_mi
-from .model import (MaskPlan, ModelParams, _pixel_mask, _pooled_logits, encode_full,
-                    forward_autoencoder)
+from .model import (AutoencoderPass, MaskPlan, ModelParams, _pixel_mask, _pooled_logits,
+                    autoencoder_pass, encode_full, forward_autoencoder, unpatchify)
 
 Array = np.ndarray
 
@@ -77,8 +86,17 @@ def adaptive_attack_spec(epsilon: float = EPS_8_255, step_size: float = STEP_2_2
 
 @dataclass
 class Perturbation:
+    """``x + delta`` is the best point visited; ``achieved_loss`` its objective.
+
+    ``last_forward`` is what ``pgd``'s ``score_last`` built at the last
+    iterate. It is kept only when that iterate is the returned point and
+    ``x + delta`` reproduces it bit for bit, so a graph built on it is the
+    graph a fresh forward at ``x + delta`` would build; otherwise it is None.
+    """
+
     delta: Array
     achieved_loss: float
+    last_forward: Any = None
 
 
 def linf_project(x_adv: Array, x: Array, spec: AttackSpec) -> Array:
@@ -99,15 +117,24 @@ def _check_invariants(delta: Array, x: Array, spec: AttackSpec) -> None:
         raise AssertionError("pgd: returned point violates the pixel box")
 
 
+def _same_bits(a: Array, b: Array) -> bool:
+    """Bitwise equality; unlike ``==`` it tells -0.0 from 0.0."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
         rng: np.random.Generator,
-        extra_project: Callable[[Array], Array] | None = None) -> Perturbation:
+        extra_project: Callable[[Array], Array] | None = None,
+        score_last: Callable[[Tensor], tuple[Tensor, Any]] | None = None) -> Perturbation:
     """Signed-gradient ascent of ``objective`` within the L-inf ball around x.
 
     Tracks the best objective over the initial point and every projected
     iterate, so with zero init the result is never worse than delta = 0.
     ``extra_project`` runs after initialization and after every projection
-    (used to pin masked pixels to their natural values).
+    (used to pin masked pixels to their natural values). ``score_last``
+    scores the last iterate in place of ``objective``, to the same value,
+    and returns that score with whatever it built on the way; see
+    :class:`Perturbation` for when the latter is kept.
     """
     x = np.asarray(x, dtype=np.float64)
     if spec.init == "random":
@@ -140,14 +167,21 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
         x_adv = linf_project(x_adv + spec.step_size * np.sign(grad), x, spec)
         if extra_project is not None:
             x_adv = extra_project(x_adv)
-    final = objective(Tensor(x_adv)).item()
+    if score_last is None:
+        score, built = objective(Tensor(x_adv)), None
+    else:
+        score, built = score_last(Tensor(x_adv))
+    final = score.item()
     if not np.isfinite(final):
         raise FloatingPointError("pgd: non-finite objective")
+    kept = None
     if final > best_loss:
-        best_loss, best_point = final, x_adv
+        best_loss, best_point, kept = final, x_adv, built
     delta = best_point - x
     _check_invariants(delta, x, spec)
-    return Perturbation(delta=delta, achieved_loss=float(best_loss))
+    if kept is not None and not _same_bits(x + delta, best_point):
+        kept = None
+    return Perturbation(delta=delta, achieved_loss=float(best_loss), last_forward=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +190,6 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
 def _classifier_objective(params: ModelParams, labels: Array, lam: float,
                           penalty: PenaltyConfig | None) -> Callable[[Tensor], Tensor]:
     labels = np.asarray(labels, dtype=np.int64)
-    params = params.constants()
 
     def objective(x_adv: Tensor) -> Tensor:
         latent = encode_full(params, x_adv)
@@ -172,12 +205,25 @@ def _classifier_objective(params: ModelParams, labels: Array, lam: float,
 
 
 def attack_ce(params: ModelParams, images: Array, labels: Array, spec: AttackSpec,
-              rng: np.random.Generator) -> Perturbation:
-    """PGD on classification cross-entropy (inner max of AT, PGD-k evaluation)."""
+              rng: np.random.Generator, keep_forward: bool = False) -> Perturbation:
+    """PGD on classification cross-entropy (inner max of AT, PGD-k evaluation).
+
+    With ``keep_forward`` the last iterate's cross-entropy is built on the
+    live parameters and, when kept, is ``last_forward``: the fine-tuning loss.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= params.config.num_classes):
         raise ValueError("attack_ce: label out of range")
-    return pgd(_classifier_objective(params, labels, 0.0, None), images, spec, rng)
+    score_last = None
+    if keep_forward:
+        live_ce = _classifier_objective(params, labels, 0.0, None)
+
+        def score_last(x_adv: Tensor) -> tuple[Tensor, Tensor]:
+            ce = live_ce(x_adv)
+            return ce, ce
+
+    return pgd(_classifier_objective(params.constants(), labels, 0.0, None), images, spec, rng,
+               score_last=score_last)
 
 
 def attack_mi(params: ModelParams, penalty: PenaltyConfig, images: Array, labels: Array,
@@ -192,7 +238,8 @@ def attack_mi(params: ModelParams, penalty: PenaltyConfig, images: Array, labels
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= params.config.num_classes):
         raise ValueError("attack_mi: label out of range")
-    return pgd(_classifier_objective(params, labels, float(lam), penalty), images, spec, rng)
+    return pgd(_classifier_objective(params.constants(), labels, float(lam), penalty), images,
+               spec, rng)
 
 
 def attack_fea(params: ModelParams, images: Array, spec: AttackSpec,
@@ -215,14 +262,16 @@ def attack_fea(params: ModelParams, images: Array, spec: AttackSpec,
 
 
 def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: AttackSpec,
-                 rng: np.random.Generator) -> Perturbation:
+                 rng: np.random.Generator, keep_forward: bool = False) -> Perturbation:
     """Pre-training attack maximizing the reconstruction error against natural x.
 
     Only visible patches are attacked: masked-patch pixels are pinned back to
     their natural values after initialization and every step (their
     gradients are zero anyway, but random init would otherwise touch them).
+    With ``keep_forward`` the last iterate runs through the live parameters
+    and, when kept, its :class:`mimir.model.AutoencoderPass` is
+    ``last_forward``.
     """
-    params = params.constants()
     x = np.asarray(images, dtype=np.float64)
     cfg = params.config
     masked_pixels = _pixel_mask(plan, cfg)
@@ -233,7 +282,16 @@ def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: Attac
         out[masked_pixels] = x[masked_pixels]
         return out
 
-    def objective(x_adv: Tensor) -> Tensor:
-        return ad.mse_loss(forward_autoencoder(params, x_adv, plan), target)
+    constants = params.constants()
 
-    return pgd(objective, x, spec, rng, extra_project=pin_masked)
+    def objective(x_adv: Tensor) -> Tensor:
+        return ad.mse_loss(forward_autoencoder(constants, x_adv, plan), target)
+
+    score_last = None
+    if keep_forward:
+        def score_last(x_adv: Tensor) -> tuple[Tensor, AutoencoderPass]:
+            forward = autoencoder_pass(params, x_adv, plan)
+            recon = unpatchify(forward.recon, cfg.patch_size, cfg.channels)
+            return ad.mse_loss(recon, target), forward
+
+    return pgd(objective, x, spec, rng, extra_project=pin_masked, score_last=score_last)

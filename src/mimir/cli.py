@@ -9,8 +9,9 @@ the config and seed; the metrics ``seconds`` column is therefore pinned to
 metrics at runtime.
 
 Derived random streams: parameter init uses (seed, 0), dataset synthesis
-(seed, 1), evaluation batches (seed, job, batch); the training loop itself
-consumes the checkpointed generator seeded with the bare seed.
+(seed, 1), the per-batch attacks of ``eval`` and ``attack`` (seed, job,
+batch), ``attack`` being job 0; the training loop itself consumes the
+checkpointed generator seeded with the bare seed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .attacks import (AttackSpec, EPS_8_255, STEP_2_255, adaptive_attack_spec, a
 from .bounds import bound_curves, write_bound_curve_csv
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import Dataset, load_cifar10_binary, synth_dataset
-from .evaluate import AttackJob, evaluate, landscape_grid, write_eval_csv, write_landscape_csv
+from .evaluate import (AttackJob, attack_batches, evaluate, landscape_grid, write_eval_csv,
+                       write_landscape_csv)
 from .mi import hsic_from_grams, rbf_gram, renyi_mi_from_grams
 from .model import ModelParams, encode_full, init_params
 from .autodiff import Tensor
@@ -141,12 +143,8 @@ def _cmd_attack(cfg: ExperimentConfig) -> int:
     params = _load_params(cfg)
     spec = cfg.attack_spec(AttackSpec(epsilon=EPS_8_255, step_size=STEP_2_255,
                                       iters=20, init="random"))
-    batch_size = cfg.get("eval.batch_size", 64)
     rows = []
-    for b, start in enumerate(range(0, len(dataset), batch_size)):
-        x = dataset.images[start:start + batch_size]
-        y = dataset.labels[start:start + batch_size]
-        rng = np.random.default_rng([cfg.seed, 0, b])
+    for x, y, (rng,) in attack_batches(dataset, cfg.get("eval.batch_size", 64), cfg.seed, 1):
         pert = attack_ce(params, x, y, spec, rng)
         rows.append((pert.achieved_loss, float(np.max(np.abs(pert.delta))), len(y)))
     path = os.path.join(cfg.out_dir, "attack.csv")

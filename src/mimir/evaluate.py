@@ -59,21 +59,24 @@ def _run_job(params: ModelParams, job: AttackJob, images: Array, labels: Array,
     return images + pert.delta
 
 
+def attack_batches(dataset: Dataset, batch_size: int, seed: int, jobs: int):
+    """Fixed-order batches ``(x, y, rngs)``; ``rngs[j]`` is seeded ``(seed, j, batch)``."""
+    for b, start in enumerate(range(0, len(dataset), batch_size)):
+        yield (dataset.images[start:start + batch_size], dataset.labels[start:start + batch_size],
+               [np.random.default_rng([seed, j, b]) for j in range(jobs)])
+
+
 def evaluate(params: ModelParams, dataset: Dataset, jobs: list[AttackJob],
              seed: int = 0, batch_size: int = 64) -> EvalReport:
     """Natural accuracy plus robust accuracy under each attack job."""
     n = len(dataset)
     if n == 0:
         raise ValueError("evaluate: empty dataset")
-    starts = range(0, n, batch_size)
     correct_nat = 0
     correct_rob = [0] * len(jobs)
-    for b, start in enumerate(starts):
-        x = dataset.images[start:start + batch_size]
-        y = dataset.labels[start:start + batch_size]
+    for x, y, rngs in attack_batches(dataset, batch_size, seed, len(jobs)):
         correct_nat += int((_predict(params, x) == y).sum())
-        for j, job in enumerate(jobs):
-            rng = np.random.default_rng([seed, j, b])
+        for j, (job, rng) in enumerate(zip(jobs, rngs)):
             x_adv = _run_job(params, job, x, y, rng)
             correct_rob[j] += int((_predict(params, x_adv) == y).sum())
     robust = [(job.name, 100.0 * c / n) for job, c in zip(jobs, correct_rob)]

@@ -383,13 +383,26 @@ def decode(params: ModelParams, latent: LatentBatch, plan: MaskPlan) -> Tensor:
     return ad.linear(x, params["dec_out.weight"], params["dec_out.bias"])
 
 
+@dataclass
+class AutoencoderPass:
+    """The nodes of one masked autoencoder forward that the pre-training loss reads."""
+
+    patches: Tensor             # [batch, num_patches, patch_dim] input patches
+    latent: LatentBatch
+    recon: Tensor               # [batch, num_patches, patch_dim] reconstructed patches
+
+
+def autoencoder_pass(params: ModelParams, images: Tensor, plan: MaskPlan) -> AutoencoderPass:
+    """patchify -> encode -> decode, keeping every intermediate the loss needs."""
+    patches = patchify(images, params.config.patch_size)
+    latent = encode(params, patches, plan)
+    return AutoencoderPass(patches=patches, latent=latent, recon=decode(params, latent, plan))
+
+
 def forward_autoencoder(params: ModelParams, images: Tensor, plan: MaskPlan) -> Tensor:
     """Full reconstruction path: patchify -> encode -> decode -> unpatchify."""
     cfg = params.config
-    patches = patchify(images, cfg.patch_size)
-    latent = encode(params, patches, plan)
-    recon = decode(params, latent, plan)
-    return unpatchify(recon, cfg.patch_size, cfg.channels)
+    return unpatchify(autoencoder_pass(params, images, plan).recon, cfg.patch_size, cfg.channels)
 
 
 def encode_full(params: ModelParams, images: Tensor) -> LatentBatch:

@@ -7,7 +7,15 @@ Fine-tuning runs the classification inner max per batch and steps with
 layer-wise learning-rate decay; decoder weights and the mask token are
 frozen there.
 
-Checkpoint format (version 1, all integers little-endian):
+Both loops train on the attack's last forward: the attack scores its last
+iterate on the live parameters, and when that iterate is the returned
+point, its graph (``Perturbation.last_forward``) is the forward of the
+loss. Otherwise the loop runs a fresh forward at ``x + delta``. Either way
+the loss is computed by the same ops on the same bits, so the results do
+not depend on which path ran. The attacks' own backward passes stay on
+constant parameters and write no ``.grad``.
+
+Checkpoint format (version 2, all integers little-endian):
     magic 'MIMR' | uint32 version
     uint32 config-JSON length | config JSON (the architecture description)
     tensor table   -- every named model tensor
@@ -15,6 +23,9 @@ Checkpoint format (version 1, all integers little-endian):
     tensor table   -- second AdamW moment, trainable tensors only
     uint64 step | uint64 epoch
     uint32 rng-JSON length | bit-generator state JSON
+    uint32 CRC-32 of every preceding byte
+A version-1 file is the same without the CRC-32; it loads with every check
+but the checksum.
 Each tensor table is a uint32 count followed by entries of:
     uint16 name length | UTF-8 name | uint8 dtype (0 = float64)
     | uint8 flags (bit 0: requires_grad) | uint8 rank | uint32 extents...
@@ -29,6 +40,7 @@ import json
 import math
 import struct
 import time
+import zlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -37,13 +49,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .attacks import AttackSpec, attack_ce, attack_recon
 from .mi import PenaltyConfig, penalty_mi
-from .model import (MaskPlan, ModelParams, ViTConfig, classify, decode, encode, param_specs,
-                    patchify, sample_mask)
+from .model import (AutoencoderPass, MaskPlan, ModelParams, ViTConfig, autoencoder_pass, classify,
+                    param_specs, patchify, sample_mask)
 
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"MIMR"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -154,14 +166,18 @@ def layer_lr_scales(params: ModelParams, layer_decay: float) -> dict[str, float]
 # losses
 
 def _mimir_loss_parts(params: ModelParams, images: Array, plan: MaskPlan, delta: Array,
-                      config: TrainConfig, penalty: PenaltyConfig | None = None
-                      ) -> tuple[Tensor, float, float]:
-    """Loss tensor plus the raw (mse, penalty) values for metrics."""
+                      config: TrainConfig, penalty: PenaltyConfig | None = None,
+                      forward: AutoencoderPass | None = None) -> tuple[Tensor, float, float]:
+    """Loss tensor plus the raw (mse, penalty) values for metrics.
+
+    ``forward`` is the autoencoder pass of ``params`` at ``images + delta``
+    (the attack's ``last_forward``); without it a fresh one is run.
+    """
     cfg = params.config
     x = np.asarray(images, dtype=np.float64)
-    x_adv = Tensor(x + np.asarray(delta, dtype=np.float64))
-    latent = encode(params, patchify(x_adv, cfg.patch_size), plan)
-    recon_patches = decode(params, latent, plan)
+    if forward is None:
+        forward = autoencoder_pass(params, Tensor(x + np.asarray(delta, dtype=np.float64)), plan)
+    latent, recon_patches = forward.latent, forward.recon
     target_patches = patchify(Tensor(x), cfg.patch_size)
     if config.recon_masked_only:
         mse = ad.mse_loss(ad.gather_rows(recon_patches, plan.masked),
@@ -172,7 +188,7 @@ def _mimir_loss_parts(params: ModelParams, images: Array, plan: MaskPlan, delta:
         return mse, mse.item(), 0.0
     if x.shape[0] < 2:
         raise ValueError("the MI penalty needs a batch of at least 2 samples")
-    x_vis = ad.gather_rows(patchify(x_adv, cfg.patch_size), plan.visible)
+    x_vis = ad.gather_rows(forward.patches, plan.visible)
     pen = penalty_mi(x_vis, latent.z, penalty or PenaltyConfig(estimator=config.estimator))
     loss = ad.add(mse, ad.scale(pen, config.lam))
     return loss, mse.item(), pen.item()
@@ -215,8 +231,9 @@ def pretrain_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetr
     for idx in _batches(n, config.batch_size, state.rng):
         x = dataset.images[idx]
         plan = sample_mask(cfg.num_patches, cfg.mask_ratio, state.rng, batch_size=len(idx))
-        pert = attack_recon(state.params, x, plan, config.attack, state.rng)
-        loss, mse_value, mi_value = _mimir_loss_parts(state.params, x, plan, pert.delta, config)
+        pert = attack_recon(state.params, x, plan, config.attack, state.rng, keep_forward=True)
+        loss, mse_value, mi_value = _mimir_loss_parts(state.params, x, plan, pert.delta, config,
+                                                      forward=pert.last_forward)
         state.params.zero_grads()
         ad.backward(loss)
         grads = {name: t.grad for name, t in state.params.trainable() if t.grad is not None}
@@ -256,8 +273,10 @@ def finetune_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetr
     for idx in _batches(n, config.batch_size, state.rng):
         x = dataset.images[idx]
         y = dataset.labels[idx]
-        pert = attack_ce(state.params, x, y, config.attack, state.rng)
-        loss = ad.cross_entropy(classify(state.params, Tensor(x + pert.delta)), y)
+        pert = attack_ce(state.params, x, y, config.attack, state.rng, keep_forward=True)
+        loss = pert.last_forward
+        if loss is None:
+            loss = ad.cross_entropy(classify(state.params, Tensor(x + pert.delta)), y)
         state.params.zero_grads()
         ad.backward(loss)
         grads = {name: t.grad for name, t in state.params.trainable()
@@ -291,9 +310,10 @@ class _Reader:
     def __init__(self, blob: bytes):
         self.blob = blob
         self.pos = 0
+        self.end = len(blob)
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+        if self.pos + n > self.end:
             raise CheckpointError("truncated checkpoint")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
@@ -304,7 +324,7 @@ class _Reader:
 
     @property
     def exhausted(self) -> bool:
-        return self.pos == len(self.blob)
+        return self.pos == self.end
 
 
 def _read_tensor_table(r: _Reader) -> list[tuple[str, Array, bool]]:
@@ -345,8 +365,10 @@ def save_checkpoint(state: TrainState, path) -> None:
                           separators=(",", ":")).encode("utf-8")
     chunks.append(struct.pack("<I", len(rng_json)))
     chunks.append(rng_json)
+    blob = b"".join(chunks)
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(blob)
+        fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
 def _check_shapes(params: ModelParams, m: dict[str, Array], v: dict[str, Array]) -> None:
@@ -375,7 +397,14 @@ def load_checkpoint(path) -> TrainState:
     if r.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
     (version,) = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
+    if version == CHECKPOINT_VERSION:
+        r.end -= 4
+        if r.end < r.pos:
+            raise CheckpointError("truncated checkpoint")
+        (crc,) = struct.unpack("<I", r.blob[r.end:])
+        if zlib.crc32(memoryview(r.blob)[:r.end]) != crc:
+            raise CheckpointError("checksum mismatch: the checkpoint is damaged")
+    elif version != 1:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = r.unpack("<I")
     config_blob = r.take(cfg_len)

@@ -208,6 +208,22 @@ class TestInputOnlyGradients:
         assert got.achieved_loss == ref.achieved_loss
         assert np.any(got.delta != 0.0)
 
+    @pytest.mark.parametrize("kind", ["ce", "recon"])
+    def test_trainer_mode_writes_no_parameter_grad(self, kind):
+        """``keep_forward`` builds the last forward on live parameters, but runs no backward."""
+        cfg, params, imgs, labels = _small_model()
+        plan = sample_mask(cfg.num_patches, 0.5, np.random.default_rng(1), batch_size=4)
+        if kind == "ce":
+            got = attack_ce(params, imgs, labels, SPEC_3, np.random.default_rng(2),
+                            keep_forward=True)
+        else:
+            got = attack_recon(params, imgs, plan, SPEC_3, np.random.default_rng(2),
+                               keep_forward=True)
+        assert [name for name, t in params.tensors.items() if t.grad is not None] == []
+        ref = _run_attack(kind, params, imgs, labels, plan, np.random.default_rng(2))
+        assert np.array_equal(got.delta, ref.delta) and got.achieved_loss == ref.achieved_loss
+        assert ref.last_forward is None and got.last_forward is not None
+
 
 class TestAttackCE:
     def test_label_out_of_range(self, small_model):

@@ -1,9 +1,12 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
-from mimir.attacks import AttackSpec
+from mimir.attacks import AttackSpec, attack_ce
 from mimir.cli import run_config
 from mimir.config import ConfigError, ExperimentConfig, load_config, parse_config_text, serialize_config
 from mimir.data import class_templates, load_cifar10_binary, synth_dataset
@@ -350,12 +353,35 @@ class TestRunConfig:
                 f"renyi,1.5,{mi.renyi_mi(x, z, alpha=1.5).value:.10e}"]
         assert (tmp_path / "mi" / "mi.csv").read_text().splitlines()[1:] == want
 
+    def test_attack_batches_seeded_as_job_zero(self, tmp_path):
+        """``attack`` seeds batch b with (seed, 0, b), like ``eval``'s first job."""
+        params = init_params(tiny_vit_config(), np.random.default_rng(0))
+        params["head.weight"].data = np.random.default_rng(1).normal(0, 0.2, size=(32, 4))
+        save_checkpoint(TrainState.create(params, 0), tmp_path / "m.ckpt")
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "a").replace("command = pretrain",
+                                                                      "command = attack")
+                       + f"checkpoint = {tmp_path / 'm.ckpt'}\neval.batch_size = 6\n"
+                       "attack.iters = 2\n")
+        assert run_config(cfg) == 0
+        ds = synth_dataset(4, 4, 16, 0.1, np.random.default_rng([0, 1]), channels=1)
+        spec = AttackSpec(epsilon=8 / 255, step_size=2 / 255, iters=2, init="random")
+        objective, linf = 0.0, 0.0
+        for b, start in enumerate(range(0, 16, 6)):
+            x, y = ds.images[start:start + 6], ds.labels[start:start + 6]
+            pert = attack_ce(params, x, y, spec, np.random.default_rng([0, 0, b]))
+            objective += pert.achieved_loss * len(y)
+            linf = max(linf, float(np.max(np.abs(pert.delta))))
+        assert (tmp_path / "a" / "attack.csv").read_text().splitlines() == [
+            "attack,mean_objective,max_linf,n", f"pgd2,{objective / 16:.10e},{linf:.10e},16"]
+
     def test_corrupt_rng_block_exits_with_error(self, tmp_path, capsys):
         state = TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0)
         save_checkpoint(state, tmp_path / "m.ckpt")
-        blob = (tmp_path / "m.ckpt").read_bytes()
-        tail = blob.rindex(b'"uinteger"')
-        (tmp_path / "m.ckpt").write_bytes(blob[:tail] + b'"uintegeR"' + blob[tail + 10:])
+        body = (tmp_path / "m.ckpt").read_bytes()[:-4]          # without the CRC-32
+        tail = body.rindex(b'"uinteger"')
+        body = body[:tail] + b'"uintegeR"' + body[tail + 10:]
+        (tmp_path / "m.ckpt").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         assert run_config(self._mi_estimate_config(tmp_path, tmp_path / "m.ckpt")) == 1
         assert "rng state" in capsys.readouterr().err
 

@@ -1,21 +1,30 @@
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from mimir import attacks, model, train
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
-from mimir.attacks import AttackSpec, finetune_attack_spec, pretrain_attack_spec
+from mimir.attacks import (AttackSpec, attack_ce, attack_recon, finetune_attack_spec,
+                           pretrain_attack_spec)
 from mimir.data import synth_dataset
-from mimir.mi import PenaltyConfig, median_bandwidth
-from mimir.model import ModelParams, ViTConfig, classify, encode, init_params, patchify, sample_mask
+from mimir.mi import PenaltyConfig, median_bandwidth, penalty_mi
+from mimir.model import (ModelParams, ViTConfig, classify, decode, encode, init_params, patchify,
+                         sample_mask)
 from mimir.train import (CheckpointError, TrainConfig, TrainState, adamw_step, cosine_lr,
                          finetune_epoch, layer_lr_scales, load_checkpoint, mimir_loss,
                          pretrain_epoch, save_checkpoint, _mimir_loss_parts)
 
 from conftest import tiny_vit_config
+
+
+def _sealed(body: bytes) -> bytes:
+    """A version-2 checkpoint file: ``body`` plus its CRC-32 trailer."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def small_train_config(**overrides):
@@ -381,19 +390,20 @@ class TestCheckpoint:
 
     @staticmethod
     def _rng_block_start(state: TrainState, blob: bytes) -> int:
-        """Offset of the rng block's length field, the last block of the file."""
+        """Offset of the rng block's length field, the last block before the CRC-32."""
         stored = json.dumps(state.rng.bit_generator.state, sort_keys=True,
                             separators=(",", ":")).encode("utf-8")
-        return len(blob) - len(stored) - 4
+        return len(blob) - 4 - len(stored) - 4
 
     def _with_rng_block(self, state: TrainState, blob: bytes, rng_json: bytes) -> bytes:
-        return (blob[:self._rng_block_start(state, blob)] + struct.pack("<I", len(rng_json))
-                + rng_json)
+        return _sealed(blob[:self._rng_block_start(state, blob)]
+                       + struct.pack("<I", len(rng_json)) + rng_json)
 
     @staticmethod
     def _with_config_block(blob: bytes, config_json: bytes) -> bytes:
         (stored,) = struct.unpack("<I", blob[8:12])
-        return blob[:8] + struct.pack("<I", len(config_json)) + config_json + blob[12 + stored:]
+        return _sealed(blob[:8] + struct.pack("<I", len(config_json)) + config_json
+                       + blob[12 + stored:-4])
 
     @pytest.mark.parametrize("rng_json", [b"[]", b'{"bit_generator":"MT19937"}'])
     def test_rng_block_of_wrong_kind_rejected(self, rng_json, tmp_path):
@@ -448,9 +458,48 @@ class TestCheckpoint:
             try:
                 load_checkpoint(path)
             except CheckpointError:
-                pass
+                return
+            # CRC-32 catches every error confined to 32 consecutive bits
+            changed = sum(a != b for a, b in zip(corrupt, blob))
+            assert changed != 1, f"a single-byte flip loaded: {edits}"
 
         flip()
+
+    def test_every_single_byte_flip_rejected(self, tmp_path):
+        _, blob = self._fresh_blob(tmp_path, ViTConfig(
+            image_size=4, channels=1, patch_size=4, enc_layers=1, enc_dim=4, enc_heads=1,
+            enc_mlp_ratio=1, dec_layers=1, dec_dim=4, dec_heads=1, dec_mlp_ratio=1,
+            num_classes=1))
+        path = tmp_path / "flip.ckpt"
+        for pos in range(len(blob)):
+            corrupt = bytearray(blob)
+            corrupt[pos] ^= 0x01 << (pos % 8)
+            path.write_bytes(bytes(corrupt))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_damaged_payload_names_the_checksum(self, tmp_path):
+        _, blob = self._fresh_blob(tmp_path)
+        corrupt = bytearray(blob)
+        corrupt[len(blob) // 2] ^= 0x10              # inside a tensor payload
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_version_one_file_loads_as_before(self, pretrain_setup, tmp_path):
+        _, ds = pretrain_setup
+        state = self._trained_state(ds, epochs=1)
+        v2 = tmp_path / "v2.ckpt"
+        save_checkpoint(state, v2)
+        blob = v2.read_bytes()
+        assert struct.unpack("<I", blob[4:8]) == (2,)
+        assert struct.unpack("<I", blob[-4:]) == (zlib.crc32(blob[:-4]),)
+        v1 = tmp_path / "v1.ckpt"
+        v1.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-4])  # no trailer in version 1
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(load_checkpoint(v1), again)
+        assert again.read_bytes() == blob
 
     def test_resume_reproduces_uninterrupted_run(self, pretrain_setup, tmp_path):
         _, ds = pretrain_setup
@@ -484,3 +533,181 @@ class TestCheckpoint:
             save_checkpoint(state, path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# training on the attack's last forward
+
+def _old_loss_parts(params, images, plan, delta, config):
+    """The loss as the loop built it before it reused the attack's forward."""
+    cfg = params.config
+    x = np.asarray(images, dtype=np.float64)
+    x_adv = Tensor(x + np.asarray(delta, dtype=np.float64))
+    latent = encode(params, patchify(x_adv, cfg.patch_size), plan)
+    recon_patches = decode(params, latent, plan)
+    target_patches = patchify(Tensor(x), cfg.patch_size)
+    if config.recon_masked_only:
+        mse = ad.mse_loss(ad.gather_rows(recon_patches, plan.masked),
+                          ad.gather_rows(target_patches, plan.masked))
+    else:
+        mse = ad.mse_loss(recon_patches, target_patches)
+    if config.lam == 0.0:
+        return mse, mse.item(), 0.0
+    x_vis = ad.gather_rows(patchify(x_adv, cfg.patch_size), plan.visible)
+    pen = penalty_mi(x_vis, latent.z, PenaltyConfig(estimator=config.estimator))
+    return ad.add(mse, ad.scale(pen, config.lam)), mse.item(), pen.item()
+
+
+def _old_epoch(state, dataset, config, pretrain):
+    """The loop as it was: the attack, then a fresh forward at x + delta."""
+    n = len(dataset)
+    steps = math.ceil(n / config.batch_size)
+    warmup, total = config.warmup_epochs * steps, config.total_epochs * steps
+    scales = None if pretrain else layer_lr_scales(state.params, config.layer_decay)
+    sums = np.zeros(3)
+    for idx in train._batches(n, config.batch_size, state.rng):
+        x = dataset.images[idx]
+        if pretrain:
+            cfg = state.params.config
+            plan = sample_mask(cfg.num_patches, cfg.mask_ratio, state.rng, batch_size=len(idx))
+            pert = attack_recon(state.params, x, plan, config.attack, state.rng)
+            loss, mse_value, mi_value = _old_loss_parts(state.params, x, plan, pert.delta, config)
+        else:
+            y = dataset.labels[idx]
+            pert = attack_ce(state.params, x, y, config.attack, state.rng)
+            loss = ad.cross_entropy(classify(state.params, Tensor(x + pert.delta)), y)
+            mse_value, mi_value = loss.item(), 0.0
+        state.params.zero_grads()
+        ad.backward(loss)
+        grads = {name: t.grad for name, t in state.params.trainable() if t.grad is not None
+                 and (pretrain or not name.startswith(train.FINETUNE_FROZEN_PREFIXES))}
+        adamw_step(state, grads, cosine_lr(state.step, warmup, total, config.base_lr), config,
+                   lr_scales=scales)
+        sums += (mse_value, mi_value, pert.achieved_loss)
+    state.epoch += 1
+    return tuple(sums / steps)
+
+
+@pytest.fixture
+def trainer_attacks(monkeypatch):
+    """Every ``pgd`` call that scores its last iterate for a trainer, as
+    ``(perturbation, score of the last iterate)``."""
+    calls = []
+    real_pgd = attacks.pgd
+
+    def spy(objective, x, spec, rng, extra_project=None, score_last=None):
+        if score_last is None:
+            return real_pgd(objective, x, spec, rng, extra_project)
+        scores = []
+
+        def recording(x_adv):
+            score, built = score_last(x_adv)
+            scores.append(score.item())
+            return score, built
+
+        pert = real_pgd(objective, x, spec, rng, extra_project, recording)
+        calls.append((pert, scores[-1]))
+        return pert
+
+    monkeypatch.setattr(attacks, "pgd", spy)
+    return calls
+
+
+def _assert_same_state(a: TrainState, b: TrainState):
+    assert (a.step, a.epoch) == (b.step, b.epoch)
+    for name, t in a.params.tensors.items():
+        assert t.data.tobytes() == b.params[name].data.tobytes(), name
+    for name in a.m:
+        assert a.m[name].tobytes() == b.m[name].tobytes(), name
+        assert a.v[name].tobytes() == b.v[name].tobytes(), name
+
+
+def _finetune_params(head_std):
+    params = init_params(tiny_vit_config(), np.random.default_rng(0))
+    if head_std:
+        params["head.weight"].data = np.random.default_rng(2).normal(0, head_std, size=(32, 4))
+    return params
+
+
+FINETUNE = dict(attack=finetune_attack_spec(iters=3), betas=(0.9, 0.999), lam=0.0,
+                layer_decay=0.65, batch_size=6)
+
+
+class TestTrainOnAttackForward:
+    def _compare(self, ds, config, pretrain, make_params, epochs=1):
+        epoch_fn = pretrain_epoch if pretrain else finetune_epoch
+        new, old = TrainState.create(make_params(), 0), TrainState.create(make_params(), 0)
+        for _ in range(epochs):
+            m = epoch_fn(new, ds, config)
+            assert (m.loss_mse, m.loss_mi, m.loss_adv) == _old_epoch(old, ds, config, pretrain)
+        _assert_same_state(new, old)
+
+    def test_pretrain_step_runs_two_autoencoder_forwards(self, pretrain_setup, monkeypatch):
+        _, ds = pretrain_setup
+        counts = {"encode": 0, "decode": 0, "patchify": 0}
+        for name in counts:
+            original = getattr(model, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (model, attacks, train):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        state = TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0)
+        pretrain_epoch(state, ds, small_train_config(batch_size=len(ds)))  # one step
+        # attack iterate + last iterate (kept); patchify also builds the MSE target
+        assert counts == {"encode": 2, "decode": 2, "patchify": 3}
+
+    @pytest.mark.parametrize("overrides", [dict(lam=1e-5), dict(lam=0.0),
+                                           dict(lam=1e-5, recon_masked_only=True)],
+                             ids=["lambda-1e-5", "lambda-0", "masked-only"])
+    def test_pretrain_bit_identical_to_fresh_forward(self, pretrain_setup, trainer_attacks,
+                                                     overrides):
+        _, ds = pretrain_setup
+        config = small_train_config(batch_size=6, **overrides)  # 16 images: 3 steps
+        self._compare(ds, config, True,
+                      lambda: init_params(tiny_vit_config(), np.random.default_rng(0)))
+        assert len(trainer_attacks) == 3
+        assert any(pert.last_forward is not None for pert, _ in trainer_attacks)
+
+    def test_finetune_bit_identical_to_fresh_forward(self, pretrain_setup, trainer_attacks):
+        _, ds = pretrain_setup
+        self._compare(ds, small_train_config(**FINETUNE), False, lambda: _finetune_params(0.2))
+        assert len(trainer_attacks) == 3
+        assert any(pert.last_forward is not None for pert, _ in trainer_attacks)
+
+    def test_last_iterate_that_does_not_win_rebuilds(self, pretrain_setup, trainer_attacks):
+        """A zero head gives every point the same cross-entropy: no iterate beats the start."""
+        _, ds = pretrain_setup
+        self._compare(ds, small_train_config(**dict(FINETUNE, batch_size=len(ds))), False,
+                      lambda: _finetune_params(0.0))
+        ((pert, last_score),) = trainer_attacks
+        assert pert.last_forward is None
+        assert last_score == pert.achieved_loss and not np.any(pert.delta)
+
+    @pytest.mark.parametrize("pretrain", [True, False], ids=["pretrain", "finetune"])
+    def test_point_that_fails_the_round_trip_rebuilds(self, pretrain_setup, trainer_attacks,
+                                                      pretrain):
+        """x + (p - x) != p: the box pins pixels to p = 1e-10 next to x = 0.02."""
+        low, x_value = 1e-10, 0.02
+        assert x_value + (low - x_value) != low
+        _, base = pretrain_setup
+        ds = synth_dataset(4, 4, 16, 0.0, np.random.default_rng(3), channels=1)
+        ds.images = np.full_like(base.images, x_value)
+        spec = AttackSpec(epsilon=8 / 255, step_size=10 / 255, iters=1,
+                          init="random" if pretrain else "zero", box=(low, 1.0))
+        if pretrain:
+            config = small_train_config(batch_size=len(ds), attack=spec)
+            make_params = lambda: init_params(tiny_vit_config(), np.random.default_rng(0))
+        else:
+            config = small_train_config(**dict(FINETUNE, batch_size=len(ds), attack=spec))
+            make_params = lambda: _finetune_params(0.2)
+        self._compare(ds, config, pretrain, make_params)
+        ((pert, last_score),) = trainer_attacks
+        assert last_score == pert.achieved_loss          # the last iterate won ...
+        moved = ds.images + pert.delta
+        pinned = np.abs(moved - low) < 1e-15
+        assert pinned.any() and np.all(moved[pinned] != low)
+        assert pert.last_forward is None                 # ... but x + delta is not its bits
