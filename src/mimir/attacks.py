@@ -9,14 +9,12 @@ the feature-distance adaptive attack. Each objective is built on
 ``ModelParams.constants()``, so the reverse pass walks only the input path
 and never writes a parameter's ``.grad``.
 
-A trainer that steps on the loss at the returned point passes
-``keep_forward=True`` to ``attack_recon`` or ``attack_ce``. Their last
-iterate is then scored by a forward on the live parameters, and when that
-iterate is the returned point, the forward is handed back in
-``Perturbation.last_forward`` for the trainer's backward. The attack itself
-still runs no backward through that forward, so it writes no ``.grad``.
-Evaluation, ``attack_mi`` and ``attack_fea`` score every point on the
-constants.
+The one exception is the last iterate of ``attack_recon``: it is scored by
+a forward on the live parameters, and when that iterate is the returned
+point, the forward is handed back in ``Perturbation.last_forward`` so that
+pre-training builds its loss on it instead of running the autoencoder
+again. The attack runs no backward through that forward, so it still
+writes no ``.grad``.
 """
 
 from __future__ import annotations
@@ -190,6 +188,7 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
 def _classifier_objective(params: ModelParams, labels: Array, lam: float,
                           penalty: PenaltyConfig | None) -> Callable[[Tensor], Tensor]:
     labels = np.asarray(labels, dtype=np.int64)
+    params = params.constants()
 
     def objective(x_adv: Tensor) -> Tensor:
         latent = encode_full(params, x_adv)
@@ -205,25 +204,12 @@ def _classifier_objective(params: ModelParams, labels: Array, lam: float,
 
 
 def attack_ce(params: ModelParams, images: Array, labels: Array, spec: AttackSpec,
-              rng: np.random.Generator, keep_forward: bool = False) -> Perturbation:
-    """PGD on classification cross-entropy (inner max of AT, PGD-k evaluation).
-
-    With ``keep_forward`` the last iterate's cross-entropy is built on the
-    live parameters and, when kept, is ``last_forward``: the fine-tuning loss.
-    """
+              rng: np.random.Generator) -> Perturbation:
+    """PGD on classification cross-entropy (inner max of AT, PGD-k evaluation)."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= params.config.num_classes):
         raise ValueError("attack_ce: label out of range")
-    score_last = None
-    if keep_forward:
-        live_ce = _classifier_objective(params, labels, 0.0, None)
-
-        def score_last(x_adv: Tensor) -> tuple[Tensor, Tensor]:
-            ce = live_ce(x_adv)
-            return ce, ce
-
-    return pgd(_classifier_objective(params.constants(), labels, 0.0, None), images, spec, rng,
-               score_last=score_last)
+    return pgd(_classifier_objective(params, labels, 0.0, None), images, spec, rng)
 
 
 def attack_mi(params: ModelParams, penalty: PenaltyConfig, images: Array, labels: Array,
@@ -238,8 +224,7 @@ def attack_mi(params: ModelParams, penalty: PenaltyConfig, images: Array, labels
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= params.config.num_classes):
         raise ValueError("attack_mi: label out of range")
-    return pgd(_classifier_objective(params.constants(), labels, float(lam), penalty), images,
-               spec, rng)
+    return pgd(_classifier_objective(params, labels, float(lam), penalty), images, spec, rng)
 
 
 def attack_fea(params: ModelParams, images: Array, spec: AttackSpec,
@@ -262,15 +247,14 @@ def attack_fea(params: ModelParams, images: Array, spec: AttackSpec,
 
 
 def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: AttackSpec,
-                 rng: np.random.Generator, keep_forward: bool = False) -> Perturbation:
+                 rng: np.random.Generator) -> Perturbation:
     """Pre-training attack maximizing the reconstruction error against natural x.
 
     Only visible patches are attacked: masked-patch pixels are pinned back to
     their natural values after initialization and every step (their
     gradients are zero anyway, but random init would otherwise touch them).
-    With ``keep_forward`` the last iterate runs through the live parameters
-    and, when kept, its :class:`mimir.model.AutoencoderPass` is
-    ``last_forward``.
+    The last iterate runs through the live parameters and, when kept, its
+    :class:`mimir.model.AutoencoderPass` is ``last_forward``.
     """
     x = np.asarray(images, dtype=np.float64)
     cfg = params.config
@@ -287,11 +271,9 @@ def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: Attac
     def objective(x_adv: Tensor) -> Tensor:
         return ad.mse_loss(forward_autoencoder(constants, x_adv, plan), target)
 
-    score_last = None
-    if keep_forward:
-        def score_last(x_adv: Tensor) -> tuple[Tensor, AutoencoderPass]:
-            forward = autoencoder_pass(params, x_adv, plan)
-            recon = unpatchify(forward.recon, cfg.patch_size, cfg.channels)
-            return ad.mse_loss(recon, target), forward
+    def score_last(x_adv: Tensor) -> tuple[Tensor, AutoencoderPass]:
+        forward = autoencoder_pass(params, x_adv, plan)
+        recon = unpatchify(forward.recon, cfg.patch_size, cfg.channels)
+        return ad.mse_loss(recon, target), forward
 
     return pgd(objective, x, spec, rng, extra_project=pin_masked, score_last=score_last)

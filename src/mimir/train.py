@@ -7,13 +7,14 @@ Fine-tuning runs the classification inner max per batch and steps with
 layer-wise learning-rate decay; decoder weights and the mask token are
 frozen there.
 
-Both loops train on the attack's last forward: the attack scores its last
-iterate on the live parameters, and when that iterate is the returned
-point, its graph (``Perturbation.last_forward``) is the forward of the
-loss. Otherwise the loop runs a fresh forward at ``x + delta``. Either way
-the loss is computed by the same ops on the same bits, so the results do
-not depend on which path ran. The attacks' own backward passes stay on
-constant parameters and write no ``.grad``.
+Pre-training trains on the attack's last forward: the reconstruction
+attack scores its last iterate on the live parameters, and when that
+iterate is the returned point, its graph (``Perturbation.last_forward``)
+is the forward of the loss. Otherwise the loop runs a fresh forward at
+``x + delta``. Either way the loss is computed by the same ops on the same
+bits, so the results do not depend on which path ran. The attacks' own
+backward passes stay on constant parameters and write no ``.grad``.
+Fine-tuning runs a fresh forward at ``x + delta`` after its attack.
 
 Checkpoint format (version 2, all integers little-endian):
     magic 'MIMR' | uint32 version
@@ -231,7 +232,7 @@ def pretrain_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetr
     for idx in _batches(n, config.batch_size, state.rng):
         x = dataset.images[idx]
         plan = sample_mask(cfg.num_patches, cfg.mask_ratio, state.rng, batch_size=len(idx))
-        pert = attack_recon(state.params, x, plan, config.attack, state.rng, keep_forward=True)
+        pert = attack_recon(state.params, x, plan, config.attack, state.rng)
         loss, mse_value, mi_value = _mimir_loss_parts(state.params, x, plan, pert.delta, config,
                                                       forward=pert.last_forward)
         state.params.zero_grads()
@@ -273,10 +274,8 @@ def finetune_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetr
     for idx in _batches(n, config.batch_size, state.rng):
         x = dataset.images[idx]
         y = dataset.labels[idx]
-        pert = attack_ce(state.params, x, y, config.attack, state.rng, keep_forward=True)
-        loss = pert.last_forward
-        if loss is None:
-            loss = ad.cross_entropy(classify(state.params, Tensor(x + pert.delta)), y)
+        pert = attack_ce(state.params, x, y, config.attack, state.rng)
+        loss = ad.cross_entropy(classify(state.params, Tensor(x + pert.delta)), y)
         state.params.zero_grads()
         ad.backward(loss)
         grads = {name: t.grad for name, t in state.params.trainable()
