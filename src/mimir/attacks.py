@@ -195,9 +195,7 @@ def _classifier_objective(params: ModelParams, labels: Array, lam: float,
         ce = ad.cross_entropy(_pooled_logits(params, latent.z), labels)
         if lam == 0.0:
             return ce
-        pen = penalty_mi(ad.reshape(x_adv, (x_adv.shape[0], -1)),
-                         ad.reshape(latent.z, (latent.z.shape[0], -1)),
-                         penalty or PenaltyConfig())
+        pen = penalty_mi(x_adv, latent.z, penalty or PenaltyConfig())
         return ad.add(ce, ad.scale(pen, lam))
 
     return objective

@@ -592,27 +592,8 @@ def _rel_err(a: float, b: float) -> float:
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], point: Tensor, h: float) -> GradReport:
     """Check analytic gradients of ``f`` at ``point`` against central differences."""
-    if h <= 0.0:
-        raise ValueError("finite_diff_check: h must be positive")
-    base = np.array(point.data, dtype=np.float64)
-    leaf = Tensor(base, requires_grad=True)
-    out = f(leaf)
-    if out.data.size != 1:
-        raise ValueError("finite_diff_check: f must be scalar-valued")
-    backward(out)
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(base)
-
-    worst = 0.0
-    flat = base.reshape(-1)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] += h
-        f_plus = f(Tensor(bumped.reshape(base.shape))).item()
-        bumped[i] = flat[i] - h
-        f_minus = f(Tensor(bumped.reshape(base.shape))).item()
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        worst = max(worst, _rel_err(float(analytic.reshape(-1)[i]), numeric))
-    return GradReport(per_param={"x": worst}, h=h)
+    leaf = Tensor(point.data, requires_grad=True)
+    return finite_diff_check_params(lambda: f(leaf), {"x": leaf}, h)
 
 
 def finite_diff_check_params(f: Callable[[], Tensor], params: dict[str, Tensor],

@@ -120,22 +120,8 @@ class ExperimentConfig:
         return str(self.values["out_dir"])
 
     def vit_config(self) -> ViTConfig:
-        g = self.values.get
-        return ViTConfig(
-            image_size=g("model.image_size"),
-            channels=g("model.channels", 3),
-            patch_size=g("model.patch_size"),
-            enc_layers=g("model.enc_layers", 12),
-            enc_dim=g("model.enc_dim", 192),
-            enc_heads=g("model.enc_heads", 3),
-            enc_mlp_ratio=g("model.enc_mlp_ratio", 4),
-            dec_layers=g("model.dec_layers", 2),
-            dec_dim=g("model.dec_dim", 128),
-            dec_heads=g("model.dec_heads", 16),
-            dec_mlp_ratio=g("model.dec_mlp_ratio", 4),
-            num_classes=g("model.num_classes", 10),
-            mask_ratio=g("model.mask_ratio", 0.75),
-        )
+        return ViTConfig(**{key.removeprefix("model."): value for key, value in self.values.items()
+                            if key.startswith("model.")})
 
     def check_model_keys(self, stored: ViTConfig) -> None:
         """Reject any ``model.*`` key that contradicts the architecture a checkpoint stores."""

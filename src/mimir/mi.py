@@ -1,12 +1,13 @@
 """Kernel-based dependence measures and an exact discrete-MI oracle.
 
-Two paths live here. The numpy path (``rbf_gram``, ``renyi_entropy``,
-``hsic``, ...) is for estimation and monitoring and takes Gram spectra from
-LAPACK. The graph path (``penalty_mi``) builds the same quantities out of
-autodiff ops so the penalty can be differentiated through the encoder; it is
-restricted to HSIC and the alpha=2 Renyi mutual information, where
-tr(K_norm^2) reduces to a plain Frobenius sum and no eigendecomposition is
-needed. Both paths share one HSIC centering.
+Two paths live here, on one RBF Gram construction (``_rbf_kernel``). The
+numpy path (``rbf_gram``, ``renyi_entropy``, ``hsic``, ...) is for
+estimation and monitoring and takes Gram spectra from LAPACK. The graph path
+(``penalty_mi``) wraps the same Gram in one autodiff node so the penalty can be
+differentiated through the encoder; it is restricted to HSIC and the alpha=2
+Renyi mutual information, where tr(K_norm^2) reduces to a plain Frobenius sum
+and no eigendecomposition is needed. Both paths share one HSIC centering, so
+the HSIC penalty equals ``hsic`` of the same batch bit for bit.
 
 All entropies and mutual informations are in bits (log base 2).
 """
@@ -92,23 +93,32 @@ def _median_of_sq_dists(d2: Array) -> float:
     return float(np.median(nonzero))
 
 
+def _rbf_kernel(x: Array, sigma: float | None) -> tuple[Array, float]:
+    """K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)) over the rows of ``x``, and sigma.
+
+    Without ``sigma`` the bandwidth is the median distance, taken from the
+    same distance matrix as K. The diagonal of K is exactly 1.
+    """
+    if sigma is not None and sigma <= 0.0:
+        raise ValueError("rbf_gram: sigma must be positive")
+    d2 = _pairwise_sq_dists(x)
+    if sigma is None:
+        sigma = _median_of_sq_dists(d2)
+    k = np.negative(d2, out=d2)
+    k /= 2.0 * sigma * sigma
+    return np.exp(k, out=k), float(sigma)
+
+
 def rbf_gram(samples, sigma: float | None = None) -> GramMatrix:
     """K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), exactly symmetric.
 
     Without ``sigma`` the bandwidth is ``median_bandwidth`` of the samples,
     taken from the same distance matrix as K.
     """
-    if sigma is not None and sigma <= 0.0:
-        raise ValueError("rbf_gram: sigma must be positive")
     x = _as_sample_matrix(samples)
     if x.shape[0] < 2:
         raise ValueError("rbf_gram: needs at least 2 samples")
-    d2 = _pairwise_sq_dists(x)
-    if sigma is None:
-        sigma = _median_of_sq_dists(d2)
-    k = np.negative(d2, out=d2)
-    k /= 2.0 * sigma * sigma
-    return GramMatrix(np.exp(k, out=k), float(sigma))
+    return GramMatrix(*_rbf_kernel(x, sigma))
 
 
 def median_bandwidth(samples) -> float:
@@ -180,8 +190,8 @@ def hsic_from_grams(gram_x: GramMatrix, gram_y: GramMatrix) -> MIEstimate:
     n = gram_x.n
     if gram_y.n != n:
         raise ValueError(f"hsic: size mismatch {n} vs {gram_y.n}")
-    trace = _hsic_trace(ad.constant(gram_x.K), ad.constant(gram_y.K))
-    return MIEstimate(value=trace.item() / (n * n), estimator="hsic")
+    return MIEstimate(value=_hsic_graph(ad.constant(gram_x.K), ad.constant(gram_y.K)).item(),
+                      estimator="hsic")
 
 
 def _paired_grams(x_samples, y_samples, sigma_x: float | None, sigma_y: float | None,
@@ -230,13 +240,23 @@ def _flatten_batch(t: Tensor) -> Tensor:
     return ad.reshape(t, (t.shape[0], -1)) if t.ndim != 2 else t
 
 
-def _gram_graph(x: Tensor, sigma: float) -> Tensor:
-    """Differentiable RBF Gram matrix over the rows of a [N, d] tensor."""
-    sq = ad.reduce_sum(ad.square(x), axes=1, keepdims=True)
-    cross = ad.matmul(x, ad.transpose(x, (1, 0)))
-    d2 = ad.sub(ad.add(sq, ad.transpose(sq, (1, 0))), ad.scale(cross, 2.0))
-    d2 = ad.clip(d2, 0.0, None)  # cancellation can leave ~-1e-16 residues
-    return ad.exp(ad.scale(d2, -1.0 / (2.0 * sigma * sigma)))
+def _gram_graph(x: Tensor, sigma: float | None) -> Tensor:
+    """``_rbf_kernel`` of the rows of a [N, d] tensor as one graph node.
+
+    The bandwidth is a constant. With S = (G + G^T) * K for the upstream G,
+    the gradient of row i is sum_j S_ij (x_j - x_i) / sigma^2.
+    """
+    k, sigma = _rbf_kernel(x.data, sigma)
+
+    def grad_x(g: Array) -> Array:
+        s = g + g.T
+        s *= k
+        out = s @ x.data
+        out -= s.sum(axis=1, keepdims=True) * x.data
+        out /= sigma * sigma
+        return out
+
+    return ad._result(k, "rbf_gram", [(x, grad_x)])
 
 
 def _center_graph(k: Tensor) -> Tensor:
@@ -246,17 +266,17 @@ def _center_graph(k: Tensor) -> Tensor:
     return ad.add(ad.sub(ad.sub(k, row), col), ad.reduce_mean(k))
 
 
-def _hsic_trace(kx: Tensor, ky: Tensor) -> Tensor:
-    # tr(Kx H Ky H) as the product of doubly-centered Grams (H is idempotent)
-    return ad.reduce_sum(ad.mul(_center_graph(kx), _center_graph(ky)))
+def _hsic_graph(kx: Tensor, ky: Tensor) -> Tensor:
+    # (1/N^2) tr(Kx H Ky H) as the product of doubly-centered Grams (H is idempotent)
+    n = kx.shape[0]
+    return ad.scale(ad.reduce_sum(ad.mul(_center_graph(kx), _center_graph(ky))), 1.0 / (n * n))
 
 
 def _renyi2_entropy_graph(k: Tensor, n: int) -> Tensor:
-    # H_2 = -log2(tr(K_norm^2)) = -(log sum K_ij^2 - 2 log tr K) / log 2
-    eye = Tensor(np.eye(n))
-    trace = ad.reduce_sum(ad.mul(k, eye))
+    # H_2 = -log2(tr(K_norm^2)) = -(log sum K_ij^2 - 2 log tr K) / log 2, with tr K = n:
+    # every Gram here, and the Hadamard product of two, has a diagonal of exactly 1
     frob = ad.reduce_sum(ad.square(k))
-    return ad.scale(ad.sub(ad.log(frob), ad.scale(ad.log(trace), 2.0)), -1.0 / _LN2)
+    return ad.scale(ad.sub(ad.log(frob), ad.constant(2.0 * np.log(n))), -1.0 / _LN2)
 
 
 def penalty_mi(x_batch: Tensor, z_batch: Tensor, config: PenaltyConfig) -> Tensor:
@@ -273,12 +293,10 @@ def penalty_mi(x_batch: Tensor, z_batch: Tensor, config: PenaltyConfig) -> Tenso
         raise ValueError("penalty_mi: batch must contain at least 2 samples")
     if z.shape[0] != n:
         raise ValueError(f"penalty_mi: batch sizes differ, {n} vs {z.shape[0]}")
-    sx = config.sigma_x if config.sigma_x is not None else median_bandwidth(x.data)
-    sy = config.sigma_y if config.sigma_y is not None else median_bandwidth(z.data)
-    kx = _gram_graph(x, sx)
-    kz = _gram_graph(z, sy)
+    kx = _gram_graph(x, config.sigma_x)
+    kz = _gram_graph(z, config.sigma_y)
     if config.estimator == "hsic":
-        return ad.scale(_hsic_trace(kx, kz), 1.0 / (n * n))
+        return _hsic_graph(kx, kz)
     joint = ad.mul(kx, kz)
     hx = _renyi2_entropy_graph(kx, n)
     hz = _renyi2_entropy_graph(kz, n)

@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 
 from mimir import autodiff as ad
+from mimir import mi
 from mimir.autodiff import Tensor
 
 
@@ -125,6 +126,12 @@ def case_builders():
         point = Tensor(rng.normal(size=(4,)))
         return _scalarize(lambda t: ad.expand(t, (3, 2, 4)), rng, (3, 2, 4)), point
 
+    def build_rbf_gram(rng):
+        vals = rng.normal(size=(5, 3))
+        vals[3] = vals[0]  # duplicate rows sit at distance exactly 0
+        point = Tensor(vals)
+        return _scalarize(lambda t: mi._gram_graph(t, 1.3), rng, (5, 5)), point
+
     def at_operand(op, shapes, point_at, out_shape):
         """Operand ``point_at`` is the point; the others are fixed draws (None stays None)."""
         def build(rng):
@@ -186,6 +193,7 @@ def case_builders():
         "attention_k": attention("k"),
         "attention_v": attention("v"),
         "attention_qkv_shared": build_self_attention,
+        "rbf_gram": build_rbf_gram,
     }
 
 

@@ -299,13 +299,35 @@ class TestPenalty:
         z = rng.normal(size=(6, 4))
         sx, sy = mi.median_bandwidth(x), mi.median_bandwidth(z)
         graph_h = mi.penalty_mi(Tensor(x), Tensor(z), PenaltyConfig("hsic")).item()
-        assert graph_h == pytest.approx(mi.hsic(x, z, sx, sy).value, abs=1e-12)
+        assert graph_h == mi.hsic(x, z, sx, sy).value
         graph_r = mi.penalty_mi(Tensor(x), Tensor(z), PenaltyConfig("renyi2")).item()
         assert graph_r == pytest.approx(mi.renyi_mi(x, z, 2.0, sx, sy).value, abs=1e-9)
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             PenaltyConfig("shannon")
+
+    @pytest.mark.parametrize("sigmas", [(None, None), (1.3, 0.7)], ids=["median", "fixed"])
+    def test_hsic_penalty_is_the_hsic_estimate(self, sigmas):
+        """The penalty and ``hsic`` build one Gram per variable the same way, bit for bit."""
+        for x in random_sets_with_duplicate_rows():
+            z = np.tanh(x @ np.linspace(-1.0, 1.0, 2 * x.shape[1]).reshape(x.shape[1], 2))
+            cfg = PenaltyConfig("hsic", *sigmas)
+            assert mi.penalty_mi(Tensor(x), Tensor(z), cfg).item() == mi.hsic(x, z, *sigmas).value
+
+    @pytest.mark.parametrize("estimator", ["hsic", "renyi2"])
+    def test_one_distance_matrix_per_variable(self, estimator, monkeypatch):
+        """Each Gram and its median bandwidth come from one direct-difference distance
+        matrix; no graph-side ||a||^2 + ||b||^2 - 2 a.b expansion is built."""
+        calls = []
+        pairwise, matmul = mi._pairwise_sq_dists, ad.matmul
+        monkeypatch.setattr(mi, "_pairwise_sq_dists", lambda x: calls.append(x.shape) or pairwise(x))
+        monkeypatch.setattr(ad, "matmul", lambda a, b: calls.append("matmul") or matmul(a, b))
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
+        z = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        ad.backward(mi.penalty_mi(x, z, PenaltyConfig(estimator)))
+        assert calls == [(4, 6), (4, 5)]
 
 
 class TestDiscreteMI:

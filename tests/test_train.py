@@ -11,7 +11,7 @@ from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import AttackSpec, attack_recon, finetune_attack_spec, pretrain_attack_spec
 from mimir.data import synth_dataset
-from mimir.mi import PenaltyConfig, median_bandwidth, penalty_mi
+from mimir.mi import PenaltyConfig, hsic, median_bandwidth, penalty_mi
 from mimir.model import (ModelParams, ViTConfig, classify, decode, encode, init_params, patchify,
                          sample_mask)
 from mimir.train import (CheckpointError, TrainConfig, TrainState, adamw_step, cosine_lr,
@@ -243,6 +243,17 @@ class TestPretrainEpoch:
         empty.labels = empty.labels[:0]
         with pytest.raises(ValueError):
             pretrain_epoch(state, empty, small_train_config())
+
+    def test_reported_penalty_is_the_hsic_of_the_step(self, pretrain_setup, monkeypatch):
+        """``loss_mi`` of a one-step epoch is ``hsic`` of that step's visible patches and tokens."""
+        cfg, ds = pretrain_setup
+        seen = []
+        monkeypatch.setattr(train, "penalty_mi",
+                            lambda x, z, pen: seen.append((x.data, z.data)) or penalty_mi(x, z, pen))
+        state = TrainState.create(init_params(cfg, np.random.default_rng(0)), 0)
+        m = pretrain_epoch(state, ds, small_train_config(batch_size=len(ds)))
+        ((x_vis, z),) = seen
+        assert m.loss_mi == hsic(x_vis, z).value
 
     def test_metrics_finite(self, pretrain_setup):
         cfg, ds = pretrain_setup
