@@ -33,7 +33,6 @@ from .model import (AutoencoderPass, MaskPlan, ModelParams, _pixel_mask, _pooled
 Array = np.ndarray
 
 EPS_8_255 = 8.0 / 255.0
-EPS_4_255 = 4.0 / 255.0
 STEP_10_255 = 10.0 / 255.0
 STEP_2_255 = 2.0 / 255.0
 
@@ -188,14 +187,16 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
 def _classifier_objective(params: ModelParams, labels: Array, lam: float,
                           penalty: PenaltyConfig | None) -> Callable[[Tensor], Tensor]:
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= params.config.num_classes):
+        raise ValueError("label out of range")
     params = params.constants()
 
     def objective(x_adv: Tensor) -> Tensor:
-        latent = encode_full(params, x_adv)
-        ce = ad.cross_entropy(_pooled_logits(params, latent.z), labels)
+        z = encode_full(params, x_adv)
+        ce = ad.cross_entropy(_pooled_logits(params, z), labels)
         if lam == 0.0:
             return ce
-        pen = penalty_mi(x_adv, latent.z, penalty or PenaltyConfig())
+        pen = penalty_mi(x_adv, z, penalty or PenaltyConfig())
         return ad.add(ce, ad.scale(pen, lam))
 
     return objective
@@ -204,9 +205,6 @@ def _classifier_objective(params: ModelParams, labels: Array, lam: float,
 def attack_ce(params: ModelParams, images: Array, labels: Array, spec: AttackSpec,
               rng: np.random.Generator) -> Perturbation:
     """PGD on classification cross-entropy (inner max of AT, PGD-k evaluation)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= params.config.num_classes):
-        raise ValueError("attack_ce: label out of range")
     return pgd(_classifier_objective(params, labels, 0.0, None), images, spec, rng)
 
 
@@ -215,13 +213,9 @@ def attack_mi(params: ModelParams, penalty: PenaltyConfig, images: Array, labels
     """Adaptive attack maximizing cross-entropy plus the weighted MI penalty.
 
     With ``lam = 0`` this builds exactly the cross-entropy graph, so results
-    are byte-identical to :func:`attack_ce` under the same seed and spec.
+    are byte-identical to :func:`attack_ce` under the same seed and spec;
+    with ``lam > 0``, ``penalty_mi`` rejects a batch of one.
     """
-    if np.asarray(images).shape[0] < 2:
-        raise ValueError("attack_mi: the MI penalty needs a batch of at least 2")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= params.config.num_classes):
-        raise ValueError("attack_mi: label out of range")
     return pgd(_classifier_objective(params, labels, float(lam), penalty), images, spec, rng)
 
 
@@ -236,10 +230,10 @@ def attack_fea(params: ModelParams, images: Array, spec: AttackSpec,
         raise ValueError("attack_fea: zero init has an identically zero gradient; use random init")
     params = params.constants()
     x = np.asarray(images, dtype=np.float64)
-    natural = encode_full(params, Tensor(x)).z
+    natural = encode_full(params, Tensor(x))
 
     def objective(x_adv: Tensor) -> Tensor:
-        return ad.mse_loss(encode_full(params, x_adv).z, natural)
+        return ad.mse_loss(encode_full(params, x_adv), natural)
 
     return pgd(objective, x, spec, rng)
 

@@ -136,11 +136,6 @@ def tensor_create(shape: Sequence[int], values, requires_grad: bool = False) -> 
     return Tensor(flat.reshape(extents), requires_grad=requires_grad)
 
 
-def constant(values) -> Tensor:
-    """Leaf tensor that never takes gradients."""
-    return Tensor(np.asarray(values, dtype=np.float64))
-
-
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.zero_grad()
@@ -513,7 +508,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     log_z = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(batch), y]
     out = np.asarray((log_z - picked).mean())
-    probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+    probs = np.exp(shifted - log_z[:, None])
 
     def grad_logits(g: Array) -> Array:
         delta = probs.copy()

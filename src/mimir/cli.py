@@ -32,7 +32,8 @@ from .evaluate import (AttackJob, attack_batches, evaluate, landscape_grid, writ
 from .mi import hsic_from_grams, rbf_gram, renyi_mi_from_grams
 from .model import ModelParams, encode_full, init_params
 from .autodiff import Tensor
-from .train import TrainState, finetune_epoch, load_checkpoint, pretrain_epoch, save_checkpoint
+from .train import (TrainConfig, TrainState, finetune_epoch, load_checkpoint, pretrain_epoch,
+                    save_checkpoint)
 
 METRICS_HEADER = "epoch,loss_mse,loss_mi,loss_total,lr,seconds\n"
 
@@ -102,7 +103,7 @@ def _eval_jobs(cfg: ExperimentConfig) -> list[AttackJob]:
     step = cfg.get("attack.step_size", STEP_2_255)
     pgd_iters = cfg.get("eval.pgd_iters", 20)
     adaptive_iters = cfg.get("eval.adaptive_iters", 100)
-    lam = cfg.get("eval.lambda", cfg.get("train.lambda", 1e-5))
+    lam = cfg.get("eval.lambda", cfg.get("train.lambda", TrainConfig.lam))
     jobs = []
     for kind in str(cfg.get("eval.attacks", "ce,mi,fea")).split(","):
         kind = kind.strip()
@@ -147,11 +148,11 @@ def _cmd_attack(cfg: ExperimentConfig) -> int:
     for x, y, (rng,) in attack_batches(dataset, cfg.get("eval.batch_size", 64), cfg.seed, 1):
         pert = attack_ce(params, x, y, spec, rng)
         rows.append((pert.achieved_loss, float(np.max(np.abs(pert.delta))), len(y)))
+    mean_obj = sum(r[0] * r[2] for r in rows) / len(dataset)
+    max_linf = max(r[1] for r in rows)
     path = os.path.join(cfg.out_dir, "attack.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("attack,mean_objective,max_linf,n\n")
-        mean_obj = sum(r[0] * r[2] for r in rows) / len(dataset)
-        max_linf = max(r[1] for r in rows)
         fh.write(f"pgd{spec.iters},{mean_obj:.10e},{max_linf:.10e},{len(dataset)}\n")
     return 0
 
@@ -181,7 +182,7 @@ def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
     if n < 2:
         raise ConfigError("mi-estimate needs at least 2 samples")
     x = dataset.images[:n]
-    z = encode_full(params, Tensor(x)).z.data
+    z = encode_full(params, Tensor(x)).data
     # one median-bandwidth Gram per variable, shared by both estimators
     gram_x = rbf_gram(x.reshape(n, -1))
     gram_z = rbf_gram(z.reshape(n, -1))

@@ -10,7 +10,7 @@ reproduces the identical structure.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .attacks import AttackSpec
 from .model import ViTConfig
@@ -25,6 +25,13 @@ def _parse_bool(raw: str) -> bool:
     if raw in ("true", "false"):
         return raw == "true"
     raise ValueError(f"expected true/false, got {raw!r}")
+
+
+def _parse_positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
 
 
 COMMANDS = ("pretrain", "finetune", "attack", "eval", "bounds", "landscape", "mi-estimate")
@@ -75,13 +82,13 @@ KEY_TYPES: dict[str, type | object] = {
     "eval.pgd_iters": int,
     "eval.adaptive_iters": int,
     "eval.lambda": float,
-    "eval.batch_size": int,
-    "eval.subset": int,
+    "eval.batch_size": _parse_positive_int,
+    "eval.subset": _parse_positive_int,
     "bounds.num_classes": int,
     "bounds.step": float,
     "landscape.half_width": float,
     "landscape.resolution": int,
-    "landscape.batch_size": int,
+    "landscape.batch_size": _parse_positive_int,
     "mi.alpha": float,
     "mi.batch_size": int,
 }
@@ -119,42 +126,31 @@ class ExperimentConfig:
     def out_dir(self) -> str:
         return str(self.values["out_dir"])
 
+    def _section(self, prefix: str) -> dict[str, object]:
+        """The ``prefix.*`` keys that are set, by their name after the prefix."""
+        return {key.removeprefix(prefix): value for key, value in self.values.items()
+                if key.startswith(prefix)}
+
     def vit_config(self) -> ViTConfig:
-        return ViTConfig(**{key.removeprefix("model."): value for key, value in self.values.items()
-                            if key.startswith("model.")})
+        return ViTConfig(**self._section("model."))
 
     def check_model_keys(self, stored: ViTConfig) -> None:
         """Reject any ``model.*`` key that contradicts the architecture a checkpoint stores."""
-        for key, value in sorted(self.values.items()):
-            name = key.removeprefix("model.")
-            if name != key and getattr(stored, name) != value:
-                raise ConfigError(f"{key} = {value} contradicts the checkpoint, "
+        for name, value in sorted(self._section("model.").items()):
+            if getattr(stored, name) != value:
+                raise ConfigError(f"model.{name} = {value} contradicts the checkpoint, "
                                   f"which has {name} = {getattr(stored, name)}")
 
     def attack_spec(self, default: AttackSpec) -> AttackSpec:
-        g = self.values.get
-        return AttackSpec(
-            epsilon=g("attack.epsilon", default.epsilon),
-            step_size=g("attack.step_size", default.step_size),
-            iters=g("attack.iters", default.iters),
-            init=g("attack.init", default.init),
-        )
+        return replace(default, **self._section("attack."))
 
     def train_config(self, attack: AttackSpec, default_betas: tuple[float, float]) -> TrainConfig:
-        g = self.values.get
-        return TrainConfig(
-            base_lr=g("train.base_lr"),
-            total_epochs=g("train.total_epochs"),
-            batch_size=g("train.batch_size"),
-            attack=attack,
-            warmup_epochs=g("train.warmup_epochs", 0),
-            betas=(g("train.beta1", default_betas[0]), g("train.beta2", default_betas[1])),
-            weight_decay=g("train.weight_decay", 0.05),
-            lam=g("train.lambda", 1e-5),
-            estimator=g("train.estimator", "hsic"),
-            layer_decay=g("train.layer_decay", 1.0),
-            recon_masked_only=g("train.recon_masked_only", False),
-        )
+        """``TrainConfig`` from the ``train.*`` keys that are set; it keeps its own defaults."""
+        train = self._section("train.")
+        betas = (train.pop("beta1", default_betas[0]), train.pop("beta2", default_betas[1]))
+        if "lambda" in train:
+            train["lam"] = train.pop("lambda")
+        return TrainConfig(attack=attack, betas=betas, **train)
 
 
 def parse_config_text(text: str) -> dict[str, object]:

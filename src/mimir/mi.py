@@ -190,7 +190,7 @@ def hsic_from_grams(gram_x: GramMatrix, gram_y: GramMatrix) -> MIEstimate:
     n = gram_x.n
     if gram_y.n != n:
         raise ValueError(f"hsic: size mismatch {n} vs {gram_y.n}")
-    return MIEstimate(value=_hsic_graph(ad.constant(gram_x.K), ad.constant(gram_y.K)).item(),
+    return MIEstimate(value=_hsic_graph(Tensor(gram_x.K), Tensor(gram_y.K)).item(),
                       estimator="hsic")
 
 
@@ -276,7 +276,7 @@ def _renyi2_entropy_graph(k: Tensor, n: int) -> Tensor:
     # H_2 = -log2(tr(K_norm^2)) = -(log sum K_ij^2 - 2 log tr K) / log 2, with tr K = n:
     # every Gram here, and the Hadamard product of two, has a diagonal of exactly 1
     frob = ad.reduce_sum(ad.square(k))
-    return ad.scale(ad.sub(ad.log(frob), ad.constant(2.0 * np.log(n))), -1.0 / _LN2)
+    return ad.scale(ad.sub(ad.log(frob), Tensor(2.0 * np.log(n))), -1.0 / _LN2)
 
 
 def penalty_mi(x_batch: Tensor, z_batch: Tensor, config: PenaltyConfig) -> Tensor:

@@ -116,11 +116,6 @@ class MaskPlan:
     def masked(self) -> Array:
         return self.perm[:, self.num_visible:]
 
-    def same_plan(self, other: "MaskPlan") -> bool:
-        return (self.num_visible == other.num_visible
-                and self.perm.shape == other.perm.shape
-                and np.array_equal(self.perm, other.perm))
-
 
 def sample_mask(num_patches: int, mask_ratio: float, rng: np.random.Generator,
                 batch_size: int = 1) -> MaskPlan:
@@ -131,12 +126,6 @@ def sample_mask(num_patches: int, mask_ratio: float, rng: np.random.Generator,
         raise ValueError("num_patches and batch_size must be positive")
     perm = np.stack([rng.permutation(num_patches) for _ in range(batch_size)])
     return MaskPlan(perm=perm, num_visible=visible_count(num_patches, mask_ratio))
-
-
-def full_visibility_plan(num_patches: int, batch_size: int) -> MaskPlan:
-    """Identity plan with every patch visible (fine-tuning / evaluation path)."""
-    perm = np.tile(np.arange(num_patches, dtype=np.int64), (batch_size, 1))
-    return MaskPlan(perm=perm, num_visible=num_patches)
 
 
 @dataclass
@@ -361,12 +350,10 @@ def encode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> LatentBatch:
     return LatentBatch(z=_encoder(params, vis, pos), plan=plan)
 
 
-def decode(params: ModelParams, latent: LatentBatch, plan: MaskPlan) -> Tensor:
-    """Fill masked slots with the shared mask token, restore order, reconstruct patches."""
+def decode(params: ModelParams, latent: LatentBatch) -> Tensor:
+    """Fill ``latent.plan``'s masked slots with the mask token, restore order, rebuild patches."""
     cfg = params.config
-    if not latent.plan.same_plan(plan):
-        raise ValueError("decode: latent was produced under a different mask plan")
-    z = latent.z
+    z, plan = latent.z, latent.plan
     if z.shape[1] != plan.num_visible:
         raise ValueError(f"decode: latent has {z.shape[1]} tokens, plan expects {plan.num_visible}")
     b = z.shape[0]
@@ -396,7 +383,7 @@ def autoencoder_pass(params: ModelParams, images: Tensor, plan: MaskPlan) -> Aut
     """patchify -> encode -> decode, keeping every intermediate the loss needs."""
     patches = patchify(images, params.config.patch_size)
     latent = encode(params, patches, plan)
-    return AutoencoderPass(patches=patches, latent=latent, recon=decode(params, latent, plan))
+    return AutoencoderPass(patches=patches, latent=latent, recon=decode(params, latent))
 
 
 def forward_autoencoder(params: ModelParams, images: Tensor, plan: MaskPlan) -> Tensor:
@@ -405,15 +392,15 @@ def forward_autoencoder(params: ModelParams, images: Tensor, plan: MaskPlan) -> 
     return unpatchify(autoencoder_pass(params, images, plan).recon, cfg.patch_size, cfg.channels)
 
 
-def encode_full(params: ModelParams, images: Tensor) -> LatentBatch:
-    """Encoder over every patch (identity plan); shared by classify and attacks."""
+def encode_full(params: ModelParams, images: Tensor) -> Tensor:
+    """Encoder tokens ``[B, P, enc_dim]`` over every patch; shared by classify and attacks.
+
+    No gather runs (nor its scatter backward); the tokens are bit-identical to
+    ``encode``'s under the identity plan with every patch visible.
+    """
     patches = patchify(images, params.config.patch_size)
     _check_patches(params.config, patches)
-    # The identity plan moves nothing: the patches and the position table go
-    # in as they are, with no gather (nor its scatter backward), bit-identical
-    # to ``encode`` under ``full_visibility_plan``.
-    z = _encoder(params, patches, Tensor(params["enc_pos"].data))
-    return LatentBatch(z=z, plan=full_visibility_plan(params.config.num_patches, images.shape[0]))
+    return _encoder(params, patches, Tensor(params["enc_pos"].data))
 
 
 def _pooled_logits(params: ModelParams, z: Tensor) -> Tensor:
@@ -424,4 +411,4 @@ def _pooled_logits(params: ModelParams, z: Tensor) -> Tensor:
 
 def classify(params: ModelParams, images: Tensor) -> Tensor:
     """Mean-pool the full-visibility encoder tokens and apply the linear head."""
-    return _pooled_logits(params, encode_full(params, images).z)
+    return _pooled_logits(params, encode_full(params, images))

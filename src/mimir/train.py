@@ -4,8 +4,9 @@ Pre-training follows the line order: sample batch, draw a fresh mask plan,
 random-init the perturbation, run the 1-step reconstruction attack, forward,
 reconstruction loss plus the weighted MI penalty, backward, optimizer step.
 Fine-tuning runs the classification inner max per batch and steps with
-layer-wise learning-rate decay; decoder weights and the mask token are
-frozen there.
+layer-wise learning-rate decay; the decoder and the mask token stay
+unchanged there because nothing in ``classify`` reaches them, so their
+``.grad`` stays None and AdamW skips them. Both stages run ``_epoch``.
 
 Pre-training trains on the attack's last forward: the reconstruction
 attack scores its last iterate on the live parameters, and when that
@@ -78,8 +79,8 @@ class TrainConfig:
     recon_masked_only: bool = False
 
     def __post_init__(self):
-        if self.warmup_epochs >= self.total_epochs:
-            raise ValueError("warmup_epochs must be smaller than total_epochs")
+        if not 0 <= self.warmup_epochs < self.total_epochs:
+            raise ValueError("warmup_epochs must lie in [0, total_epochs)")
         if self.lam < 0.0:
             raise ValueError("the MI penalty weight must be non-negative")
         if not 0.0 < self.layer_decay <= 1.0:
@@ -216,13 +217,17 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-def pretrain_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetrics:
-    """One epoch of adversarial masked-reconstruction pre-training."""
+def _epoch(state: TrainState, dataset, config: TrainConfig, step_loss,
+           lr_scales: dict[str, float] | None = None) -> EpochMetrics:
+    """Shuffled batches, one AdamW step each on the warmup-cosine schedule.
+
+    ``step_loss(idx)`` returns the loss of batch ``idx``, its ``loss_mse`` and ``loss_mi``, and the
+    batch's attack, whose ``achieved_loss`` is ``loss_adv``.
+    """
     started = time.perf_counter()
     n = len(dataset)
     if n == 0:
-        raise ValueError("pretrain_epoch: empty dataset")
-    cfg = state.params.config
+        raise ValueError("empty dataset")
     steps_per_epoch = math.ceil(n / config.batch_size)
     warmup = config.warmup_epochs * steps_per_epoch
     total = config.total_epochs * steps_per_epoch
@@ -230,16 +235,12 @@ def pretrain_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetr
     lr = 0.0
     batches = 0
     for idx in _batches(n, config.batch_size, state.rng):
-        x = dataset.images[idx]
-        plan = sample_mask(cfg.num_patches, cfg.mask_ratio, state.rng, batch_size=len(idx))
-        pert = attack_recon(state.params, x, plan, config.attack, state.rng)
-        loss, mse_value, mi_value = _mimir_loss_parts(state.params, x, plan, pert.delta, config,
-                                                      forward=pert.last_forward)
+        loss, mse_value, mi_value, pert = step_loss(idx)
         state.params.zero_grads()
         ad.backward(loss)
         grads = {name: t.grad for name, t in state.params.trainable() if t.grad is not None}
         lr = cosine_lr(state.step, warmup, total, config.base_lr)
-        adamw_step(state, grads, lr, config)
+        adamw_step(state, grads, lr, config, lr_scales=lr_scales)
         sums += (mse_value, mi_value, pert.achieved_loss)
         batches += 1
     state.epoch += 1
@@ -248,46 +249,39 @@ def pretrain_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetr
                         lr=lr, seconds=time.perf_counter() - started)
 
 
-FINETUNE_FROZEN_PREFIXES = ("dec.", "dec_embed.", "dec_norm.", "dec_out.", "mask_token")
+def pretrain_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetrics:
+    """One epoch of adversarial masked-reconstruction pre-training."""
+    cfg = state.params.config
+
+    def step_loss(idx):
+        x = dataset.images[idx]
+        plan = sample_mask(cfg.num_patches, cfg.mask_ratio, state.rng, batch_size=len(idx))
+        pert = attack_recon(state.params, x, plan, config.attack, state.rng)
+        loss, mse_value, mi_value = _mimir_loss_parts(state.params, x, plan, pert.delta, config,
+                                                      forward=pert.last_forward)
+        return loss, mse_value, mi_value, pert
+
+    return _epoch(state, dataset, config, step_loss)
 
 
 def finetune_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetrics:
     """One epoch of adversarial fine-tuning of encoder plus classification head.
 
-    The decoder is discarded for classification, so its tensors and the mask
-    token receive no updates. The metrics reuse the pre-training field
-    layout: ``loss_mse`` holds the adversarial cross-entropy.
+    ``classify`` never reaches the decoder or the mask token, so they get no
+    gradient and no update. The metrics reuse the pre-training field layout:
+    ``loss_mse`` holds the adversarial cross-entropy.
     """
-    started = time.perf_counter()
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("finetune_epoch: empty dataset")
     if "head.weight" not in state.params.tensors:
         raise ValueError("finetune_epoch: classification head missing")
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    warmup = config.warmup_epochs * steps_per_epoch
-    total = config.total_epochs * steps_per_epoch
-    scales = layer_lr_scales(state.params, config.layer_decay)
-    sums = np.zeros(2)
-    lr = 0.0
-    batches = 0
-    for idx in _batches(n, config.batch_size, state.rng):
-        x = dataset.images[idx]
-        y = dataset.labels[idx]
+
+    def step_loss(idx):
+        x, y = dataset.images[idx], dataset.labels[idx]
         pert = attack_ce(state.params, x, y, config.attack, state.rng)
         loss = ad.cross_entropy(classify(state.params, Tensor(x + pert.delta)), y)
-        state.params.zero_grads()
-        ad.backward(loss)
-        grads = {name: t.grad for name, t in state.params.trainable()
-                 if t.grad is not None and not name.startswith(FINETUNE_FROZEN_PREFIXES)}
-        lr = cosine_lr(state.step, warmup, total, config.base_lr)
-        adamw_step(state, grads, lr, config, lr_scales=scales)
-        sums += (loss.item(), pert.achieved_loss)
-        batches += 1
-    state.epoch += 1
-    ce_mean, adv_mean = sums / batches
-    return EpochMetrics(loss_mse=ce_mean, loss_mi=0.0, loss_adv=adv_mean,
-                        lr=lr, seconds=time.perf_counter() - started)
+        return loss, loss.item(), 0.0, pert
+
+    return _epoch(state, dataset, config, step_loss,
+                  lr_scales=layer_lr_scales(state.params, config.layer_decay))
 
 
 # ---------------------------------------------------------------------------

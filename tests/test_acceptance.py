@@ -158,8 +158,8 @@ def test_criterion_4_attack_contracts(trained_model, tiny_dataset):
     ok &= identical
 
     # PGD-fea: objective exactly 0 at delta = 0, zero init rejected
-    natural = encode_full(trained_model, Tensor(x)).z
-    ok &= ad.mse_loss(encode_full(trained_model, Tensor(x)).z, natural.detach()).item() == 0.0
+    natural = encode_full(trained_model, Tensor(x))
+    ok &= ad.mse_loss(encode_full(trained_model, Tensor(x)), natural.detach()).item() == 0.0
     try:
         attack_fea(trained_model, x,
                    AttackSpec(epsilon=EPS_8_255, step_size=2 / 255, iters=2, init="zero"),

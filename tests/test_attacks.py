@@ -165,7 +165,7 @@ def _live_reference(kind, params, imgs, labels, plan, rng):
     extra = None
     if kind in ("ce", "mi"):
         def objective(x_adv):
-            z = encode_full(params, x_adv).z
+            z = encode_full(params, x_adv)
             ce = ad.cross_entropy(_pooled_logits(params, z), labels)
             if kind == "ce":
                 return ce
@@ -173,10 +173,10 @@ def _live_reference(kind, params, imgs, labels, plan, rng):
                              ad.reshape(z, (z.shape[0], -1)), PenaltyConfig())
             return ad.add(ce, ad.scale(pen, LAM))
     elif kind == "fea":
-        natural = encode_full(params, Tensor(x)).z.detach()
+        natural = encode_full(params, Tensor(x)).detach()
 
         def objective(x_adv):
-            return ad.mse_loss(encode_full(params, x_adv).z, natural)
+            return ad.mse_loss(encode_full(params, x_adv), natural)
     else:
         masked = _pixel_mask(plan, params.config)
 
@@ -332,8 +332,8 @@ class TestAttackFea:
         from mimir.model import encode_full
 
         _, params, imgs, _ = small_model
-        natural = encode_full(params, Tensor(imgs)).z
-        assert ad.mse_loss(encode_full(params, Tensor(imgs)).z, natural.detach()).item() == 0.0
+        natural = encode_full(params, Tensor(imgs))
+        assert ad.mse_loss(encode_full(params, Tensor(imgs)), natural.detach()).item() == 0.0
 
     def test_positive_achieved_loss(self, small_model):
         _, params, imgs, _ = small_model

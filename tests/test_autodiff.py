@@ -272,6 +272,24 @@ class TestLosses:
         with pytest.raises(ValueError):
             ad.cross_entropy(Tensor(np.zeros((2, 4))), [0, 4])
 
+    def test_cross_entropy_bit_identical_to_normalising_a_second_exp(self):
+        """The probabilities reuse ``log_z``; value and gradient equal the form that
+        takes ``exp``, its row sums and their ``log`` a second time."""
+        rng = np.random.default_rng(4)
+        for shape, scale in (((7, 10), 1.0), ((16, 4), 30.0), ((1, 3), 1e-3), ((64, 10), 5.0)):
+            logits = rng.normal(0.0, scale, size=shape)
+            labels = rng.integers(0, shape[1], size=shape[0])
+            t = Tensor(logits, requires_grad=True)
+            out = ad.cross_entropy(t, labels)
+            ad.backward(out)
+            rows = np.arange(shape[0])
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_z = np.log(np.exp(shifted).sum(axis=1))
+            probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+            probs[rows, labels] -= 1.0
+            assert out.item() == (log_z - shifted[rows, labels]).mean()
+            assert np.array_equal(t.grad, probs * (np.ones(()) / shape[0]))
+
 
 class TestBackward:
     def test_sum_of_squares(self):

@@ -1,19 +1,20 @@
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
-from mimir.attacks import AttackSpec, attack_ce
-from mimir.cli import run_config
+from mimir.attacks import AttackSpec, attack_ce, finetune_attack_spec, pretrain_attack_spec
+from mimir.cli import _cmd_attack, run_config
 from mimir.config import ConfigError, ExperimentConfig, load_config, parse_config_text, serialize_config
 from mimir.data import class_templates, load_cifar10_binary, synth_dataset
 from mimir.evaluate import AttackJob, evaluate, landscape_grid
 from mimir import mi
 from mimir.model import classify, encode_full, init_params
-from mimir.train import TrainState, load_checkpoint, save_checkpoint
+from mimir.train import TrainConfig, TrainState, load_checkpoint, save_checkpoint
 
 from conftest import tiny_vit_config
 
@@ -246,6 +247,49 @@ class TestConfig:
         with pytest.raises(ConfigError, match="trainify"):
             load_config(path)
 
+    REQUIRED_TRAIN = "train.base_lr = 0.002\ntrain.total_epochs = 3\ntrain.batch_size = 8\n"
+
+    def _train_config(self, line="", default_betas=(0.9, 0.95)):
+        values = {**parse_config_text(self.REQUIRED_TRAIN), **parse_config_text(line)}
+        return ExperimentConfig(command="pretrain", values=values).train_config(pretrain_attack_spec(),
+                                                                                default_betas)
+
+    def test_train_config_without_optional_keys_is_the_dataclass_default(self):
+        attack = pretrain_attack_spec()
+        assert self._train_config() == TrainConfig(base_lr=0.002, total_epochs=3, batch_size=8,
+                                                   attack=attack)
+        assert self._train_config(default_betas=(0.9, 0.999)) == TrainConfig(
+            base_lr=0.002, total_epochs=3, batch_size=8, attack=attack, betas=(0.9, 0.999))
+        spec = finetune_attack_spec()
+        assert ExperimentConfig(command="finetune", values={}).attack_spec(spec) == spec
+
+    @pytest.mark.parametrize("line, field, value", [
+        ("train.base_lr = 0.01", "base_lr", 0.01),
+        ("train.total_epochs = 5", "total_epochs", 5),
+        ("train.batch_size = 4", "batch_size", 4),
+        ("train.warmup_epochs = 2", "warmup_epochs", 2),
+        ("train.beta1 = 0.8", "betas", (0.8, 0.95)),
+        ("train.beta2 = 0.99", "betas", (0.9, 0.99)),
+        ("train.weight_decay = 0.1", "weight_decay", 0.1),
+        ("train.lambda = 0.001", "lam", 0.001),
+        ("train.estimator = renyi2", "estimator", "renyi2"),
+        ("train.layer_decay = 0.65", "layer_decay", 0.65),
+        ("train.recon_masked_only = true", "recon_masked_only", True),
+    ])
+    def test_train_key_overrides_exactly_its_field(self, line, field, value):
+        assert self._train_config(line) == replace(self._train_config(), **{field: value})
+
+    @pytest.mark.parametrize("line, field, value", [
+        ("attack.epsilon = 0.1", "epsilon", 0.1),
+        ("attack.step_size = 0.01", "step_size", 0.01),
+        ("attack.iters = 3", "iters", 3),
+        ("attack.init = zero", "init", "zero"),
+    ])
+    def test_attack_key_overrides_exactly_its_field(self, line, field, value):
+        default = pretrain_attack_spec()
+        cfg = ExperimentConfig(command="pretrain", values=parse_config_text(line))
+        assert cfg.attack_spec(default) == replace(default, **{field: value})
+
 
 class TestRunConfig:
     def test_bounds_command_writes_figure_curve(self, tmp_path):
@@ -329,6 +373,40 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "model.enc_dim = 64" in err and "enc_dim = 32" in err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("eval", "eval.batch_size", -1), ("eval", "eval.subset", -1),
+        ("landscape", "landscape.batch_size", -4), ("eval", "eval.batch_size", 0),
+        ("attack", "eval.subset", 0), ("attack", "eval.batch_size", -1)])
+    def test_non_positive_batch_key_rejected(self, tmp_path, capsys, command, key, value):
+        """The error names the key and its line, and no report is written."""
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        out = tmp_path / "out"
+        text = (BASE_CONFIG.format(out=out).replace("command = pretrain", f"command = {command}")
+                + f"checkpoint = {tmp_path / 'm.ckpt'}\neval.pgd_iters = 1\neval.adaptive_iters = 1\n"
+                "attack.iters = 1\nlandscape.half_width = 0.1\nlandscape.resolution = 3\n"
+                f"{key} = {value}\n")
+        (tmp_path / "c.cfg").write_text(text)
+        assert run_config(tmp_path / "c.cfg") == 1
+        err = capsys.readouterr().err
+        assert f"line {len(text.splitlines())}" in err and repr(key) in err
+        assert "positive integer" in err
+        assert not out.exists()
+
+    def test_attack_row_computed_before_its_csv_is_opened(self, tmp_path):
+        """A failure while reducing the rows leaves no header-only ``attack.csv`` behind."""
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        out = tmp_path / "out"
+        out.mkdir()
+        values = parse_config_text(BASE_CONFIG.format(out=out).replace("command = pretrain",
+                                                                       "command = attack")
+                                   + f"checkpoint = {tmp_path / 'm.ckpt'}\nattack.iters = 1\n")
+        values["eval.batch_size"] = -1  # past the parser: the batch loop yields no rows
+        with pytest.raises(ValueError):
+            _cmd_attack(ExperimentConfig(command="attack", values=values))
+        assert not (out / "attack.csv").exists()
+
     @staticmethod
     def _mi_estimate_config(tmp_path, checkpoint):
         cfg = tmp_path / "mi.cfg"
@@ -347,7 +425,7 @@ class TestRunConfig:
         assert run_config(self._mi_estimate_config(tmp_path, tmp_path / "m.ckpt")) == 0
         assert calls == [(16, 256), (16, 512)]
         x = synth_dataset(4, 4, 16, 0.1, np.random.default_rng([0, 1]), channels=1).images
-        z = encode_full(params.constants(), Tensor(x)).z.data.reshape(16, -1)
+        z = encode_full(params.constants(), Tensor(x)).data.reshape(16, -1)
         x = x.reshape(16, -1)
         want = [f"hsic,,{mi.hsic(x, z).value:.10e}",
                 f"renyi,1.5,{mi.renyi_mi(x, z, alpha=1.5).value:.10e}"]

@@ -4,12 +4,17 @@ import pytest
 from mimir import autodiff as ad
 from mimir import model
 from mimir.autodiff import Tensor
-from mimir.model import (MaskPlan, ViTConfig, classify, decode, encode,
-                         forward_autoencoder, full_visibility_plan, init_params, patchify,
+from mimir.model import (LatentBatch, MaskPlan, ViTConfig, classify, decode, encode,
+                         forward_autoencoder, init_params, patchify,
                          sample_mask, sincos_position_table, unpatchify, visible_count,
                          _pixel_mask)
 
 from conftest import tiny_vit_config
+
+
+def _identity_plan(num_patches, batch):
+    """Every patch visible, in order."""
+    return MaskPlan(perm=np.tile(np.arange(num_patches), (batch, 1)), num_visible=num_patches)
 
 
 class TestConfig:
@@ -122,21 +127,21 @@ class TestEncodeDecode:
 
     def test_full_visibility_covers_all(self, setup):
         cfg, params, imgs, _ = setup
-        plan = full_visibility_plan(cfg.num_patches, 3)
+        plan = _identity_plan(cfg.num_patches, 3)
         latent = encode(params, patchify(Tensor(imgs), cfg.patch_size), plan)
         assert latent.z.shape == (3, 16, 32)
 
     def test_decode_shape(self, setup):
         cfg, params, imgs, plan = setup
         latent = encode(params, patchify(Tensor(imgs), cfg.patch_size), plan)
-        assert decode(params, latent, plan).shape == (3, 16, 16)
+        assert decode(params, latent).shape == (3, 16, 16)
 
-    def test_decode_plan_mismatch_rejected(self, setup):
+    def test_decode_token_count_mismatch_rejected(self, setup):
         cfg, params, imgs, plan = setup
         latent = encode(params, patchify(Tensor(imgs), cfg.patch_size), plan)
-        other = sample_mask(cfg.num_patches, cfg.mask_ratio, np.random.default_rng(99), batch_size=3)
-        with pytest.raises(ValueError):
-            decode(params, latent, other)
+        wider = MaskPlan(perm=plan.perm, num_visible=plan.num_visible + 1)
+        with pytest.raises(ValueError, match="decode: latent has 4 tokens, plan expects 5"):
+            decode(params, LatentBatch(z=latent.z, plan=wider))
 
     def test_masked_order_is_irrelevant(self, setup):
         """Swapping two masked entries in the plan leaves the decode output unchanged:
@@ -148,8 +153,8 @@ class TestEncodeDecode:
             swapped[:, [plan.num_visible + 1, plan.num_visible]]
         plan_b = MaskPlan(perm=swapped, num_visible=plan.num_visible)
         patches = patchify(Tensor(imgs), cfg.patch_size)
-        out_a = decode(params, encode(params, patches, plan), plan)
-        out_b = decode(params, encode(params, patches, plan_b), plan_b)
+        out_a = decode(params, encode(params, patches, plan))
+        out_b = decode(params, encode(params, patches, plan_b))
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_visible_set_permutation_consistency(self, setup):
@@ -210,7 +215,7 @@ class TestClassify:
         the exact same activations."""
         params = init_params(tiny_config, np.random.default_rng(0))
         imgs = np.random.default_rng(1).uniform(size=(2, 1, 16, 16))
-        latent = encode(params, patchify(Tensor(imgs), 4), full_visibility_plan(16, 2))
+        latent = encode(params, patchify(Tensor(imgs), 4), _identity_plan(16, 2))
         pooled = ad.reduce_mean(latent.z, axes=1)
         manual = ad.add(ad.matmul(pooled, params["head.weight"]), params["head.bias"])
         assert np.array_equal(manual.data, classify(params, Tensor(imgs)).data)
@@ -225,20 +230,19 @@ class TestEncodeFull:
         weights = Tensor(rng.normal(size=(3, 16, 32)))
         results = []
         for run in (lambda x: model.encode_full(params, x),
-                    lambda x: encode(params, patchify(x, 4), full_visibility_plan(16, 3))):
+                    lambda x: encode(params, patchify(x, 4), _identity_plan(16, 3)).z):
             x = Tensor(imgs, requires_grad=True)
-            latent = run(x)
-            ad.backward(ad.reduce_sum(ad.mul(latent.z, weights)))
-            results.append((latent.z.data, x.grad, latent.plan))
-        (z_full, grad_full, plan_full), (z_ref, grad_ref, plan_ref) = results
+            z = run(x)
+            ad.backward(ad.reduce_sum(ad.mul(z, weights)))
+            results.append((z.data, x.grad))
+        (z_full, grad_full), (z_ref, grad_ref) = results
         assert np.array_equal(z_full, z_ref)
         assert np.array_equal(grad_full, grad_ref)
-        assert plan_full.same_plan(plan_ref)
 
     def test_no_gather_in_graph(self, tiny_config):
         params = init_params(tiny_config, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).uniform(size=(2, 1, 16, 16)), requires_grad=True)
-        ops, stack, seen = set(), [model.encode_full(params, x).z], set()
+        ops, stack, seen = set(), [model.encode_full(params, x)], set()
         while stack:
             node = stack.pop()
             if id(node) not in seen:
@@ -404,7 +408,7 @@ class TestFusedOps:
     def _run(self, params, imgs, plan):
         x = Tensor(imgs, requires_grad=True)
         latent = encode(params, patchify(x, 4), plan)
-        recon = decode(params, latent, plan)
+        recon = decode(params, latent)
         logits = classify(params, x)
         params.zero_grads()
         ad.backward(ad.add(ad.mse_loss(recon, Tensor(patchify(Tensor(imgs), 4).data)),

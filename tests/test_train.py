@@ -38,6 +38,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_train_config(warmup_epochs=4, total_epochs=4)
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup_epochs"):
+            small_train_config(warmup_epochs=-3, total_epochs=2, base_lr=2e-3)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             small_train_config(lam=-1.0)
@@ -147,7 +151,7 @@ class TestMimirLoss:
         x_adv = Tensor(imgs + delta)
         latent = encode(params, patchify(x_adv, 4), plan)
         from mimir.model import decode
-        recon = decode(params, latent, plan)
+        recon = decode(params, latent)
         expected = ad.mse_loss(recon, patchify(Tensor(imgs), 4))
         assert loss.item() == expected.item()
 
@@ -553,6 +557,100 @@ class TestCheckpoint:
 
 
 # ---------------------------------------------------------------------------
+# one epoch loop for both stages
+
+def _two_loop_pretrain_epoch(state, dataset, config):
+    """``pretrain_epoch`` as it was written before the stages shared ``_epoch``."""
+    n = len(dataset)
+    cfg = state.params.config
+    steps_per_epoch = math.ceil(n / config.batch_size)
+    warmup = config.warmup_epochs * steps_per_epoch
+    total = config.total_epochs * steps_per_epoch
+    sums = np.zeros(3)
+    lr = 0.0
+    batches = 0
+    for idx in train._batches(n, config.batch_size, state.rng):
+        x = dataset.images[idx]
+        plan = sample_mask(cfg.num_patches, cfg.mask_ratio, state.rng, batch_size=len(idx))
+        pert = attack_recon(state.params, x, plan, config.attack, state.rng)
+        loss, mse_value, mi_value = _mimir_loss_parts(state.params, x, plan, pert.delta, config,
+                                                      forward=pert.last_forward)
+        state.params.zero_grads()
+        ad.backward(loss)
+        grads = {name: t.grad for name, t in state.params.trainable() if t.grad is not None}
+        lr = cosine_lr(state.step, warmup, total, config.base_lr)
+        adamw_step(state, grads, lr, config)
+        sums += (mse_value, mi_value, pert.achieved_loss)
+        batches += 1
+    state.epoch += 1
+    mse_mean, mi_mean, adv_mean = sums / batches
+    return (mse_mean, mi_mean, adv_mean, lr)
+
+
+def _two_loop_finetune_epoch(state, dataset, config):
+    """``finetune_epoch`` as it was written, with its explicit filter of decoder gradients."""
+    frozen = ("dec.", "dec_embed.", "dec_norm.", "dec_out.", "mask_token")
+    n = len(dataset)
+    steps_per_epoch = math.ceil(n / config.batch_size)
+    warmup = config.warmup_epochs * steps_per_epoch
+    total = config.total_epochs * steps_per_epoch
+    scales = layer_lr_scales(state.params, config.layer_decay)
+    sums = np.zeros(2)
+    lr = 0.0
+    batches = 0
+    for idx in train._batches(n, config.batch_size, state.rng):
+        x = dataset.images[idx]
+        y = dataset.labels[idx]
+        pert = attacks.attack_ce(state.params, x, y, config.attack, state.rng)
+        loss = ad.cross_entropy(classify(state.params, Tensor(x + pert.delta)), y)
+        state.params.zero_grads()
+        ad.backward(loss)
+        grads = {name: t.grad for name, t in state.params.trainable()
+                 if t.grad is not None and not name.startswith(frozen)}
+        lr = cosine_lr(state.step, warmup, total, config.base_lr)
+        adamw_step(state, grads, lr, config, lr_scales=scales)
+        sums += (loss.item(), pert.achieved_loss)
+        batches += 1
+    state.epoch += 1
+    ce_mean, adv_mean = sums / batches
+    return (ce_mean, 0.0, adv_mean, lr)
+
+
+class TestEpochLoop:
+    """Both stages on ``_epoch`` match their former loops bit for bit over 3 steps."""
+
+    @staticmethod
+    def _states():
+        def make():
+            params = init_params(tiny_vit_config(), np.random.default_rng(0))
+            params["head.weight"].data = np.random.default_rng(2).normal(0, 0.2, size=(32, 4))
+            return TrainState.create(params, 0)
+        return make(), make()
+
+    @staticmethod
+    def _assert_same(metrics, reference, new, old):
+        assert (metrics.loss_mse, metrics.loss_mi, metrics.loss_adv, metrics.lr) == reference
+        _assert_same_state(new, old)
+
+    def test_pretrain_matches_its_own_loop(self, pretrain_setup):
+        _, ds = pretrain_setup
+        config = small_train_config(batch_size=6, lam=1e-5)  # 16 images: 3 steps
+        new, old = self._states()
+        reference = _two_loop_pretrain_epoch(old, ds, config)
+        self._assert_same(pretrain_epoch(new, ds, config), reference, new, old)
+        assert new.step == 3
+
+    def test_finetune_matches_its_own_loop(self, pretrain_setup):
+        _, ds = pretrain_setup
+        config = small_train_config(batch_size=6, lam=0.0, layer_decay=0.65, betas=(0.9, 0.999),
+                                    attack=finetune_attack_spec(iters=2))
+        new, old = self._states()
+        reference = _two_loop_finetune_epoch(old, ds, config)
+        self._assert_same(finetune_epoch(new, ds, config), reference, new, old)
+        assert new.step == 3
+
+
+# ---------------------------------------------------------------------------
 # training on the attack's last forward
 
 def _old_loss_parts(params, images, plan, delta, config):
@@ -561,7 +659,7 @@ def _old_loss_parts(params, images, plan, delta, config):
     x = np.asarray(images, dtype=np.float64)
     x_adv = Tensor(x + np.asarray(delta, dtype=np.float64))
     latent = encode(params, patchify(x_adv, cfg.patch_size), plan)
-    recon_patches = decode(params, latent, plan)
+    recon_patches = decode(params, latent)
     target_patches = patchify(Tensor(x), cfg.patch_size)
     if config.recon_masked_only:
         mse = ad.mse_loss(ad.gather_rows(recon_patches, plan.masked),
