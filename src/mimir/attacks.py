@@ -127,6 +127,9 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
 
     Tracks the best objective over the initial point and every projected
     iterate, so with zero init the result is never worse than delta = 0.
+    The ascent stops early once a step returns the iterate it started from
+    bit for bit: every remaining iteration would evaluate that point again,
+    so the result does not change.
     ``extra_project`` runs after initialization and after every projection
     (used to pin masked pixels to their natural values). ``score_last``
     scores the last iterate in place of ``objective``, to the same value,
@@ -161,9 +164,12 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
         loss, grad = value_and_grad(x_adv)
         if loss > best_loss:
             best_loss, best_point = loss, x_adv.copy()
+        previous = x_adv
         x_adv = linf_project(x_adv + spec.step_size * np.sign(grad), x, spec)
         if extra_project is not None:
             x_adv = extra_project(x_adv)
+        if _same_bits(x_adv, previous):
+            break  # every later iteration would evaluate this same point again
     if score_last is None:
         score, built = objective(Tensor(x_adv)), None
     else:

@@ -27,11 +27,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-def _parse_positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str):
+    def parse(raw) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"expected a {kind} integer, got {value}")
+        return value
+    return parse
+
+
+_parse_positive_int = _int_at_least(1, "positive")
+_parse_non_negative_int = _int_at_least(0, "non-negative")
 
 
 COMMANDS = ("pretrain", "finetune", "attack", "eval", "bounds", "landscape", "mi-estimate")
@@ -39,16 +45,16 @@ COMMANDS = ("pretrain", "finetune", "attack", "eval", "bounds", "landscape", "mi
 # key -> parser; every accepted key appears here
 KEY_TYPES: dict[str, type | object] = {
     "command": str,
-    "seed": int,
+    "seed": _parse_non_negative_int,
     "out_dir": str,
     "checkpoint": str,
     "data.source": str,
     "data.dir": str,
     "data.split": str,
-    "data.num_classes": int,
-    "data.samples_per_class": int,
-    "data.image_size": int,
-    "data.channels": int,
+    "data.num_classes": _parse_positive_int,
+    "data.samples_per_class": _parse_positive_int,
+    "data.image_size": _parse_positive_int,
+    "data.channels": _parse_positive_int,
     "data.noise": float,
     "model.image_size": int,
     "model.channels": int,
@@ -68,19 +74,19 @@ KEY_TYPES: dict[str, type | object] = {
     "train.beta2": float,
     "train.weight_decay": float,
     "train.warmup_epochs": int,
-    "train.total_epochs": int,
-    "train.batch_size": int,
+    "train.total_epochs": _parse_positive_int,
+    "train.batch_size": _parse_positive_int,
     "train.lambda": float,
     "train.estimator": str,
     "train.layer_decay": float,
     "train.recon_masked_only": _parse_bool,
     "attack.epsilon": float,
     "attack.step_size": float,
-    "attack.iters": int,
+    "attack.iters": _parse_positive_int,
     "attack.init": str,
     "eval.attacks": str,
-    "eval.pgd_iters": int,
-    "eval.adaptive_iters": int,
+    "eval.pgd_iters": _parse_positive_int,
+    "eval.adaptive_iters": _parse_positive_int,
     "eval.lambda": float,
     "eval.batch_size": _parse_positive_int,
     "eval.subset": _parse_positive_int,
@@ -90,7 +96,7 @@ KEY_TYPES: dict[str, type | object] = {
     "landscape.resolution": int,
     "landscape.batch_size": _parse_positive_int,
     "mi.alpha": float,
-    "mi.batch_size": int,
+    "mi.batch_size": _parse_positive_int,
 }
 
 _DATA_KEYS_SYNTH = ("data.num_classes", "data.samples_per_class", "data.image_size", "data.noise")
@@ -207,7 +213,10 @@ def load_config(path, command: str | None = None, seed: int | None = None,
         if command is None:
             raise ConfigError("no command given and the config has no 'command' key")
     if seed is not None:
-        values["seed"] = int(seed)
+        try:
+            values["seed"] = _parse_non_negative_int(seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed override: bad value for 'seed': {exc}") from exc
     if out_dir is not None:
         values["out_dir"] = str(out_dir)
     values["command"] = str(command)

@@ -21,6 +21,18 @@ def tiny_config():
 
 
 @pytest.fixture(scope="session")
+def mid32_config():
+    """CIFAR-shaped (3x32x32, patch 4, width 96) with one encoder and one decoder layer.
+
+    Its MLP hidden is 192 KiB per image, so a forward-only ``encode_full``
+    runs it in chunks of 5 images; a batch of 13 covers a partial last chunk.
+    """
+    return ViTConfig(image_size=32, channels=3, patch_size=4, enc_layers=1, enc_dim=96,
+                     enc_heads=4, enc_mlp_ratio=4, dec_layers=1, dec_dim=64, dec_heads=4,
+                     dec_mlp_ratio=4, num_classes=10, mask_ratio=0.75)
+
+
+@pytest.fixture(scope="session")
 def tiny_dataset():
     return synth_dataset(4, 4, 16, 0.1, np.random.default_rng(11), channels=1)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mimir import attacks
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import (AttackSpec, EPS_8_255, attack_ce, attack_fea, attack_mi,
@@ -105,6 +106,30 @@ class TestPgdEngine:
             spec = AttackSpec(epsilon=0.05, step_size=0.01, iters=iters, init="zero")
             losses.append(pgd(obj, x, spec, np.random.default_rng(0)).achieved_loss)
         assert all(a <= b + 1e-15 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("init", ["zero", "random"])
+    def test_stops_once_the_iterate_repeats(self, tiny_config, init):
+        """A zero head gives a zero input gradient: PGD-5 scores its start twice, not six times."""
+        params = init_params(tiny_config, np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(size=(4, 1, 16, 16))
+        objective = attacks._classifier_objective(params, np.array([0, 1, 2, 3]), 0.0, None)
+        calls = []
+
+        def counted(t):
+            calls.append(t.requires_grad)
+            return objective(t)
+
+        spec = AttackSpec(epsilon=EPS_8_255, step_size=2.0 / 255.0, iters=5, init=init)
+        rng = np.random.default_rng(7)
+        pert = pgd(counted, x, spec, rng)
+        assert calls == [True, False]
+        replay = np.random.default_rng(7)
+        start = x if init == "zero" else linf_project(
+            x + replay.uniform(-spec.epsilon, spec.epsilon, size=x.shape), x, spec)
+        assert np.array_equal(pert.delta, start - x)
+        assert pert.achieved_loss == objective(Tensor(start)).item()
+        assert pert.last_forward is None
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_non_finite_objective_raises(self):
         def obj(t):

@@ -8,7 +8,7 @@ import pytest
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import AttackSpec, attack_ce, finetune_attack_spec, pretrain_attack_spec
-from mimir.cli import _cmd_attack, run_config
+from mimir.cli import _cmd_attack, main, run_config
 from mimir.config import ConfigError, ExperimentConfig, load_config, parse_config_text, serialize_config
 from mimir.data import class_templates, load_cifar10_binary, synth_dataset
 from mimir.evaluate import AttackJob, evaluate, landscape_grid
@@ -228,6 +228,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config_text("seed = banana")
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("seed", -1, "non-negative"), ("attack.iters", 0, "positive"),
+        ("eval.pgd_iters", 0, "positive"), ("eval.adaptive_iters", -2, "positive"),
+        ("train.total_epochs", 0, "positive"), ("train.batch_size", 0, "positive"),
+        ("data.num_classes", 0, "positive"), ("data.samples_per_class", -1, "positive"),
+        ("data.image_size", 0, "positive"), ("data.channels", 0, "positive"),
+        ("mi.batch_size", 0, "positive")])
+    def test_out_of_range_count_named_by_key_and_line(self, key, value, kind):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"# counts\n{key} = {value}\n")
+        assert str(err.value) == (f"line 2: bad value for {key!r}: "
+                                  f"expected a {kind} integer, got {value}")
+
+    def test_seed_zero_accepted(self):
+        assert parse_config_text("seed = 0") == {"seed": 0}
+
     def test_comments_and_blanks_ignored(self):
         values = parse_config_text("# heading\n\nseed = 3  # trailing\n")
         assert values == {"seed": 3}
@@ -308,6 +324,25 @@ class TestRunConfig:
         path.write_text("command = bounds\nout_dir = x\nbounds.num_clases = 10\nbounds.step = 0.01\n")
         assert run_config(path) == 1
         assert "bounds.num_clases" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, old, new", [("seed", "0", "-1"),
+                                               ("train.total_epochs", "3", "0")])
+    def test_out_of_range_key_exits_with_its_name(self, tmp_path, capsys, key, old, new):
+        out = tmp_path / "out"
+        text = BASE_CONFIG.format(out=out).replace(f"\n{key} = {old}\n", f"\n{key} = {new}\n")
+        lineno = text.splitlines().index(f"{key} = {new}") + 1
+        (tmp_path / "c.cfg").write_text(text)
+        assert run_config(tmp_path / "c.cfg") == 1
+        assert f"line {lineno}: bad value for {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (tmp_path / "c.cfg").write_text(BASE_CONFIG.format(out=out))
+        assert main(["pretrain", "--config", str(tmp_path / "c.cfg"), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "expected a non-negative integer, got -1" in err
+        assert not out.exists()
 
     def test_pretrain_then_finetune_pipeline(self, tmp_path):
         out = tmp_path / "out"

@@ -257,6 +257,86 @@ class TestEncodeFull:
             model.encode_full(params, Tensor(np.zeros((1, 3, 16, 16))))
 
 
+def _images(cfg, batch, seed=1):
+    return np.random.default_rng(seed).uniform(size=(batch, cfg.channels, cfg.image_size,
+                                                     cfg.image_size))
+
+
+def _encoder_batches(monkeypatch):
+    """Spy on ``_encoder``: the batch size of every call, in order."""
+    batches = []
+    encoder = model._encoder
+
+    def spy(params, tokens, pos):
+        batches.append(tokens.shape[0])
+        return encoder(params, tokens, pos)
+
+    monkeypatch.setattr(model, "_encoder", spy)
+    return batches
+
+
+class TestForwardOnlyChunks:
+    """Forward-only ``encode_full`` runs the encoder over chunks of images."""
+
+    def test_chunk_size_from_the_widest_activation(self, tiny_config, mid32_config):
+        assert model._forward_chunk(mid32_config) == 5   # 192 KiB of MLP hidden per image
+        assert model._forward_chunk(tiny_config) == 64   # 16 KiB per image
+
+    @pytest.mark.parametrize("batch, chunks", [(13, [5, 5, 3]), (10, [5, 5]), (1, [1])])
+    def test_bit_identical_to_the_graph_path(self, mid32_config, monkeypatch, batch, chunks):
+        params = init_params(mid32_config, np.random.default_rng(0))
+        imgs = _images(mid32_config, batch)
+        batches = _encoder_batches(monkeypatch)
+        graph = model.encode_full(params, Tensor(imgs))
+        assert graph.requires_grad and batches == [batch]
+        batches.clear()
+        chunked = model.encode_full(params.constants(), Tensor(imgs))
+        assert batches == chunks
+        assert not chunked.requires_grad and chunked.is_leaf
+        assert chunked.shape == (batch, mid32_config.num_patches, mid32_config.enc_dim)
+        assert np.array_equal(chunked.data.view(np.int64), graph.data.view(np.int64))
+
+    @pytest.mark.parametrize("budget_images", [1, 2, 3, 4, 7])
+    def test_every_chunk_size_gives_the_same_bits(self, tiny_config, monkeypatch, budget_images):
+        params = init_params(tiny_config, np.random.default_rng(3))
+        imgs = _images(tiny_config, 9)
+        whole = model.encode_full(params.constants(), Tensor(imgs)).data
+        widest = tiny_config.num_patches * tiny_config.enc_dim * tiny_config.enc_mlp_ratio * 8
+        monkeypatch.setattr(model, "FORWARD_CHUNK_BYTES", budget_images * widest)
+        chunked = model.encode_full(params.constants(), Tensor(imgs)).data
+        assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
+
+    def test_classify_on_constants_returns_a_leaf(self, mid32_config, monkeypatch):
+        params = init_params(mid32_config, np.random.default_rng(0))
+        params["head.weight"].data = np.random.default_rng(1).normal(size=(96, 10))
+        imgs = _images(mid32_config, 13)
+        batches = _encoder_batches(monkeypatch)
+        logits = classify(params.constants(), Tensor(imgs))
+        assert batches == [5, 5, 3]
+        assert not logits.requires_grad and logits.is_leaf
+        assert np.array_equal(logits.data, classify(params, Tensor(imgs)).data)
+
+    def test_nan_in_the_last_chunk_raises(self, mid32_config, monkeypatch):
+        imgs = _images(mid32_config, 13)
+        imgs[-1, 0, 0, 0] = np.nan
+        batches = _encoder_batches(monkeypatch)
+        params = init_params(mid32_config, np.random.default_rng(0)).constants()
+        with pytest.raises(FloatingPointError):
+            model.encode_full(params, Tensor(imgs))
+        assert batches == [5, 5, 3]
+
+    def test_input_requiring_grad_gets_its_full_gradient(self, mid32_config, monkeypatch):
+        params = init_params(mid32_config, np.random.default_rng(0)).constants()
+        x = Tensor(_images(mid32_config, 13), requires_grad=True)
+        batches = _encoder_batches(monkeypatch)
+        z = model.encode_full(params, x)
+        weights = Tensor(np.random.default_rng(4).normal(size=z.shape))
+        ad.backward(ad.reduce_sum(ad.mul(z, weights)))
+        assert batches == [13]
+        assert x.grad is not None and x.grad.shape == x.shape
+        assert np.all(np.abs(x.grad).reshape(13, -1).max(axis=1) > 0.0)
+
+
 class TestInit:
     def test_same_seed_bit_identical(self, tiny_config):
         a = init_params(tiny_config, np.random.default_rng(9))
