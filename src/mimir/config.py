@@ -27,17 +27,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-def _int_at_least(low: int, kind: str):
+def _int_at_least(low: int, kind: str, odd: bool = False):
     def parse(raw) -> int:
         value = int(raw)
-        if value < low:
-            raise ValueError(f"expected a {kind} integer, got {value}")
+        if value < low or (odd and value % 2 == 0):
+            raise ValueError(f"expected {kind}, got {value}")
         return value
     return parse
 
 
-_parse_positive_int = _int_at_least(1, "positive")
-_parse_non_negative_int = _int_at_least(0, "non-negative")
+_parse_positive_int = _int_at_least(1, "a positive integer")
+_parse_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 COMMANDS = ("pretrain", "finetune", "attack", "eval", "bounds", "landscape", "mi-estimate")
@@ -56,24 +56,24 @@ KEY_TYPES: dict[str, type | object] = {
     "data.image_size": _parse_positive_int,
     "data.channels": _parse_positive_int,
     "data.noise": float,
-    "model.image_size": int,
-    "model.channels": int,
-    "model.patch_size": int,
-    "model.enc_layers": int,
-    "model.enc_dim": int,
-    "model.enc_heads": int,
-    "model.enc_mlp_ratio": int,
-    "model.dec_layers": int,
-    "model.dec_dim": int,
-    "model.dec_heads": int,
-    "model.dec_mlp_ratio": int,
-    "model.num_classes": int,
+    "model.image_size": _parse_positive_int,
+    "model.channels": _parse_positive_int,
+    "model.patch_size": _parse_positive_int,
+    "model.enc_layers": _parse_positive_int,
+    "model.enc_dim": _parse_positive_int,
+    "model.enc_heads": _parse_positive_int,
+    "model.enc_mlp_ratio": _parse_positive_int,
+    "model.dec_layers": _parse_positive_int,
+    "model.dec_dim": _parse_positive_int,
+    "model.dec_heads": _parse_positive_int,
+    "model.dec_mlp_ratio": _parse_positive_int,
+    "model.num_classes": _parse_positive_int,
     "model.mask_ratio": float,
     "train.base_lr": float,
     "train.beta1": float,
     "train.beta2": float,
     "train.weight_decay": float,
-    "train.warmup_epochs": int,
+    "train.warmup_epochs": _parse_non_negative_int,
     "train.total_epochs": _parse_positive_int,
     "train.batch_size": _parse_positive_int,
     "train.lambda": float,
@@ -90,10 +90,10 @@ KEY_TYPES: dict[str, type | object] = {
     "eval.lambda": float,
     "eval.batch_size": _parse_positive_int,
     "eval.subset": _parse_positive_int,
-    "bounds.num_classes": int,
+    "bounds.num_classes": _int_at_least(2, "an integer >= 2"),
     "bounds.step": float,
     "landscape.half_width": float,
-    "landscape.resolution": int,
+    "landscape.resolution": _int_at_least(3, "an odd integer >= 3", odd=True),
     "landscape.batch_size": _parse_positive_int,
     "mi.alpha": float,
     "mi.batch_size": _parse_positive_int,

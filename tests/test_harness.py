@@ -1,10 +1,14 @@
+import os
 import struct
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mimir
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import AttackSpec, attack_ce, finetune_attack_spec, pretrain_attack_spec
@@ -241,6 +245,25 @@ class TestConfig:
         assert str(err.value) == (f"line 2: bad value for {key!r}: "
                                   f"expected a {kind} integer, got {value}")
 
+    @pytest.mark.parametrize("key, value, expected", [
+        *((f"model.{name}", 0, "a positive integer") for name in (
+            "image_size", "channels", "patch_size", "enc_layers", "enc_dim", "enc_heads",
+            "enc_mlp_ratio", "dec_layers", "dec_dim", "dec_heads", "dec_mlp_ratio", "num_classes")),
+        ("train.warmup_epochs", -1, "a non-negative integer"),
+        ("bounds.num_classes", 1, "an integer >= 2"),
+        ("landscape.resolution", 1, "an odd integer >= 3"),
+        ("landscape.resolution", 4, "an odd integer >= 3")])
+    def test_out_of_range_extent_named_by_key_and_line(self, key, value, expected):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"# extents\n{key} = {value}\n")
+        assert str(err.value) == f"line 2: bad value for {key!r}: expected {expected}, got {value}"
+
+    def test_smallest_extents_accepted(self):
+        assert parse_config_text("bounds.num_classes = 2\nlandscape.resolution = 3\n"
+                                 "train.warmup_epochs = 0\nmodel.enc_layers = 1") == {
+            "bounds.num_classes": 2, "landscape.resolution": 3, "train.warmup_epochs": 0,
+            "model.enc_layers": 1}
+
     def test_seed_zero_accepted(self):
         assert parse_config_text("seed = 0") == {"seed": 0}
 
@@ -336,6 +359,25 @@ class TestRunConfig:
         assert f"line {lineno}: bad value for {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("landscape", "landscape.resolution", -3), ("bounds", "bounds.num_classes", 0),
+        ("pretrain", "model.enc_layers", 0)])
+    def test_bad_extent_exits_with_its_name_and_creates_nothing(self, tmp_path, capsys,
+                                                                command, key, value):
+        """Each config is valid but for ``key``, so only the range check can stop it."""
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        out = tmp_path / "out"
+        lines = [line for line in BASE_CONFIG.format(out=out).replace(
+                     "command = pretrain", f"command = {command}").splitlines()
+                 if not line.startswith(f"{key} = ")]
+        lines += [f"checkpoint = {tmp_path / 'm.ckpt'}", "bounds.step = 0.01",
+                  "landscape.half_width = 0.1", f"{key} = {value}"]
+        (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
+        assert run_config(tmp_path / "c.cfg") == 1
+        assert f"line {len(lines)}: bad value for {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_override_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         (tmp_path / "c.cfg").write_text(BASE_CONFIG.format(out=out))
@@ -403,7 +445,7 @@ class TestRunConfig:
         cfg.write_text(BASE_CONFIG.format(out=out).replace("command = pretrain", f"command = {command}")
                        .replace("model.enc_dim = 32", "model.enc_dim = 64")
                        + f"checkpoint = {out / 'pretrain.ckpt'}\n"
-                       "landscape.half_width = 0.1\nlandscape.resolution = 2\n")
+                       "landscape.half_width = 0.1\nlandscape.resolution = 3\n")
         assert run_config(cfg) == 1
         err = capsys.readouterr().err
         assert "model.enc_dim = 64" in err and "enc_dim = 32" in err
@@ -506,3 +548,43 @@ class TestRunConfig:
         state = load_checkpoint(out / "pretrain.ckpt")
         assert state.epoch == 3
         assert state.params.config.enc_dim == 32
+
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.skipif(CORES < 2, reason="one core: forward-only chunks never leave the caller")
+class TestBlasThreadDeterminism:
+    """CLI artifacts do not depend on whether forward-only chunks run on one thread or many."""
+
+    def _cli(self, tmp_path, blas_threads, *args):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(mimir.__file__)))
+        return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path, check=True,
+                              capture_output=True, text=True).stdout
+
+    def test_mi_estimate_and_eval_bytes_equal_at_one_and_all_blas_threads(self, tmp_path,
+                                                                          mid32_config):
+        probe = "from mimir import model; print(model._workers())"
+        workers = {threads: int(self._cli(tmp_path, threads, "-c", probe))
+                   for threads in (1, CORES)}
+        if workers[1] == 1:
+            pytest.skip("this BLAS does not report its thread count, so the pool never runs")
+        assert workers == {1: CORES, CORES: 1}
+        params = init_params(mid32_config, np.random.default_rng(0))
+        params["head.weight"].data = np.random.default_rng(1).normal(size=(96, 10))
+        save_checkpoint(TrainState.create(params, 0), tmp_path / "m.ckpt")
+        # batches of 13 and 7 images run as chunks of [5, 5, 3] and [5, 2]
+        (tmp_path / "c.cfg").write_text(
+            f"seed = 3\nout_dir = out\ncheckpoint = {tmp_path / 'm.ckpt'}\ndata.source = synth\n"
+            "data.num_classes = 10\ndata.samples_per_class = 2\ndata.image_size = 32\n"
+            "data.channels = 3\ndata.noise = 0.1\neval.attacks = ce,fea\neval.pgd_iters = 2\n"
+            "eval.adaptive_iters = 2\neval.batch_size = 13\nmi.batch_size = 13\n")
+        outputs = {}
+        for threads in (1, CORES):
+            out = tmp_path / f"blas{threads}"
+            for command in ("mi-estimate", "eval"):
+                self._cli(tmp_path, threads, "-m", "mimir.cli", command, "--config", "c.cfg",
+                          "--out", str(out))
+            outputs[threads] = [(out / name).read_bytes() for name in ("mi.csv", "eval.csv")]
+        assert outputs[1] == outputs[CORES]

@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -263,7 +267,7 @@ def _images(cfg, batch, seed=1):
 
 
 def _encoder_batches(monkeypatch):
-    """Spy on ``_encoder``: the batch size of every call, in order."""
+    """Spy on ``_encoder``: the batch size of every call, in order, on the calling thread only."""
     batches = []
     encoder = model._encoder
 
@@ -272,7 +276,41 @@ def _encoder_batches(monkeypatch):
         return encoder(params, tokens, pos)
 
     monkeypatch.setattr(model, "_encoder", spy)
+    monkeypatch.setattr(model, "_workers", lambda: 1)
     return batches
+
+
+def _marked_images(cfg, batch):
+    """``_images`` whose first pixel is the image's index, which is its chunk's first token value."""
+    imgs = _images(cfg, batch)
+    imgs[:, 0, 0, 0] = np.arange(batch)
+    return imgs
+
+
+def _encoder_threads(monkeypatch, fail=()):
+    """Spy on ``_encoder`` over ``_marked_images``: (first image, size, thread) of each chunk done.
+
+    A chunk whose first image is in ``fail`` raises instead of running.
+    """
+    done = []
+    encoder = model._encoder
+
+    def spy(params, tokens, pos):
+        first = int(tokens.data[0, 0, 0])
+        if first in fail:
+            raise FloatingPointError(f"chunk at image {first}")
+        out = encoder(params, tokens, pos)
+        done.append((first, tokens.shape[0], threading.get_ident()))
+        return out
+
+    monkeypatch.setattr(model, "_encoder", spy)
+    return done
+
+
+def _shares(batch, chunk, workers):
+    """First image of every chunk, grouped in the contiguous shares ``encode_full`` runs."""
+    starts = range(0, batch, chunk)
+    return [list(share) for share in np.array_split(starts, min(workers, len(starts)))]
 
 
 class TestForwardOnlyChunks:
@@ -512,3 +550,116 @@ class TestFusedOps:
         params = perturbed[0]
         x = Tensor(np.random.default_rng(0).normal(size=(2, 5, 32)), requires_grad=True)
         assert _graph_nodes(model._block(params, "enc.0", x, heads=4), x) == 12
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+class TestForwardOnlyPool:
+    """The calling thread runs the first share of chunks, ``workers - 1`` helpers the rest."""
+
+    @pytest.fixture(autouse=True)
+    def force_workers(self, monkeypatch, workers):
+        monkeypatch.setattr(model, "_workers", lambda: workers)
+
+    def test_mid32_bit_identical_to_the_graph_path(self, mid32_config, monkeypatch, workers):
+        params = init_params(mid32_config, np.random.default_rng(0))
+        imgs = _marked_images(mid32_config, 13)
+        graph = model.encode_full(params, Tensor(imgs))
+        done = _encoder_threads(monkeypatch)
+        pooled = model.encode_full(params.constants(), Tensor(imgs))
+        assert sorted(call[:2] for call in done) == [(0, 5), (5, 5), (10, 3)]
+        caller = threading.get_ident()
+        share = _shares(13, 5, workers)[0]
+        assert all((thread == caller) == (first in share) for first, _, thread in done)
+        assert np.array_equal(pooled.data.view(np.int64), graph.data.view(np.int64))
+
+    @pytest.mark.parametrize("budget_images", [1, 2, 3, 4, 7])
+    def test_tiny16_every_chunk_size_gives_the_same_bits(self, tiny_config, monkeypatch,
+                                                         workers, budget_images):
+        params = init_params(tiny_config, np.random.default_rng(3)).constants()
+        imgs = _marked_images(tiny_config, 9)
+        whole = model.encode_full(params, Tensor(imgs)).data
+        widest = tiny_config.num_patches * tiny_config.enc_dim * tiny_config.enc_mlp_ratio * 8
+        monkeypatch.setattr(model, "FORWARD_CHUNK_BYTES", budget_images * widest)
+        done = _encoder_threads(monkeypatch)
+        pooled = model.encode_full(params, Tensor(imgs)).data
+        assert sorted(first for first, _, _ in done) == list(range(0, 9, budget_images))
+        assert any(thread != threading.get_ident() for _, _, thread in done)
+        assert np.array_equal(pooled.view(np.int64), whole.view(np.int64))
+
+    @pytest.mark.parametrize("bad", [0, 12], ids=["caller", "helper"])
+    def test_nan_in_a_share_raises_and_the_next_call_works(self, mid32_config, monkeypatch,
+                                                           workers, bad):
+        params = init_params(mid32_config, np.random.default_rng(0)).constants()
+        imgs = _marked_images(mid32_config, 13)
+        clean = model.encode_full(params, Tensor(imgs)).data
+        poisoned = imgs.copy()
+        poisoned[bad, 0, 1, 1] = np.nan
+        done = _encoder_threads(monkeypatch)
+        with pytest.raises(FloatingPointError):
+            model.encode_full(params, Tensor(poisoned))
+        # every share ran to its end or to its failing chunk before the error surfaced
+        failing = bad // 5 * 5
+        skipped = {first for share in _shares(13, 5, workers) if failing in share
+                   for first in share if first >= failing}
+        assert sorted(first for first, _, _ in done) == sorted({0, 5, 10} - skipped)
+        again = model.encode_full(params, Tensor(imgs)).data
+        assert np.array_equal(again.view(np.int64), clean.view(np.int64))
+
+    def test_first_failing_chunk_in_chunk_order_is_raised(self, mid32_config, monkeypatch,
+                                                          workers):
+        params = init_params(mid32_config, np.random.default_rng(0)).constants()
+        imgs = _marked_images(mid32_config, 13)
+        done = _encoder_threads(monkeypatch, fail={5, 10})
+        with pytest.raises(FloatingPointError, match="chunk at image 5$"):
+            model.encode_full(params, Tensor(imgs))
+        assert [first for first, _, _ in done] == [0]
+
+    def test_one_chunk_batch_never_touches_the_pool(self, mid32_config, monkeypatch, workers):
+        used = []
+        helpers = model._helpers
+        monkeypatch.setattr(model, "_workers", lambda: used.append("workers") or workers)
+        monkeypatch.setattr(model, "_helpers", lambda: used.append("pool") or helpers())
+        params = init_params(mid32_config, np.random.default_rng(0)).constants()
+        model.encode_full(params, Tensor(_images(mid32_config, 5)))
+        assert used == []
+        model.encode_full(params, Tensor(_images(mid32_config, 6)))
+        assert used == ["workers", "pool"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_its_own_helpers(mid32_config, monkeypatch):
+    """A child forked after the pool ran gets a fresh pool instead of its parent's dead threads."""
+    monkeypatch.setattr(model, "_workers", lambda: 2)
+    params = init_params(mid32_config, np.random.default_rng(0)).constants()
+    x = Tensor(_images(mid32_config, 13))
+    expected = model.encode_full(params, x).data
+    pid = os.fork()
+    if pid == 0:  # child: exit status 0 only if the pooled forward finishes with the same bits
+        status = 1
+        try:
+            signal.alarm(60)
+            status = 0 if np.array_equal(model.encode_full(params, x).data, expected) else 1
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestWorkers:
+    """``_workers``: one encoder thread per group of cores that one BLAS call occupies."""
+
+    @pytest.mark.parametrize("blas, workers", [(1, 4), (2, 2), (3, 1), (4, 1), (8, 1), (None, 1)])
+    def test_cores_over_blas_threads(self, monkeypatch, blas, workers):
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(model, "_blas_threads", lambda: blas)
+        assert model._workers() == workers
+
+    def test_failed_lookup_gives_one_worker(self, monkeypatch):
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(model, "_blas_thread_query", lambda: None)
+        assert model._blas_threads() is None
+        assert model._workers() == 1
+
+    def test_lookup_reads_a_thread_count(self):
+        threads = model._blas_threads()
+        assert threads is None or threads >= 1
