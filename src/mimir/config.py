@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .attacks import AttackSpec
+from .mi import _check_alpha
 from .model import ViTConfig
 from .train import TrainConfig
 
@@ -38,6 +39,13 @@ def _int_at_least(low: int, kind: str, odd: bool = False):
 
 _parse_positive_int = _int_at_least(1, "a positive integer")
 _parse_non_negative_int = _int_at_least(0, "a non-negative integer")
+
+
+def _parse_eval_attacks(raw: str) -> str:
+    for kind in raw.split(","):
+        if kind.strip() not in ("ce", "mi", "fea"):
+            raise ValueError(f"entries must be ce/mi/fea, got {kind.strip()!r}")
+    return raw
 
 
 COMMANDS = ("pretrain", "finetune", "attack", "eval", "bounds", "landscape", "mi-estimate")
@@ -84,7 +92,7 @@ KEY_TYPES: dict[str, type | object] = {
     "attack.step_size": float,
     "attack.iters": _parse_positive_int,
     "attack.init": str,
-    "eval.attacks": str,
+    "eval.attacks": _parse_eval_attacks,
     "eval.pgd_iters": _parse_positive_int,
     "eval.adaptive_iters": _parse_positive_int,
     "eval.lambda": float,
@@ -95,7 +103,7 @@ KEY_TYPES: dict[str, type | object] = {
     "landscape.half_width": float,
     "landscape.resolution": _int_at_least(3, "an odd integer >= 3", odd=True),
     "landscape.batch_size": _parse_positive_int,
-    "mi.alpha": float,
+    "mi.alpha": _check_alpha,
     "mi.batch_size": _parse_positive_int,
 }
 

@@ -137,6 +137,7 @@ def landscape_grid(params: ModelParams, dataset: Dataset, grid_half_width: float
     d2 = draw_direction()
     base = {name: params[name].data for name in names}
     axis = np.linspace(-grid_half_width, grid_half_width, resolution)
+    axis[resolution // 2] = 0.0  # linspace can miss zero by an ulp, e.g. (0.45, 7)
     rows = []
     try:
         for a in axis:

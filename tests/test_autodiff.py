@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -378,3 +381,58 @@ def test_composed_loss_input_gradients():
 
     report = ad.finite_diff_check(loss_fn, Tensor(images), 1e-4)
     assert report.max_rel_error < 1e-4
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Three rounds of 25 written-and-freed 4 MiB arrays after importing the engine;
+# prints the minor page faults of the third round.
+_HEAP_ROUNDS = """
+import resource
+import numpy as np
+import mimir.autodiff
+
+def round_trip():
+    arrays = [np.full(1 << 19, 1.0) for _ in range(25)]
+    del arrays
+
+round_trip()
+round_trip()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+round_trip()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap policy applies to glibc only")
+class TestHeapPolicy:
+    def _third_round_faults(self, **malloc_env) -> int:
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+        env.update(malloc_env, PYTHONPATH=os.path.dirname(os.path.dirname(ad.__file__)))
+        return int(subprocess.run([sys.executable, "-c", _HEAP_ROUNDS], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+
+    def test_freed_arrays_are_reused_without_faulting(self):
+        assert self._third_round_faults() < 1000
+
+    def test_user_malloc_setting_wins(self):
+        # glibc's own policy returns the freed arrays, so the third round faults them in again
+        assert self._third_round_faults(MALLOC_TRIM_THRESHOLD_="0") > 5000
+
+
+def test_heap_policy_leaves_non_glibc_alone(monkeypatch):
+    def not_glibc(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def no_dlopen(*args, **kwargs):
+        raise AssertionError("mallopt looked up off glibc")
+
+    monkeypatch.setattr(os, "confstr", not_glibc)
+    monkeypatch.setattr(ad.ctypes, "CDLL", no_dlopen)
+    assert ad._keep_freed_heap() is False

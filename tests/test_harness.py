@@ -155,11 +155,14 @@ class TestEvaluate:
 
 class TestLandscape:
     def test_center_cell_is_exact_unperturbed_loss(self, trained_model, tiny_dataset):
-        rows = landscape_grid(trained_model, tiny_dataset, 0.5, 3, np.random.default_rng(0))
-        center = [loss for a, b, loss in rows if a == 0.0 and b == 0.0]
         direct = ad.cross_entropy(classify(trained_model, Tensor(tiny_dataset.images)),
                                   tiny_dataset.labels).item()
-        assert center == [direct]
+        # np.linspace misses 0.0 at the centre of the last two axes
+        for half_width, resolution in ((0.5, 3), (0.45, 7), (0.1, 23)):
+            rows = landscape_grid(trained_model, tiny_dataset, half_width, resolution,
+                                  np.random.default_rng(0))
+            center = [loss for a, b, loss in rows if a == 0.0 and b == 0.0]
+            assert center == [direct], (half_width, resolution)
 
     def test_grid_row_count(self, trained_model, tiny_dataset):
         rows = landscape_grid(trained_model, tiny_dataset, 0.5, 5, np.random.default_rng(0))
@@ -273,7 +276,8 @@ class TestConfig:
 
     def test_round_trip_identity(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
+        path.write_text(BASE_CONFIG.format(out=tmp_path / "out")
+                        + "mi.alpha = 1.5\neval.attacks = ce, fea\n")
         cfg = load_config(path)
         text = serialize_config(cfg)
         reparsed = ExperimentConfig(command=cfg.command, values=parse_config_text(text))
@@ -361,10 +365,11 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("command, key, value", [
         ("landscape", "landscape.resolution", -3), ("bounds", "bounds.num_classes", 0),
-        ("pretrain", "model.enc_layers", 0)])
+        ("pretrain", "model.enc_layers", 0), ("eval", "eval.attacks", "ce,pgd"),
+        ("mi-estimate", "mi.alpha", 1)])
     def test_bad_extent_exits_with_its_name_and_creates_nothing(self, tmp_path, capsys,
                                                                 command, key, value):
-        """Each config is valid but for ``key``, so only the range check can stop it."""
+        """Each config is valid but for ``key``, so only the key's own check can stop it."""
         save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
                         tmp_path / "m.ckpt")
         out = tmp_path / "out"
