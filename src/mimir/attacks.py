@@ -57,11 +57,11 @@ class AttackSpec:
         if self.step_size <= 0.0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
         if int(self.iters) < 1:
-            raise ValueError(f"iters must be at least 1, got {self.iters}")
+            raise ValueError(f"iters must be a positive integer, got {self.iters}")
         if self.init not in ("zero", "random"):
             raise ValueError(f"init must be 'zero' or 'random', got {self.init!r}")
         if self.box[0] >= self.box[1]:
-            raise ValueError(f"invalid box {self.box}")
+            raise ValueError(f"box must have low < high, got {self.box}")
 
 
 def pretrain_attack_spec(epsilon: float = EPS_8_255, step_size: float = STEP_10_255) -> AttackSpec:

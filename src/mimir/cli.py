@@ -3,10 +3,11 @@
 Subcommands: pretrain | finetune | attack | eval | bounds | landscape |
 mi-estimate, each driven by a strict key-value config (see config.py) with
 ``--seed`` and ``--out`` overrides. All artifacts are CSV files plus binary
-checkpoints under the output directory, and are byte-deterministic given
-the config and seed; the metrics ``seconds`` column is therefore pinned to
-0.000 in the files, with real wall-clock timing available from the epoch
-metrics at runtime.
+checkpoints under the output directory, which is made at the first artifact
+write, so a run that fails before it leaves nothing behind. They are
+byte-deterministic given the config and seed; the metrics ``seconds``
+column is therefore pinned to 0.000 in the files, with real wall-clock
+timing available from the epoch metrics at runtime.
 
 Derived random streams: parameter init uses (seed, 0), dataset synthesis
 (seed, 1), the per-batch attacks of ``eval`` and ``attack`` (seed, job,
@@ -17,13 +18,12 @@ checkpointed generator seeded with the bare seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .attacks import (AttackSpec, EPS_8_255, STEP_2_255, adaptive_attack_spec, attack_ce,
-                      finetune_attack_spec, pretrain_attack_spec)
+from .attacks import attack_ce
 from .bounds import bound_curves, write_bound_curve_csv
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import Dataset, load_cifar10_binary, synth_dataset
@@ -36,18 +36,6 @@ from .train import (TrainConfig, TrainState, finetune_epoch, load_checkpoint, pr
                     save_checkpoint)
 
 METRICS_HEADER = "epoch,loss_mse,loss_mi,loss_total,lr,seconds\n"
-
-
-def _run_epochs(epoch_fn, state: TrainState, dataset: Dataset, train_cfg, path: str) -> None:
-    """Run every epoch into a fresh metrics CSV, so a rerun leaves exactly one run's rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(METRICS_HEADER)
-        for _ in range(train_cfg.total_epochs):
-            metrics = epoch_fn(state, dataset, train_cfg)
-            total = metrics.loss_mse + train_cfg.lam * metrics.loss_mi
-            fh.write(f"{state.epoch},{metrics.loss_mse:.10e},{metrics.loss_mi:.10e},"
-                     f"{total:.10e},{metrics.lr:.10e},0.000\n")
-            fh.flush()
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -64,58 +52,52 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     )
 
 
-def _load_params(cfg: ExperimentConfig) -> ModelParams:
-    """The checkpoint's parameters, after checking the config's ``model.*`` keys against it."""
-    params = load_checkpoint(cfg.get("checkpoint")).params
-    cfg.check_model_keys(params.config)
-    return params
-
-
-def _cmd_pretrain(cfg: ExperimentConfig) -> int:
-    dataset = _build_dataset(cfg)
-    params = init_params(cfg.vit_config(), np.random.default_rng([cfg.seed, 0]))
-    attack = cfg.attack_spec(pretrain_attack_spec())
-    train_cfg = cfg.train_config(attack, default_betas=(0.9, 0.95))
-    state = TrainState.create(params, cfg.seed)
-    _run_epochs(pretrain_epoch, state, dataset, train_cfg,
-                os.path.join(cfg.out_dir, "metrics_pretrain.csv"))
-    save_checkpoint(state, os.path.join(cfg.out_dir, "pretrain.ckpt"))
-    return 0
-
-
-def _cmd_finetune(cfg: ExperimentConfig) -> int:
-    dataset = _build_dataset(cfg)
-    if cfg.get("checkpoint") is not None:
-        params = _load_params(cfg)
+def _dataset_and_params(cfg: ExperimentConfig) -> tuple[Dataset, ModelParams]:
+    """The dataset and the model, checked to fit; all but ``pretrain`` load a given checkpoint."""
+    if cfg.command != "pretrain" and cfg.get("checkpoint") is not None:
+        params = load_checkpoint(cfg.get("checkpoint")).params
+        cfg.check_model_keys(params.config)
     else:
-        params = init_params(cfg.vit_config(), np.random.default_rng([cfg.seed, 0]))
-    attack = cfg.attack_spec(finetune_attack_spec())
-    train_cfg = cfg.train_config(attack, default_betas=(0.9, 0.999))
+        params = init_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
+    dataset = _build_dataset(cfg)
+    arch = params.config
+    _, channels, size, width = dataset.images.shape
+    if (channels, size, width) != (arch.channels, arch.image_size, arch.image_size):
+        raise ConfigError(f"data.image_size = {size} and data.channels = {channels} do not fit the "
+                          f"model's image_size = {arch.image_size} and channels = {arch.channels}")
+    return dataset, params
+
+
+def _cmd_train(cfg: ExperimentConfig) -> int:
+    """Train every epoch, then save the checkpoint; a rerun rewrites the metrics CSV."""
+    dataset, params = _dataset_and_params(cfg)
+    epoch_fn = pretrain_epoch if cfg.command == "pretrain" else finetune_epoch
     state = TrainState.create(params, cfg.seed)
-    _run_epochs(finetune_epoch, state, dataset, train_cfg,
-                os.path.join(cfg.out_dir, "metrics_finetune.csv"))
-    save_checkpoint(state, os.path.join(cfg.out_dir, "finetune.ckpt"))
+    path = cfg.out_path(f"metrics_{cfg.command}.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(METRICS_HEADER)
+        for _ in range(cfg.train.total_epochs):
+            metrics = epoch_fn(state, dataset, cfg.train)
+            total = metrics.loss_mse + cfg.train.lam * metrics.loss_mi
+            fh.write(f"{state.epoch},{metrics.loss_mse:.10e},{metrics.loss_mi:.10e},"
+                     f"{total:.10e},{metrics.lr:.10e},0.000\n")
+            fh.flush()
+    save_checkpoint(state, cfg.out_path(f"{cfg.command}.ckpt"))
     return 0
 
 
 def _eval_jobs(cfg: ExperimentConfig) -> list[AttackJob]:
-    eps = cfg.get("attack.epsilon", EPS_8_255)
-    step = cfg.get("attack.step_size", STEP_2_255)
     pgd_iters = cfg.get("eval.pgd_iters", 20)
     adaptive_iters = cfg.get("eval.adaptive_iters", 100)
     lam = cfg.get("eval.lambda", cfg.get("train.lambda", TrainConfig.lam))
     jobs = []
-    for kind in str(cfg.get("eval.attacks", "ce,mi,fea")).split(","):
-        kind = kind.strip()
+    for kind in (entry.strip() for entry in str(cfg.get("eval.attacks", "ce,mi,fea")).split(",")):
         if kind == "ce":
-            spec = AttackSpec(epsilon=eps, step_size=step, iters=pgd_iters, init="random")
-            jobs.append(AttackJob(name=f"pgd{pgd_iters}", kind="ce", spec=spec))
-        elif kind == "mi":
-            spec = adaptive_attack_spec(epsilon=eps, step_size=step, iters=adaptive_iters)
-            jobs.append(AttackJob(name=f"pgd-mi{adaptive_iters}", kind="mi", spec=spec, lam=lam))
-        else:  # "fea"; load_config rejects any other entry
-            spec = adaptive_attack_spec(epsilon=eps, step_size=step, iters=adaptive_iters)
-            jobs.append(AttackJob(name=f"pgd-fea{adaptive_iters}", kind="fea", spec=spec))
+            jobs.append(AttackJob(f"pgd{pgd_iters}", "ce", replace(cfg.attack, iters=pgd_iters)))
+        else:  # "mi" or "fea"; load_config rejects any other entry
+            jobs.append(AttackJob(f"pgd-{kind}{adaptive_iters}", kind,
+                                  replace(cfg.attack, iters=adaptive_iters),
+                                  lam=lam if kind == "mi" else 0.0))
     return jobs
 
 
@@ -128,66 +110,59 @@ def _subset(dataset: Dataset, cfg: ExperimentConfig) -> Dataset:
 
 
 def _cmd_eval(cfg: ExperimentConfig) -> int:
-    dataset = _subset(_build_dataset(cfg), cfg)
-    params = _load_params(cfg)
-    report = evaluate(params, dataset, _eval_jobs(cfg), seed=cfg.seed,
+    dataset, params = _dataset_and_params(cfg)
+    report = evaluate(params, _subset(dataset, cfg), _eval_jobs(cfg), seed=cfg.seed,
                       batch_size=cfg.get("eval.batch_size", 64))
-    write_eval_csv(report, os.path.join(cfg.out_dir, "eval.csv"))
+    write_eval_csv(report, cfg.out_path("eval.csv"))
     return 0
 
 
 def _cmd_attack(cfg: ExperimentConfig) -> int:
     """Craft perturbations for the configured budget and record their statistics."""
-    dataset = _subset(_build_dataset(cfg), cfg)
-    params = _load_params(cfg)
-    spec = cfg.attack_spec(AttackSpec(epsilon=EPS_8_255, step_size=STEP_2_255,
-                                      iters=20, init="random"))
+    dataset, params = _dataset_and_params(cfg)
+    dataset = _subset(dataset, cfg)
     rows = []
     for x, y, (rng,) in attack_batches(dataset, cfg.get("eval.batch_size", 64), cfg.seed, 1):
-        pert = attack_ce(params, x, y, spec, rng)
+        pert = attack_ce(params, x, y, cfg.attack, rng)
         rows.append((pert.achieved_loss, float(np.max(np.abs(pert.delta))), len(y)))
     mean_obj = sum(r[0] * r[2] for r in rows) / len(dataset)
     max_linf = max(r[1] for r in rows)
-    path = os.path.join(cfg.out_dir, "attack.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(cfg.out_path("attack.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("attack,mean_objective,max_linf,n\n")
-        fh.write(f"pgd{spec.iters},{mean_obj:.10e},{max_linf:.10e},{len(dataset)}\n")
+        fh.write(f"pgd{cfg.attack.iters},{mean_obj:.10e},{max_linf:.10e},{len(dataset)}\n")
     return 0
 
 
 def _cmd_bounds(cfg: ExperimentConfig) -> int:
     curve = bound_curves(cfg.get("bounds.num_classes"), cfg.get("bounds.step"))
-    write_bound_curve_csv(curve, os.path.join(cfg.out_dir, "bounds.csv"))
+    write_bound_curve_csv(curve, cfg.out_path("bounds.csv"))
     return 0
 
 
 def _cmd_landscape(cfg: ExperimentConfig) -> int:
-    dataset = _build_dataset(cfg)
-    params = _load_params(cfg)
+    dataset, params = _dataset_and_params(cfg)
     rows = landscape_grid(params, dataset, cfg.get("landscape.half_width"),
                           cfg.get("landscape.resolution"),
                           np.random.default_rng(cfg.seed),
                           batch_size=cfg.get("landscape.batch_size", 64))
-    write_landscape_csv(rows, os.path.join(cfg.out_dir, "landscape.csv"))
+    write_landscape_csv(rows, cfg.out_path("landscape.csv"))
     return 0
 
 
 def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
     """Dependence estimates between inputs and their encoder latents."""
-    dataset = _build_dataset(cfg)
-    params = _load_params(cfg).constants()
+    dataset, params = _dataset_and_params(cfg)
     n = min(len(dataset), cfg.get("mi.batch_size", 64))
     if n < 2:
         raise ConfigError("mi-estimate needs at least 2 samples")
     x = dataset.images[:n]
-    z = encode_full(params, Tensor(x)).data
+    z = encode_full(params.constants(), Tensor(x)).data
     # one median-bandwidth Gram per variable, shared by both estimators
     gram_x = rbf_gram(x.reshape(n, -1))
     gram_z = rbf_gram(z.reshape(n, -1))
     estimates = [hsic_from_grams(gram_x, gram_z),
                  renyi_mi_from_grams(gram_x, gram_z, alpha=cfg.get("mi.alpha", 2.0))]
-    path = os.path.join(cfg.out_dir, "mi.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(cfg.out_path("mi.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("estimator,alpha,value\n")
         for est in estimates:
             alpha_txt = "" if est.alpha is None else f"{est.alpha:g}"
@@ -196,8 +171,8 @@ def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
 
 
 _DISPATCH = {
-    "pretrain": _cmd_pretrain,
-    "finetune": _cmd_finetune,
+    "pretrain": _cmd_train,
+    "finetune": _cmd_train,
     "attack": _cmd_attack,
     "eval": _cmd_eval,
     "bounds": _cmd_bounds,
@@ -211,7 +186,6 @@ def run_config(path, command: str | None = None, seed: int | None = None,
     """Load a config, dispatch its command, return a process exit status."""
     try:
         cfg = load_config(path, command=command, seed=seed, out_dir=out_dir)
-        os.makedirs(cfg.out_dir, exist_ok=True)
         return _DISPATCH[cfg.command](cfg)
     except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,15 +4,19 @@ Format: one ``key = value`` per line, ``#`` comments, section prefixes in
 the key (``train.base_lr = 1.5e-4``). Unknown keys are rejected by name and
 missing required keys for the selected command are listed together, so a
 typo can never silently change an experiment. Parsing a serialized config
-reproduces the identical structure.
+reproduces the identical structure. The ``model.*``, ``train.*`` and
+``attack.*`` keys are fields of ``ViTConfig``, ``TrainConfig`` and
+``AttackSpec``, which own their types, defaults and ranges; ``load_config``
+builds them, so a bad value fails by key and line before any command runs.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
-from .attacks import AttackSpec
+from .attacks import AttackSpec, adaptive_attack_spec, finetune_attack_spec, pretrain_attack_spec
 from .mi import _check_alpha
 from .model import ViTConfig
 from .train import TrainConfig
@@ -28,17 +32,18 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-def _int_at_least(low: int, kind: str, odd: bool = False):
-    def parse(raw) -> int:
-        value = int(raw)
-        if value < low or (odd and value % 2 == 0):
+def _at_least(low, kind: str, cast=int, odd: bool = False):
+    def parse(raw):
+        value = cast(raw)
+        if not value >= low or (odd and value % 2 == 0):
             raise ValueError(f"expected {kind}, got {value}")
         return value
     return parse
 
 
-_parse_positive_int = _int_at_least(1, "a positive integer")
-_parse_non_negative_int = _int_at_least(0, "a non-negative integer")
+_parse_positive_int = _at_least(1, "a positive integer")
+_parse_non_negative_int = _at_least(0, "a non-negative integer")
+_parse_int_at_least_2 = _at_least(2, "an integer >= 2")
 
 
 def _parse_eval_attacks(raw: str) -> str:
@@ -47,6 +52,17 @@ def _parse_eval_attacks(raw: str) -> str:
             raise ValueError(f"entries must be ce/mi/fea, got {kind.strip()!r}")
     return raw
 
+
+def _field_keys(section: str, cls, skip: tuple[str, ...] = ()) -> dict[str, object]:
+    """``section.<field>`` -> its parser, for each field of ``cls`` not in ``skip``."""
+    hints = get_type_hints(cls)
+    return {f"{section}.{f.name}": _parse_bool if hints[f.name] is bool else hints[f.name]
+            for f in fields(cls) if f.name not in skip}
+
+
+# the name a dataclass check uses -> the train.* key named apart from its field
+_KEY_OF = {"lam": "train.lambda", "betas[0]": "train.beta1", "betas[1]": "train.beta2"}
+_ATTACK_DEFAULTS = {"pretrain": pretrain_attack_spec(), "finetune": finetune_attack_spec()}
 
 COMMANDS = ("pretrain", "finetune", "attack", "eval", "bounds", "landscape", "mi-estimate")
 
@@ -59,49 +75,25 @@ KEY_TYPES: dict[str, type | object] = {
     "data.source": str,
     "data.dir": str,
     "data.split": str,
-    "data.num_classes": _parse_positive_int,
+    "data.num_classes": _parse_int_at_least_2,
     "data.samples_per_class": _parse_positive_int,
-    "data.image_size": _parse_positive_int,
+    "data.image_size": _parse_int_at_least_2,
     "data.channels": _parse_positive_int,
-    "data.noise": float,
-    "model.image_size": _parse_positive_int,
-    "model.channels": _parse_positive_int,
-    "model.patch_size": _parse_positive_int,
-    "model.enc_layers": _parse_positive_int,
-    "model.enc_dim": _parse_positive_int,
-    "model.enc_heads": _parse_positive_int,
-    "model.enc_mlp_ratio": _parse_positive_int,
-    "model.dec_layers": _parse_positive_int,
-    "model.dec_dim": _parse_positive_int,
-    "model.dec_heads": _parse_positive_int,
-    "model.dec_mlp_ratio": _parse_positive_int,
-    "model.num_classes": _parse_positive_int,
-    "model.mask_ratio": float,
-    "train.base_lr": float,
-    "train.beta1": float,
-    "train.beta2": float,
-    "train.weight_decay": float,
-    "train.warmup_epochs": _parse_non_negative_int,
-    "train.total_epochs": _parse_positive_int,
-    "train.batch_size": _parse_positive_int,
-    "train.lambda": float,
-    "train.estimator": str,
-    "train.layer_decay": float,
-    "train.recon_masked_only": _parse_bool,
-    "attack.epsilon": float,
-    "attack.step_size": float,
-    "attack.iters": _parse_positive_int,
-    "attack.init": str,
+    "data.noise": _at_least(0.0, "a non-negative number", float),
+    **_field_keys("model", ViTConfig),
+    **_field_keys("train", TrainConfig, skip=("attack", "betas", "lam")),
+    **dict.fromkeys(_KEY_OF.values(), float),
+    **_field_keys("attack", AttackSpec, skip=("box",)),
     "eval.attacks": _parse_eval_attacks,
     "eval.pgd_iters": _parse_positive_int,
     "eval.adaptive_iters": _parse_positive_int,
     "eval.lambda": float,
     "eval.batch_size": _parse_positive_int,
     "eval.subset": _parse_positive_int,
-    "bounds.num_classes": _int_at_least(2, "an integer >= 2"),
+    "bounds.num_classes": _parse_int_at_least_2,
     "bounds.step": float,
     "landscape.half_width": float,
-    "landscape.resolution": _int_at_least(3, "an odd integer >= 3", odd=True),
+    "landscape.resolution": _at_least(3, "an odd integer >= 3", odd=True),
     "landscape.batch_size": _parse_positive_int,
     "mi.alpha": _check_alpha,
     "mi.batch_size": _parse_positive_int,
@@ -126,8 +118,13 @@ REQUIRED: dict[str, tuple[str, ...]] = {
 
 @dataclass
 class ExperimentConfig:
+    """The parsed keys, plus the dataclasses ``load_config`` builds from them."""
+
     command: str
     values: dict[str, object] = field(default_factory=dict)
+    attack: AttackSpec | None = None
+    model: ViTConfig | None = None      # built when model.image_size is set
+    train: TrainConfig | None = None    # built when the required train.* keys are set
 
     def get(self, key: str, default=None):
         return self.values.get(key, default)
@@ -140,13 +137,15 @@ class ExperimentConfig:
     def out_dir(self) -> str:
         return str(self.values["out_dir"])
 
+    def out_path(self, name: str) -> str:
+        """Path of the artifact ``name``; the output directory is made on first use."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        return os.path.join(self.out_dir, name)
+
     def _section(self, prefix: str) -> dict[str, object]:
         """The ``prefix.*`` keys that are set, by their name after the prefix."""
         return {key.removeprefix(prefix): value for key, value in self.values.items()
                 if key.startswith(prefix)}
-
-    def vit_config(self) -> ViTConfig:
-        return ViTConfig(**self._section("model."))
 
     def check_model_keys(self, stored: ViTConfig) -> None:
         """Reject any ``model.*`` key that contradicts the architecture a checkpoint stores."""
@@ -155,20 +154,11 @@ class ExperimentConfig:
                 raise ConfigError(f"model.{name} = {value} contradicts the checkpoint, "
                                   f"which has {name} = {getattr(stored, name)}")
 
-    def attack_spec(self, default: AttackSpec) -> AttackSpec:
-        return replace(default, **self._section("attack."))
 
-    def train_config(self, attack: AttackSpec, default_betas: tuple[float, float]) -> TrainConfig:
-        """``TrainConfig`` from the ``train.*`` keys that are set; it keeps its own defaults."""
-        train = self._section("train.")
-        betas = (train.pop("beta1", default_betas[0]), train.pop("beta2", default_betas[1]))
-        if "lambda" in train:
-            train["lam"] = train.pop("lambda")
-        return TrainConfig(attack=attack, betas=betas, **train)
-
-
-def parse_config_text(text: str) -> dict[str, object]:
+def _parse(text: str) -> tuple[dict[str, object], dict[str, int]]:
+    """The values by key, and the line each key is set on."""
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -180,12 +170,28 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        caster = KEY_TYPES[key]
         try:
-            values[key] = caster(raw_value)
+            values[key] = KEY_TYPES[key](raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return values
+        lines[key] = lineno
+    return values, lines
+
+
+def parse_config_text(text: str) -> dict[str, object]:
+    return _parse(text)[0]
+
+
+def _build(lines: dict[str, int], section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError is reported at the first set key it names."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        for word in str(exc).replace(",", " ").split():
+            key = _KEY_OF.get(word, f"{section}.{word}")
+            if key in lines:
+                raise ConfigError(f"line {lines[key]}: bad value for {key!r}: {exc}") from exc
+        raise
 
 
 def _validate(values: dict[str, object], command: str) -> None:
@@ -210,10 +216,10 @@ def _validate(values: dict[str, object], command: str) -> None:
 
 def load_config(path, command: str | None = None, seed: int | None = None,
                 out_dir: str | None = None) -> ExperimentConfig:
-    """Parse, apply CLI overrides, and validate a config file."""
+    """Parse, apply CLI overrides, validate, and build the command's dataclasses."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            values = parse_config_text(fh.read())
+            values, lines = _parse(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if command is None:
@@ -227,9 +233,22 @@ def load_config(path, command: str | None = None, seed: int | None = None,
             raise ConfigError(f"--seed override: bad value for 'seed': {exc}") from exc
     if out_dir is not None:
         values["out_dir"] = str(out_dir)
-    values["command"] = str(command)
-    _validate(values, str(command))
-    return ExperimentConfig(command=str(command), values=values)
+    command = values["command"] = str(command)
+    _validate(values, command)
+    cfg = ExperimentConfig(command=command, values=values)
+    # attack and eval default to PGD-20: the adaptive schedule cut to 20 steps
+    default = _ATTACK_DEFAULTS.get(command) or adaptive_attack_spec(iters=20)
+    cfg.attack = _build(lines, "attack", replace, default, **cfg._section("attack."))
+    if "model.image_size" in values:
+        cfg.model = _build(lines, "model", ViTConfig, **cfg._section("model."))
+    train = cfg._section("train.")
+    if {"base_lr", "total_epochs", "batch_size"} <= train.keys():
+        betas = (0.9, 0.999) if command == "finetune" else TrainConfig.betas
+        betas = (train.pop("beta1", betas[0]), train.pop("beta2", betas[1]))
+        if "lambda" in train:
+            train["lam"] = train.pop("lambda")
+        cfg.train = _build(lines, "train", TrainConfig, attack=cfg.attack, betas=betas, **train)
+    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

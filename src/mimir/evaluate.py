@@ -29,7 +29,6 @@ class AttackJob:
     kind: str                   # "ce" | "mi" | "fea"
     spec: AttackSpec
     lam: float = 0.0
-    estimator: str = "hsic"
 
     def __post_init__(self):
         if self.kind not in ("ce", "mi", "fea"):
@@ -52,8 +51,7 @@ def _run_job(params: ModelParams, job: AttackJob, images: Array, labels: Array,
     if job.kind == "ce":
         pert = attack_ce(params, images, labels, job.spec, rng)
     elif job.kind == "mi":
-        pert = attack_mi(params, PenaltyConfig(estimator=job.estimator), images, labels,
-                         job.lam, job.spec, rng)
+        pert = attack_mi(params, PenaltyConfig(), images, labels, job.lam, job.spec, rng)
     else:
         pert = attack_fea(params, images, job.spec, rng)
     return images + pert.delta

@@ -233,7 +233,7 @@ class PenaltyConfig:
 
     def __post_init__(self):
         if self.estimator not in ("hsic", "renyi2"):
-            raise ValueError(f"unknown penalty estimator {self.estimator!r}")
+            raise ValueError(f"estimator must be 'hsic' or 'renyi2', got {self.estimator!r}")
 
 
 def _flatten_batch(t: Tensor) -> Tensor:

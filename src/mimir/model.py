@@ -30,7 +30,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,21 +64,22 @@ class ViTConfig:
     mask_ratio: float = 0.75
 
     def __post_init__(self):
-        if min(self.patch_size, self.channels, self.enc_layers, self.dec_layers, self.enc_heads,
-               self.dec_heads, self.enc_mlp_ratio, self.dec_mlp_ratio) < 1:
-            raise ValueError("all architecture extents must be at least 1")
-        if self.image_size <= 0 or self.image_size % self.patch_size != 0:
+        for extent in fields(self):
+            value = getattr(self, extent.name)
+            if extent.name != "mask_ratio" and value < 1:
+                raise ValueError(f"{extent.name} must be a positive integer, got {value}")
+        if self.image_size % self.patch_size != 0:
             raise ValueError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.enc_dim % self.enc_heads != 0:
             raise ValueError(f"enc_dim {self.enc_dim} not divisible by enc_heads {self.enc_heads}")
         if self.dec_dim % self.dec_heads != 0:
             raise ValueError(f"dec_dim {self.dec_dim} not divisible by dec_heads {self.dec_heads}")
-        if self.enc_dim % 4 != 0 or self.dec_dim % 4 != 0:
-            raise ValueError("embedding dims must be divisible by 4 for 2-D sin/cos position tables")
+        for name in ("enc_dim", "dec_dim"):
+            if getattr(self, name) % 4 != 0:
+                raise ValueError(f"{name} {getattr(self, name)} not divisible by 4, "
+                                 "as the 2-D sin/cos position tables need")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValueError(f"mask_ratio must lie in [0, 1), got {self.mask_ratio}")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be at least 1")
 
     @property
     def grid(self) -> int:

@@ -79,17 +79,25 @@ class TrainConfig:
     recon_masked_only: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.warmup_epochs < self.total_epochs:
-            raise ValueError("warmup_epochs must lie in [0, total_epochs)")
-        if self.lam < 0.0:
-            raise ValueError("the MI penalty weight must be non-negative")
+        for name in ("total_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
+        if self.warmup_epochs < 0:
+            raise ValueError(f"warmup_epochs must be a non-negative integer, got {self.warmup_epochs}")
+        if self.warmup_epochs >= self.total_epochs:
+            raise ValueError(f"warmup_epochs {self.warmup_epochs} must be below "
+                             f"total_epochs {self.total_epochs}")
+        if not self.base_lr > 0.0:
+            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        for name in ("weight_decay", "lam"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0.0 < self.layer_decay <= 1.0:
-            raise ValueError("layer_decay must lie in (0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+            raise ValueError(f"layer_decay must lie in (0, 1], got {self.layer_decay}")
         PenaltyConfig(estimator=self.estimator)  # rejects unknown estimator names
-        if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+        for i, beta in enumerate(self.betas):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"betas[{i}] must lie in [0, 1), got {beta}")
 
 
 @dataclass

@@ -235,18 +235,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config_text("seed = banana")
 
+    @staticmethod
+    def _load_error(tmp_path, key, value):
+        """``load_config``'s error for the base config with ``key = value`` as its last line."""
+        lines = [line for line in BASE_CONFIG.format(out=tmp_path / "out").splitlines()
+                 if not line.startswith(f"{key} = ")] + [f"{key} = {value}"]
+        (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(tmp_path / "c.cfg")
+        return str(err.value), len(lines)
+
+    @staticmethod
+    def _bad_value(key, value, lineno, phrase):
+        """The message for a value out of ``phrase``; a dataclass's own check names its field."""
+        section, name = key.split(".", 1) if "." in key else ("", key)
+        if section in ("model", "train", "attack"):
+            return f"line {lineno}: bad value for {key!r}: {name} must be {phrase}, got {value}"
+        return f"line {lineno}: bad value for {key!r}: expected {phrase}, got {value}"
+
     @pytest.mark.parametrize("key, value, kind", [
         ("seed", -1, "non-negative"), ("attack.iters", 0, "positive"),
         ("eval.pgd_iters", 0, "positive"), ("eval.adaptive_iters", -2, "positive"),
         ("train.total_epochs", 0, "positive"), ("train.batch_size", 0, "positive"),
-        ("data.num_classes", 0, "positive"), ("data.samples_per_class", -1, "positive"),
-        ("data.image_size", 0, "positive"), ("data.channels", 0, "positive"),
+        ("data.samples_per_class", -1, "positive"), ("data.channels", 0, "positive"),
         ("mi.batch_size", 0, "positive")])
-    def test_out_of_range_count_named_by_key_and_line(self, key, value, kind):
-        with pytest.raises(ConfigError) as err:
-            parse_config_text(f"# counts\n{key} = {value}\n")
-        assert str(err.value) == (f"line 2: bad value for {key!r}: "
-                                  f"expected a {kind} integer, got {value}")
+    def test_out_of_range_count_named_by_key_and_line(self, tmp_path, key, value, kind):
+        message, lineno = self._load_error(tmp_path, key, value)
+        assert message == self._bad_value(key, value, lineno, f"a {kind} integer")
 
     @pytest.mark.parametrize("key, value, expected", [
         *((f"model.{name}", 0, "a positive integer") for name in (
@@ -256,16 +271,28 @@ class TestConfig:
         ("bounds.num_classes", 1, "an integer >= 2"),
         ("landscape.resolution", 1, "an odd integer >= 3"),
         ("landscape.resolution", 4, "an odd integer >= 3")])
-    def test_out_of_range_extent_named_by_key_and_line(self, key, value, expected):
-        with pytest.raises(ConfigError) as err:
-            parse_config_text(f"# extents\n{key} = {value}\n")
-        assert str(err.value) == f"line 2: bad value for {key!r}: expected {expected}, got {value}"
+    def test_out_of_range_extent_named_by_key_and_line(self, tmp_path, key, value, expected):
+        message, lineno = self._load_error(tmp_path, key, value)
+        assert message == self._bad_value(key, value, lineno, expected)
+
+    @pytest.mark.parametrize("key, value", [("data.num_classes", 0), ("data.num_classes", 1),
+                                            ("data.image_size", 0), ("data.image_size", 1),
+                                            ("data.noise", -1.0)])
+    def test_data_range_is_what_synth_dataset_accepts(self, tmp_path, key, value):
+        phrase = "a non-negative number" if key == "data.noise" else "an integer >= 2"
+        message, lineno = self._load_error(tmp_path, key, value)
+        assert message == self._bad_value(key, value, lineno, phrase)
+        sizes = dict(num_classes=2, samples_per_class=1, image_size=2, noise=0.0)
+        with pytest.raises(ValueError):
+            synth_dataset(**{**sizes, key.removeprefix("data."): value}, rng=np.random.default_rng(0))
 
     def test_smallest_extents_accepted(self):
         assert parse_config_text("bounds.num_classes = 2\nlandscape.resolution = 3\n"
-                                 "train.warmup_epochs = 0\nmodel.enc_layers = 1") == {
+                                 "train.warmup_epochs = 0\nmodel.enc_layers = 1\n"
+                                 "data.num_classes = 2\ndata.image_size = 2\ndata.noise = 0") == {
             "bounds.num_classes": 2, "landscape.resolution": 3, "train.warmup_epochs": 0,
-            "model.enc_layers": 1}
+            "model.enc_layers": 1, "data.num_classes": 2, "data.image_size": 2, "data.noise": 0.0}
+        synth_dataset(2, 1, 2, 0.0, np.random.default_rng(0))
 
     def test_seed_zero_accepted(self):
         assert parse_config_text("seed = 0") == {"seed": 0}
@@ -290,21 +317,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="trainify"):
             load_config(path)
 
-    REQUIRED_TRAIN = "train.base_lr = 0.002\ntrain.total_epochs = 3\ntrain.batch_size = 8\n"
+    MINIMAL = ("out_dir = out\ndata.source = synth\ndata.num_classes = 2\ndata.samples_per_class = 1\n"
+               "data.image_size = 4\ndata.noise = 0\nmodel.image_size = 4\nmodel.patch_size = 2\n"
+               "train.base_lr = 0.002\ntrain.total_epochs = 3\ntrain.batch_size = 8\n")
 
-    def _train_config(self, line="", default_betas=(0.9, 0.95)):
-        values = {**parse_config_text(self.REQUIRED_TRAIN), **parse_config_text(line)}
-        return ExperimentConfig(command="pretrain", values=values).train_config(pretrain_attack_spec(),
-                                                                                default_betas)
+    def _load(self, tmp_path, line="", command="pretrain"):
+        """``load_config`` of a minimal ``command`` config, ``line`` replacing its key's line."""
+        key = line.split(" = ")[0]
+        lines = [kept for kept in self.MINIMAL.splitlines() if not kept.startswith(f"{key} = ")]
+        (tmp_path / "c.cfg").write_text("\n".join(lines + [line]) + "\n")
+        return load_config(tmp_path / "c.cfg", command=command)
 
-    def test_train_config_without_optional_keys_is_the_dataclass_default(self):
+    def test_train_config_without_optional_keys_is_the_dataclass_default(self, tmp_path):
         attack = pretrain_attack_spec()
-        assert self._train_config() == TrainConfig(base_lr=0.002, total_epochs=3, batch_size=8,
-                                                   attack=attack)
-        assert self._train_config(default_betas=(0.9, 0.999)) == TrainConfig(
-            base_lr=0.002, total_epochs=3, batch_size=8, attack=attack, betas=(0.9, 0.999))
+        assert self._load(tmp_path).train == TrainConfig(base_lr=0.002, total_epochs=3, batch_size=8,
+                                                         attack=attack)
         spec = finetune_attack_spec()
-        assert ExperimentConfig(command="finetune", values={}).attack_spec(spec) == spec
+        finetune = self._load(tmp_path, command="finetune")
+        assert finetune.attack == spec
+        assert finetune.train == TrainConfig(base_lr=0.002, total_epochs=3, batch_size=8,
+                                             attack=spec, betas=(0.9, 0.999))
 
     @pytest.mark.parametrize("line, field, value", [
         ("train.base_lr = 0.01", "base_lr", 0.01),
@@ -319,8 +351,9 @@ class TestConfig:
         ("train.layer_decay = 0.65", "layer_decay", 0.65),
         ("train.recon_masked_only = true", "recon_masked_only", True),
     ])
-    def test_train_key_overrides_exactly_its_field(self, line, field, value):
-        assert self._train_config(line) == replace(self._train_config(), **{field: value})
+    def test_train_key_overrides_exactly_its_field(self, tmp_path, line, field, value):
+        assert self._load(tmp_path, line).train == replace(self._load(tmp_path).train,
+                                                           **{field: value})
 
     @pytest.mark.parametrize("line, field, value", [
         ("attack.epsilon = 0.1", "epsilon", 0.1),
@@ -328,10 +361,9 @@ class TestConfig:
         ("attack.iters = 3", "iters", 3),
         ("attack.init = zero", "init", "zero"),
     ])
-    def test_attack_key_overrides_exactly_its_field(self, line, field, value):
-        default = pretrain_attack_spec()
-        cfg = ExperimentConfig(command="pretrain", values=parse_config_text(line))
-        assert cfg.attack_spec(default) == replace(default, **{field: value})
+    def test_attack_key_overrides_exactly_its_field(self, tmp_path, line, field, value):
+        cfg = self._load(tmp_path, line)
+        assert cfg.attack == cfg.train.attack == replace(pretrain_attack_spec(), **{field: value})
 
 
 class TestRunConfig:
@@ -381,6 +413,67 @@ class TestRunConfig:
         (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
         assert run_config(tmp_path / "c.cfg") == 1
         assert f"line {len(lines)}: bad value for {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("attack.epsilon = 2", "epsilon must lie in [0, 1), got 2.0"),
+        ("model.mask_ratio = 1.5", "mask_ratio must lie in [0, 1), got 1.5"),
+        ("train.lambda = -1", "lam must be non-negative, got -1.0"),
+        ("train.base_lr = -1", "base_lr must be positive, got -1.0"),
+        ("train.weight_decay = -5", "weight_decay must be non-negative, got -5.0"),
+        ("train.estimator = foo", "estimator must be 'hsic' or 'renyi2', got 'foo'"),
+        ("attack.init = bogus", "init must be 'zero' or 'random', got 'bogus'"),
+        ("train.beta1 = 2", "betas[0] must lie in [0, 1), got 2.0"),
+        ("model.enc_dim = 0", "enc_dim must be a positive integer, got 0"),
+        ("train.total_epochs = 0", "total_epochs must be a positive integer, got 0")])
+    def test_dataclass_check_exits_with_key_and_line_and_creates_nothing(self, tmp_path, capsys,
+                                                                         line, message):
+        out = tmp_path / "out"
+        key = line.split(" = ")[0]
+        lines = [kept for kept in BASE_CONFIG.format(out=out).splitlines()
+                 if not kept.startswith(f"{key} = ")] + [line]
+        (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
+        assert run_config(tmp_path / "c.cfg") == 1
+        assert capsys.readouterr().err == f"error: line {len(lines)}: bad value for {key!r}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data", ["data.image_size = 8", "data.channels = 3"])
+    def test_pretrain_data_that_does_not_fit_the_model_rejected(self, tmp_path, capsys, data):
+        out = tmp_path / "out"
+        key = data.split(" = ")[0]
+        (tmp_path / "c.cfg").write_text(BASE_CONFIG.format(out=out).replace(f"\n{key} = ", "\n#")
+                                        + data + "\n")
+        assert run_config(tmp_path / "c.cfg") == 1
+        size, channels = ("8", "1") if key == "data.image_size" else ("16", "3")
+        assert capsys.readouterr().err == (
+            f"error: data.image_size = {size} and data.channels = {channels} do not fit the "
+            "model's image_size = 16 and channels = 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "landscape", "mi-estimate"])
+    def test_data_that_does_not_fit_the_checkpoint_rejected(self, tmp_path, capsys, command):
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        out = tmp_path / "out"
+        (tmp_path / "c.cfg").write_text(
+            f"command = {command}\nout_dir = {out}\ncheckpoint = {tmp_path / 'm.ckpt'}\n"
+            "data.source = synth\ndata.num_classes = 4\ndata.samples_per_class = 2\n"
+            "data.image_size = 8\ndata.noise = 0.1\nlandscape.half_width = 0.1\n"
+            "landscape.resolution = 3\n")
+        assert run_config(tmp_path / "c.cfg") == 1
+        assert capsys.readouterr().err == ("error: data.image_size = 8 and data.channels = 1 do not "
+                                           "fit the model's image_size = 16 and channels = 1\n")
+        assert not out.exists()
+
+    def test_eval_model_key_contradicting_checkpoint_creates_nothing(self, tmp_path, capsys):
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        out = tmp_path / "out"
+        (tmp_path / "c.cfg").write_text(
+            BASE_CONFIG.format(out=out).replace("command = pretrain", "command = eval")
+            .replace("model.enc_dim = 32", "model.enc_dim = 64") + f"checkpoint = {tmp_path / 'm.ckpt'}\n")
+        assert run_config(tmp_path / "c.cfg") == 1
+        assert "model.enc_dim = 64 contradicts the checkpoint" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_override_rejected(self, tmp_path, capsys):

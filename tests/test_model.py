@@ -35,7 +35,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["patch_size", "enc_heads", "dec_heads"])
     def test_zero_divisor_extent_rejected(self, key):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match=f"^{key} must be a positive integer, got 0$"):
             tiny_vit_config(**{key: 0})
 
     def test_cifar_patching(self):
