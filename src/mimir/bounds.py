@@ -57,10 +57,16 @@ def hellman_raviv_upper_bound(inp: BoundsInput) -> float:
     return inp.h_pred - 2.0 * inp.p_e
 
 
-def bound_curves(num_classes: int, grid_step: float) -> BoundCurve:
-    """Evaluate both bounds over p_e in {0, step, ..., 1} with h_pred = log2 M."""
+def _check_grid_step(grid_step: float) -> float:
+    grid_step = float(grid_step)
     if not 0.0 < grid_step <= 0.1:
         raise ValueError(f"grid_step must lie in (0, 0.1], got {grid_step}")
+    return grid_step
+
+
+def bound_curves(num_classes: int, grid_step: float) -> BoundCurve:
+    """Evaluate both bounds over p_e in {0, step, ..., 1} with h_pred = log2 M."""
+    grid_step = _check_grid_step(grid_step)
     if num_classes < 2:
         raise ValueError(f"num_classes must be at least 2, got {num_classes}")
     h_pred = math.log2(num_classes)

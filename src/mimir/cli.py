@@ -87,13 +87,12 @@ def _cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def _eval_jobs(cfg: ExperimentConfig) -> list[AttackJob]:
-    pgd_iters = cfg.get("eval.pgd_iters", 20)
     adaptive_iters = cfg.get("eval.adaptive_iters", 100)
     lam = cfg.get("eval.lambda", cfg.get("train.lambda", TrainConfig.lam))
     jobs = []
     for kind in (entry.strip() for entry in str(cfg.get("eval.attacks", "ce,mi,fea")).split(",")):
         if kind == "ce":
-            jobs.append(AttackJob(f"pgd{pgd_iters}", "ce", replace(cfg.attack, iters=pgd_iters)))
+            jobs.append(AttackJob(f"pgd{cfg.attack.iters}", "ce", cfg.attack))
         else:  # "mi" or "fea"; load_config rejects any other entry
             jobs.append(AttackJob(f"pgd-{kind}{adaptive_iters}", kind,
                                   replace(cfg.attack, iters=adaptive_iters),

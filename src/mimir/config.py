@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
 from .attacks import AttackSpec, adaptive_attack_spec, finetune_attack_spec, pretrain_attack_spec
+from .bounds import _check_grid_step
+from .evaluate import _check_half_width
 from .mi import _check_alpha
 from .model import ViTConfig
 from .train import TrainConfig
@@ -44,6 +46,7 @@ def _at_least(low, kind: str, cast=int, odd: bool = False):
 _parse_positive_int = _at_least(1, "a positive integer")
 _parse_non_negative_int = _at_least(0, "a non-negative integer")
 _parse_int_at_least_2 = _at_least(2, "an integer >= 2")
+_parse_non_negative_float = _at_least(0.0, "a non-negative number", float)
 
 
 def _parse_eval_attacks(raw: str) -> str:
@@ -79,20 +82,19 @@ KEY_TYPES: dict[str, type | object] = {
     "data.samples_per_class": _parse_positive_int,
     "data.image_size": _parse_int_at_least_2,
     "data.channels": _parse_positive_int,
-    "data.noise": _at_least(0.0, "a non-negative number", float),
+    "data.noise": _parse_non_negative_float,
     **_field_keys("model", ViTConfig),
     **_field_keys("train", TrainConfig, skip=("attack", "betas", "lam")),
     **dict.fromkeys(_KEY_OF.values(), float),
     **_field_keys("attack", AttackSpec, skip=("box",)),
     "eval.attacks": _parse_eval_attacks,
-    "eval.pgd_iters": _parse_positive_int,
     "eval.adaptive_iters": _parse_positive_int,
-    "eval.lambda": float,
+    "eval.lambda": _parse_non_negative_float,
     "eval.batch_size": _parse_positive_int,
     "eval.subset": _parse_positive_int,
     "bounds.num_classes": _parse_int_at_least_2,
-    "bounds.step": float,
-    "landscape.half_width": float,
+    "bounds.step": _check_grid_step,
+    "landscape.half_width": _check_half_width,
     "landscape.resolution": _at_least(3, "an odd integer >= 3", odd=True),
     "landscape.batch_size": _parse_positive_int,
     "mi.alpha": _check_alpha,
@@ -102,11 +104,13 @@ KEY_TYPES: dict[str, type | object] = {
 _DATA_KEYS_SYNTH = ("data.num_classes", "data.samples_per_class", "data.image_size", "data.noise")
 _DATA_KEYS_CIFAR = ("data.dir",)
 
+_MODEL_KEYS = ("model.image_size", "model.patch_size")
+_TRAIN_KEYS = ("out_dir", "data.source", "train.base_lr", "train.total_epochs", "train.batch_size")
+
+# finetune needs _MODEL_KEYS unless it starts from a checkpoint, which holds the architecture
 REQUIRED: dict[str, tuple[str, ...]] = {
-    "pretrain": ("out_dir", "data.source", "model.image_size", "model.patch_size",
-                 "train.base_lr", "train.total_epochs", "train.batch_size"),
-    "finetune": ("out_dir", "data.source", "model.image_size", "model.patch_size",
-                 "train.base_lr", "train.total_epochs", "train.batch_size"),
+    "pretrain": _TRAIN_KEYS + _MODEL_KEYS,
+    "finetune": _TRAIN_KEYS,
     "attack": ("out_dir", "checkpoint", "data.source"),
     "eval": ("out_dir", "checkpoint", "data.source"),
     "bounds": ("out_dir", "bounds.num_classes", "bounds.step"),
@@ -198,6 +202,8 @@ def _validate(values: dict[str, object], command: str) -> None:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
     required = list(REQUIRED[command])
+    if command == "finetune":
+        required += ["checkpoint"] if "checkpoint" in values else _MODEL_KEYS
     source = values.get("data.source")
     if "data.source" in required and source is not None:
         if source == "synth":

@@ -66,17 +66,22 @@ def attack_batches(dataset: Dataset, batch_size: int, seed: int, jobs: int):
 
 def evaluate(params: ModelParams, dataset: Dataset, jobs: list[AttackJob],
              seed: int = 0, batch_size: int = 64) -> EvalReport:
-    """Natural accuracy plus robust accuracy under each attack job."""
+    """Natural accuracy plus robust accuracy under each attack job.
+
+    A sample counts as robust to a job only if it is classified right both
+    at ``x`` and at the job's ``x + delta``, so robust never exceeds natural.
+    """
     n = len(dataset)
     if n == 0:
         raise ValueError("evaluate: empty dataset")
     correct_nat = 0
     correct_rob = [0] * len(jobs)
     for x, y, rngs in attack_batches(dataset, batch_size, seed, len(jobs)):
-        correct_nat += int((_predict(params, x) == y).sum())
+        clean = _predict(params, x) == y
+        correct_nat += int(clean.sum())
         for j, (job, rng) in enumerate(zip(jobs, rngs)):
             x_adv = _run_job(params, job, x, y, rng)
-            correct_rob[j] += int((_predict(params, x_adv) == y).sum())
+            correct_rob[j] += int((clean & (_predict(params, x_adv) == y)).sum())
     robust = [(job.name, 100.0 * c / n) for job, c in zip(jobs, correct_rob)]
     return EvalReport(natural=100.0 * correct_nat / n, robust=robust, n=n)
 
@@ -102,6 +107,13 @@ def _dataset_ce(params: ModelParams, dataset: Dataset, batch_size: int) -> float
     return total / len(dataset)
 
 
+def _check_half_width(grid_half_width: float) -> float:
+    grid_half_width = float(grid_half_width)
+    if not grid_half_width > 0.0:
+        raise ValueError(f"grid_half_width must be positive, got {grid_half_width}")
+    return grid_half_width
+
+
 def landscape_grid(params: ModelParams, dataset: Dataset, grid_half_width: float,
                    resolution: int, rng: np.random.Generator,
                    batch_size: int = 64) -> list[tuple[float, float, float]]:
@@ -114,8 +126,7 @@ def landscape_grid(params: ModelParams, dataset: Dataset, grid_half_width: float
     """
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError("resolution must be an odd integer >= 3")
-    if grid_half_width <= 0.0:
-        raise ValueError("grid_half_width must be positive")
+    grid_half_width = _check_half_width(grid_half_width)
     if len(dataset) == 0:
         raise ValueError("landscape_grid: empty dataset")
 

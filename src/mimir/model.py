@@ -16,10 +16,11 @@ activation fits ``FORWARD_CHUNK_BYTES``, so each layer's passes over its
 activations stay in cache, and concatenates the tokens in chunk order.
 When BLAS runs fewer threads than the process has cores, the chunks are
 split into ``_workers()`` contiguous shares: the calling thread runs the
-first share and helper threads run the others, one share each. Every
-encoder op works per image (batched GEMMs are per-image calls, layer norm
-and softmax are per row) and reads nothing but its operands, so the tokens
-are bit-identical to one pass over the batch whatever the chunk size and
+first share and helper threads run the others, one share each; the helpers
+are made for the call and joined before it returns or raises. Every encoder
+op works per image (batched GEMMs are per-image calls, layer norm and
+softmax are per row) and reads nothing but its operands, so the tokens are
+bit-identical to one pass over the batch whatever the chunk size and
 whichever thread ran a chunk.
 """
 
@@ -29,7 +30,7 @@ import ctypes
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -438,68 +439,18 @@ def _blas_thread_query():
     return None
 
 
-def _blas_threads() -> int | None:
-    """Threads BLAS runs now, or None if it cannot be asked."""
-    query = _blas_thread_query()
-    return None if query is None else query()
-
-
 def _workers() -> int:
     """Threads for a forward-only encoder pass: one per group of cores that one BLAS call uses.
 
     On a 2-core VM a pooled 64-image mid32 forward took 260-308 ms against
     463-479 ms serial with one BLAS thread, but 522-564 ms against 452 ms
-    with two, so the pool runs only on cores that BLAS leaves idle.
+    with two, so helpers run only on cores that BLAS leaves idle.
     """
-    blas = _blas_threads()
+    query = _blas_thread_query()
+    blas = None if query is None else query()
     if not blas or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, len(os.sched_getaffinity(0)) // blas)
-
-
-_helper_pool: ThreadPoolExecutor | None = None
-
-
-def _helpers() -> ThreadPoolExecutor:
-    """The module's helper threads; the pool starts a thread only when no idle one is left."""
-    global _helper_pool
-    if _helper_pool is None:
-        _helper_pool = ThreadPoolExecutor(thread_name_prefix="mimir-encoder")
-    return _helper_pool
-
-
-def _forget_helpers() -> None:
-    global _helper_pool
-    _helper_pool = None
-
-
-if hasattr(os, "register_at_fork"):  # no fork, and no such hook, on Windows
-    # a forked child has none of its parent's threads; a pool it inherited would never run a share
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _encode_chunks(params: ModelParams, patches: Array, pos: Tensor, chunk: int) -> list[Tensor]:
-    """Encoder tokens of each ``chunk``-image slice of ``patches``, in chunk order.
-
-    The calling thread runs the first of ``_workers()`` contiguous shares of
-    chunks and helper threads run the rest. If chunks raise, every share is
-    waited for and the error of the first failing chunk is raised.
-    """
-    def run(starts) -> list[Tensor]:
-        return [_encoder(params, Tensor(patches[start:start + chunk]), pos) for start in starts]
-
-    starts = range(0, patches.shape[0], chunk)
-    shares = np.array_split(starts, min(_workers(), len(starts)))
-    if len(shares) == 1:
-        return run(starts)
-    futures = [_helpers().submit(run, share) for share in shares[1:]]
-    try:
-        tokens = run(shares[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        tokens += future.result()
-    return tokens
 
 
 def encode_full(params: ModelParams, images: Tensor) -> Tensor:
@@ -508,7 +459,8 @@ def encode_full(params: ModelParams, images: Tensor) -> Tensor:
     No gather runs (nor its scatter backward); the tokens are bit-identical to
     ``encode``'s under the identity plan with every patch visible. When no
     graph is needed, the batch runs in chunks of ``_forward_chunk`` images,
-    spread over the cores that BLAS leaves idle.
+    spread over the cores that BLAS leaves idle. If chunks raise, every share
+    is waited for and the error of the first failing chunk is raised.
     """
     cfg = params.config
     pos = Tensor(params["enc_pos"].data)
@@ -518,7 +470,22 @@ def encode_full(params: ModelParams, images: Tensor) -> Tensor:
     if (patches.shape[0] <= chunk or patches.requires_grad
             or next(params.trainable(), None) is not None):
         return _encoder(params, patches, pos)
-    return ad.concat(_encode_chunks(params, patches.data, pos, chunk), axis=0)
+
+    def run(starts) -> list[Tensor]:
+        return [_encoder(params, Tensor(patches.data[start:start + chunk]), pos)
+                for start in starts]
+
+    starts = range(0, patches.shape[0], chunk)
+    shares = np.array_split(starts, min(_workers(), len(starts)))
+    if len(shares) == 1:
+        return ad.concat(run(starts), axis=0)
+    # leaving the block joins the helpers, also when the caller's share raises
+    with ThreadPoolExecutor(len(shares) - 1, thread_name_prefix="mimir-encoder") as helpers:
+        futures = [helpers.submit(run, share) for share in shares[1:]]
+        tokens = run(shares[0])
+    for future in futures:
+        tokens += future.result()
+    return ad.concat(tokens, axis=0)
 
 
 def _pooled_logits(params: ModelParams, z: Tensor) -> Tensor:

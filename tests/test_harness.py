@@ -11,11 +11,13 @@ import pytest
 import mimir
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
-from mimir.attacks import AttackSpec, attack_ce, finetune_attack_spec, pretrain_attack_spec
-from mimir.cli import _cmd_attack, main, run_config
+from mimir.attacks import (AttackSpec, adaptive_attack_spec, attack_ce, finetune_attack_spec,
+                           pretrain_attack_spec)
+from mimir.cli import _cmd_attack, _eval_jobs, main, run_config
 from mimir.config import ConfigError, ExperimentConfig, load_config, parse_config_text, serialize_config
-from mimir.data import class_templates, load_cifar10_binary, synth_dataset
+from mimir.data import Dataset, class_templates, load_cifar10_binary, synth_dataset
 from mimir.evaluate import AttackJob, evaluate, landscape_grid
+from mimir import evaluate as evaluate_module
 from mimir import mi
 from mimir.model import classify, encode_full, init_params
 from mimir.train import TrainConfig, TrainState, load_checkpoint, save_checkpoint
@@ -139,6 +141,21 @@ class TestEvaluate:
         for _, pct in report.robust:
             assert pct <= report.natural
 
+    def test_sample_wrong_when_clean_is_never_robust(self, trained_model, tiny_dataset,
+                                                    monkeypatch):
+        """A sample misclassified at ``x`` but classified right at the attack's point is not robust."""
+        pred = np.argmax(classify(trained_model, Tensor(tiny_dataset.images)).data, axis=1)
+        a, b = 0, int(np.flatnonzero(pred != pred[0])[0])
+        # both samples carry image b's predicted label, so only image b is right when clean
+        ds = Dataset(images=tiny_dataset.images[[a, b]], labels=pred[[b, b]],
+                     split=tiny_dataset.split, num_classes=tiny_dataset.num_classes)
+        # the stub attack moves both samples onto image b, where each is classified right
+        monkeypatch.setattr(evaluate_module, "_run_job", lambda params, job, x, y, rng: x[[1, 1]])
+        job = AttackJob(name="stub", kind="ce",
+                        spec=AttackSpec(epsilon=8 / 255, step_size=2 / 255, iters=1, init="zero"))
+        report = evaluate(trained_model, ds, [job])
+        assert report.natural == 50.0 and report.robust == [("stub", 50.0)]
+
     def test_deterministic(self, trained_model, tiny_dataset):
         job = AttackJob(name="pgd3", kind="ce",
                         spec=AttackSpec(epsilon=8 / 255, step_size=2 / 255, iters=3, init="random"))
@@ -227,6 +244,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bounds.num_classes"):
             load_config(path)
 
+    def test_eval_pgd_iters_is_an_unknown_key(self, tmp_path):
+        """eval's CE job takes its step count from ``attack.iters``, like ``attack`` does."""
+        message, lineno = self._load_error(tmp_path, "eval.pgd_iters", 20)
+        assert message == f"line {lineno}: unknown key 'eval.pgd_iters'"
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("seed = 1\nseed = 2")
@@ -255,7 +277,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value, kind", [
         ("seed", -1, "non-negative"), ("attack.iters", 0, "positive"),
-        ("eval.pgd_iters", 0, "positive"), ("eval.adaptive_iters", -2, "positive"),
+        ("eval.adaptive_iters", -2, "positive"),
         ("train.total_epochs", 0, "positive"), ("train.batch_size", 0, "positive"),
         ("data.samples_per_class", -1, "positive"), ("data.channels", 0, "positive"),
         ("mi.batch_size", 0, "positive")])
@@ -398,21 +420,22 @@ class TestRunConfig:
     @pytest.mark.parametrize("command, key, value", [
         ("landscape", "landscape.resolution", -3), ("bounds", "bounds.num_classes", 0),
         ("pretrain", "model.enc_layers", 0), ("eval", "eval.attacks", "ce,pgd"),
-        ("mi-estimate", "mi.alpha", 1)])
+        ("mi-estimate", "mi.alpha", 1), ("bounds", "bounds.step", 0.5),
+        ("landscape", "landscape.half_width", -1), ("eval", "eval.lambda", -1)])
     def test_bad_extent_exits_with_its_name_and_creates_nothing(self, tmp_path, capsys,
                                                                 command, key, value):
         """Each config is valid but for ``key``, so only the key's own check can stop it."""
         save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
                         tmp_path / "m.ckpt")
         out = tmp_path / "out"
-        lines = [line for line in BASE_CONFIG.format(out=out).replace(
-                     "command = pretrain", f"command = {command}").splitlines()
-                 if not line.startswith(f"{key} = ")]
+        lines = BASE_CONFIG.format(out=out).replace("command = pretrain",
+                                                    f"command = {command}").splitlines()
         lines += [f"checkpoint = {tmp_path / 'm.ckpt'}", "bounds.step = 0.01",
-                  "landscape.half_width = 0.1", f"{key} = {value}"]
+                  "landscape.half_width = 0.1", "landscape.resolution = 3"]
+        lines = [line for line in lines if not line.startswith(f"{key} = ")] + [f"{key} = {value}"]
         (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
         assert run_config(tmp_path / "c.cfg") == 1
-        assert f"line {len(lines)}: bad value for {key!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: line {len(lines)}: bad value for {key!r}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
@@ -503,11 +526,46 @@ class TestRunConfig:
         ev = tmp_path / "ev.cfg"
         ev.write_text(BASE_CONFIG.format(out=out).replace("command = pretrain", "command = eval")
                       + f"checkpoint = {out / 'finetune.ckpt'}\n"
-                      "eval.pgd_iters = 2\neval.adaptive_iters = 2\n")
+                      "attack.iters = 2\neval.adaptive_iters = 2\n")
         assert run_config(ev) == 0
         eval_lines = (out / "eval.csv").read_text().splitlines()
         assert eval_lines[0] == "attack,natural,robust,n"
         assert len(eval_lines) == 4
+
+    def test_finetune_from_a_checkpoint_needs_no_model_keys(self, tmp_path):
+        """The checkpoint holds the architecture; only a finetune without one needs model.*."""
+        params = init_params(tiny_vit_config(), np.random.default_rng(0))
+        save_checkpoint(TrainState.create(params, 0), tmp_path / "m.ckpt")
+        out = tmp_path / "out"
+        text = "".join(line + "\n" for line in BASE_CONFIG.format(out=out).splitlines()
+                       if not line.startswith("model."))
+        text = text.replace("command = pretrain", "command = finetune").replace(
+            "train.total_epochs = 3", "train.total_epochs = 2") + "attack.iters = 1\n"
+        (tmp_path / "ft.cfg").write_text(text)
+        with pytest.raises(ConfigError, match="missing required keys for finetune: "
+                                              "model.image_size, model.patch_size"):
+            load_config(tmp_path / "ft.cfg")
+        (tmp_path / "ft.cfg").write_text(text + f"checkpoint = {tmp_path / 'none.ckpt'}\n")
+        with pytest.raises(ConfigError, match="checkpoint path does not exist"):
+            load_config(tmp_path / "ft.cfg")
+        (tmp_path / "ft.cfg").write_text(text + f"checkpoint = {tmp_path / 'm.ckpt'}\n")
+        assert run_config(tmp_path / "ft.cfg") == 0
+        assert load_checkpoint(out / "finetune.ckpt").params.config == params.config
+
+    def test_eval_ce_job_runs_the_attack_keys(self, tmp_path):
+        """The CE column is ``attack.iters`` steps of ``cfg.attack``, PGD-20 by default."""
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        out = tmp_path / "out"
+        text = (BASE_CONFIG.format(out=out).replace("command = pretrain", "command = eval")
+                + f"checkpoint = {tmp_path / 'm.ckpt'}\neval.attacks = ce\n")
+        (tmp_path / "c.cfg").write_text(text)
+        assert _eval_jobs(load_config(tmp_path / "c.cfg")) == [
+            AttackJob("pgd20", "ce", adaptive_attack_spec(iters=20))]
+        (tmp_path / "c.cfg").write_text(text + "attack.iters = 3\n")
+        assert run_config(tmp_path / "c.cfg") == 0
+        rows = (out / "eval.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["attack", "pgd3"]
 
     def test_csv_byte_determinism(self, tmp_path):
         outputs = []
@@ -558,7 +616,7 @@ class TestRunConfig:
                         tmp_path / "m.ckpt")
         out = tmp_path / "out"
         text = (BASE_CONFIG.format(out=out).replace("command = pretrain", f"command = {command}")
-                + f"checkpoint = {tmp_path / 'm.ckpt'}\neval.pgd_iters = 1\neval.adaptive_iters = 1\n"
+                + f"checkpoint = {tmp_path / 'm.ckpt'}\neval.adaptive_iters = 1\n"
                 "attack.iters = 1\nlandscape.half_width = 0.1\nlandscape.resolution = 3\n"
                 f"{key} = {value}\n")
         (tmp_path / "c.cfg").write_text(text)
@@ -676,7 +734,7 @@ class TestBlasThreadDeterminism:
         (tmp_path / "c.cfg").write_text(
             f"seed = 3\nout_dir = out\ncheckpoint = {tmp_path / 'm.ckpt'}\ndata.source = synth\n"
             "data.num_classes = 10\ndata.samples_per_class = 2\ndata.image_size = 32\n"
-            "data.channels = 3\ndata.noise = 0.1\neval.attacks = ce,fea\neval.pgd_iters = 2\n"
+            "data.channels = 3\ndata.noise = 0.1\neval.attacks = ce,fea\nattack.iters = 2\n"
             "eval.adaptive_iters = 2\neval.batch_size = 13\nmi.batch_size = 13\n")
         outputs = {}
         for threads in (1, CORES):

@@ -616,14 +616,39 @@ class TestForwardOnlyPool:
 
     def test_one_chunk_batch_never_touches_the_pool(self, mid32_config, monkeypatch, workers):
         used = []
-        helpers = model._helpers
+        executor = model.ThreadPoolExecutor
         monkeypatch.setattr(model, "_workers", lambda: used.append("workers") or workers)
-        monkeypatch.setattr(model, "_helpers", lambda: used.append("pool") or helpers())
+        monkeypatch.setattr(model, "ThreadPoolExecutor",
+                            lambda *args, **kwargs: used.append(args) or executor(*args, **kwargs))
         params = init_params(mid32_config, np.random.default_rng(0)).constants()
         model.encode_full(params, Tensor(_images(mid32_config, 5)))
         assert used == []
         model.encode_full(params, Tensor(_images(mid32_config, 6)))
-        assert used == ["workers", "pool"]
+        assert used == ["workers", (1,)]
+
+    @pytest.mark.parametrize("bad", [None, 0, 12], ids=["returns", "caller", "helper"])
+    def test_no_helper_thread_outlives_the_call(self, mid32_config, monkeypatch, workers, bad):
+        """No ``mimir-encoder`` thread is alive once a pooled ``encode_full`` returned or raised."""
+        params = init_params(mid32_config, np.random.default_rng(0)).constants()
+        imgs = _images(mid32_config, 13)
+        if bad is not None:
+            imgs[bad, 0, 1, 1] = np.nan
+        seen = set()
+        encoder = model._encoder
+
+        def spy(params, tokens, pos):
+            seen.add(threading.current_thread().name.split("_")[0])
+            return encoder(params, tokens, pos)
+
+        monkeypatch.setattr(model, "_encoder", spy)
+        if bad is None:
+            model.encode_full(params, Tensor(imgs))
+        else:
+            with pytest.raises(FloatingPointError):
+                model.encode_full(params, Tensor(imgs))
+        assert "mimir-encoder" in seen
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("mimir-encoder")]
+        assert alive == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -651,15 +676,14 @@ class TestWorkers:
     @pytest.mark.parametrize("blas, workers", [(1, 4), (2, 2), (3, 1), (4, 1), (8, 1), (None, 1)])
     def test_cores_over_blas_threads(self, monkeypatch, blas, workers):
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setattr(model, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(model, "_blas_thread_query", lambda: lambda: blas)
         assert model._workers() == workers
 
     def test_failed_lookup_gives_one_worker(self, monkeypatch):
         monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         monkeypatch.setattr(model, "_blas_thread_query", lambda: None)
-        assert model._blas_threads() is None
         assert model._workers() == 1
 
     def test_lookup_reads_a_thread_count(self):
-        threads = model._blas_threads()
-        assert threads is None or threads >= 1
+        query = model._blas_thread_query()
+        assert query is None or query() >= 1
