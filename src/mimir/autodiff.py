@@ -19,24 +19,40 @@ same graph doubles the accumulated leaf gradients. Attacks and forward-only
 passes run on ``ModelParams.constants()``, so they never touch parameter
 ``.grad``.
 
+Helper threads: when BLAS runs fewer threads than the process has cores,
+two kinds of work go to threads that live for one call and are pinned to
+the allowed CPUs other than the caller's. ``shards`` runs a pass over row
+shares of its input, one share per thread, and differentiates it share by
+share. ``backward`` runs the weight-gradient products of large ``linear``
+nodes on one helper while the calling thread walks the rest of the graph,
+and adds the leaf gradients at the end in the order of a serial walk.
+Either way every gradient is the same bits as a serial run.
+
 Heap policy: every training step builds a whole graph and frees it again.
 With glibc's defaults, freeing it trims the heap and the next step faults
 the same pages back in (about 18,000 minor faults per mid32 pre-training
 step on glibc 2.36). Importing this module therefore sets, once, glibc's
 mmap threshold to 32 MiB (the ceiling of glibc's own dynamic threshold on
 64-bit) and its trim threshold to the largest value, so a step reuses the
-pages the last one freed and RSS stays at its peak. It does nothing off
-glibc, or when the environment already tunes malloc (any ``MALLOC_*_``
-variable or a ``glibc.malloc.`` entry in ``GLIBC_TUNABLES``); setting, for
-example, ``MALLOC_TRIM_THRESHOLD_`` opts out.
+pages the last one freed and RSS stays at its peak. It also caps glibc at
+one malloc arena: a helper thread would otherwise get an arena of its own,
+whose pages no other thread reuses, and a pre-training step that runs
+helpers peaked at 311-322 MB of RSS against 245-257 MB with the one arena.
+The policy does nothing off glibc, or when the environment already tunes
+malloc (any ``MALLOC_`` variable, such as ``MALLOC_ARENA_MAX`` or
+``MALLOC_TRIM_THRESHOLD_``, or a ``glibc.malloc.`` entry in
+``GLIBC_TUNABLES``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -49,6 +65,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_heap() -> bool:
@@ -59,7 +76,7 @@ def _keep_freed_heap() -> bool:
         return False
     if not libc or not libc.startswith("glibc"):
         return False
-    if (any(key.startswith("MALLOC_") and key.endswith("_") for key in os.environ)
+    if (any(key.startswith("MALLOC_") for key in os.environ)
             or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
         return False
     mallopt = ctypes.CDLL(None).mallopt
@@ -69,10 +86,106 @@ def _keep_freed_heap() -> bool:
     # threshold is set only after it; the trim threshold alone would turn
     # off the dynamic mmap threshold and fault far more
     return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
-            and mallopt(_M_TRIM_THRESHOLD, 2**31 - 1) == 1)
+            and mallopt(_M_TRIM_THRESHOLD, 2**31 - 1) == 1
+            and mallopt(_M_ARENA_MAX, 1) == 1)
 
 
 _keep_freed_heap()
+
+
+# ---------------------------------------------------------------------------
+# helper threads
+
+# Weight-gradient products of at least this many multiply-adds go to the
+# backward helper. On a 2-core VM at one BLAS thread, handing a product
+# over cost the caller about 10 us and starting the helper 84 us, while the
+# smallest product of a mid32 pre-training step (2.4M multiply-adds) took
+# 240 us and the largest of a tiny16 one (2^20) 80 us; so a tiny16
+# backward never starts the helper.
+DEFER_MIN_MACS = 1 << 21
+
+
+@functools.cache
+def _blas_thread_query():
+    """OpenBLAS's thread-count function from the library bundled with numpy, or None."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            try:
+                fn = getattr(ctypes.CDLL(str(lib)), symbol)
+            except (OSError, AttributeError):
+                continue
+            fn.restype = ctypes.c_int
+            return fn
+    return None
+
+
+def _workers() -> int:
+    """Threads a pass may use: one per group of cores that one BLAS call uses.
+
+    On a 2-core VM a pooled 64-image mid32 forward took 260-308 ms against
+    463-479 ms serial with one BLAS thread, but 522-564 ms against 452 ms
+    with two, so helpers run only on cores that BLAS leaves idle.
+    """
+    query = _blas_thread_query()
+    blas = None if query is None else query()
+    if not blas or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // blas)
+
+
+@functools.cache
+def _sched_getcpu():
+    """glibc's ``sched_getcpu``, or None where it is missing."""
+    try:
+        fn = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = ()
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _pin_off(cpu: int) -> None:
+    """Keep the calling thread to the CPUs the process may use, except ``cpu``; no-op if none is left."""
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except OSError:
+        pass
+
+
+def _helpers(count: int, name: str) -> ThreadPoolExecutor:
+    """``count`` helper threads for one call, each pinned off the CPU the caller runs on.
+
+    Where the kernel never moves a running thread (a cpuset without load
+    balancing), a helper that starts on the caller's CPU shares it for good:
+    a GEMM helper did so for a whole process in 5 of 10 processes, for a
+    speed-up of 0.99-1.04 against 1.92-1.99 in the others. Pinned, 9 of 10
+    processes read 1.92-2.04. Leaving a ``with`` block on the executor joins
+    the threads.
+    """
+    getcpu = _sched_getcpu()
+    cpu = getcpu() if getcpu is not None and hasattr(os, "sched_setaffinity") else -1
+    if cpu < 0:
+        return ThreadPoolExecutor(count, thread_name_prefix=name)
+    return ThreadPoolExecutor(count, thread_name_prefix=name, initializer=_pin_off,
+                              initargs=(cpu,))
+
+
+def _run_shares(task: Callable[[int], object], count: int) -> list:
+    """``task(i)`` for every share i: the first on the calling thread, the others on helpers.
+
+    Every share runs to its end before this returns or raises; the error of
+    the first failing share is raised.
+    """
+    if count == 1:
+        return [task(0)]
+    # leaving the block joins the helpers, also when the caller's share raises
+    with _helpers(count - 1, "mimir-shard") as pool:
+        futures = [pool.submit(task, i) for i in range(1, count)]
+        first = task(0)
+    return [first] + [future.result() for future in futures]
 
 
 class Tensor:
@@ -271,6 +384,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.matmul(a.data, b.data), "matmul", [(a, grad_a), (b, grad_b)])
 
 
+class _WeightGrad:
+    """VJP of ``linear``'s weight, ``xᵀ g`` summed over the batch.
+
+    It reads nothing but ``x`` and ``g``, so ``backward`` may run it on its
+    helper thread (see :data:`DEFER_MIN_MACS`).
+    """
+
+    __slots__ = ("x", "shape")
+
+    def __init__(self, x: Array, shape: tuple[int, ...]):
+        self.x, self.shape = x, shape
+
+    @property
+    def macs(self) -> int:
+        return self.x.size * self.shape[1]
+
+    def __call__(self, g: Array) -> Array:
+        return _unbroadcast(np.matmul(self.x.swapaxes(-1, -2), g), self.shape)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of ``x``, as one graph node."""
     if x.ndim < 2 or w.ndim != 2:
@@ -280,10 +413,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[1],):
         raise ValueError(f"linear: bias shape {b.shape} does not match output dim {w.shape[1]}")
     out = np.matmul(x.data, w.data)
-    edges = [
-        (x, lambda g: np.matmul(g, w.data.T)),
-        (w, lambda g: _unbroadcast(np.matmul(x.data.swapaxes(-1, -2), g), w.shape)),
-    ]
+    edges = [(x, lambda g: np.matmul(g, w.data.T)), (w, _WeightGrad(x.data, w.shape))]
     if b is not None:
         out += b.data
         edges.append((b, lambda g: _unbroadcast(g, b.shape)))
@@ -561,6 +691,83 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse pass
 
+def _topo(root: Tensor, stop: Tensor | None = None) -> list[Tensor]:
+    """Every node reachable from ``root`` but not through ``stop``, each after all of its parents."""
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        if node is stop:
+            continue
+        for parent, _ in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return topo
+
+
+def _sum_in_order(parts: list) -> Array:
+    """Left-to-right sum of gradient contributions, waiting for each deferred one."""
+    total = None
+    for part in parts:
+        part = part.result() if isinstance(part, Future) else part
+        total = part if total is None else total + part
+    return total
+
+
+def _backprop(topo: list[Tensor], root: Tensor, seed: Array, defer: bool) -> dict[Tensor, Array]:
+    """Send ``seed`` from ``root`` back through ``topo``; add into every reached leaf's ``.grad``.
+
+    With ``defer``, each ``linear`` weight-gradient product of at least
+    ``DEFER_MIN_MACS`` multiply-adds runs on one helper thread, started at
+    the first of them, while this thread walks on down the graph. Leaf
+    gradients are added at the end, in the order a serial walk adds them,
+    so ``.grad`` is the same bits either way. An error, also one raised by a
+    deferred product, leaves every ``.grad`` as it was.
+    """
+    # a non-leaf's gradient so far; a leaf's list of contributions, in walk order
+    flowing: dict[int, object] = {id(root): [seed] if root.is_leaf else seed}
+    reached: list[tuple[Tensor, list]] = []
+    pool = None
+    try:
+        for node in reversed(topo):
+            g = flowing.pop(id(node), None)
+            if g is None:
+                continue
+            if node.is_leaf:
+                reached.append((node, g))
+                continue
+            for parent, vjp in node._parents:
+                if not parent.is_leaf:
+                    pg = vjp(g)
+                    held = flowing.get(id(parent))
+                    flowing[id(parent)] = pg if held is None else held + pg
+                    continue
+                if defer and type(vjp) is _WeightGrad and vjp.macs >= DEFER_MIN_MACS:
+                    if pool is None:
+                        pool = _helpers(1, "mimir-grad")
+                    pg = pool.submit(vjp, g)
+                else:
+                    pg = vjp(g)
+                flowing.setdefault(id(parent), []).append(pg)
+        totals = [(leaf, _sum_in_order(parts)) for leaf, parts in reached]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    leaf_grads: dict[Tensor, Array] = {}
+    for leaf, total in totals:
+        leaf.grad = total.copy() if leaf.grad is None else leaf.grad + total
+        leaf_grads[leaf] = leaf.grad
+    return leaf_grads
+
+
 def backward(loss: Tensor) -> dict[Tensor, Array]:
     """Accumulate gradients of a scalar loss into all reachable leaves.
 
@@ -571,39 +778,68 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return {}
+    return _backprop(_topo(loss), loss, np.ones_like(loss.data), defer=_workers() > 1)
 
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
 
-    flowing: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    leaf_grads: dict[Tensor, Array] = {}
-    for node in reversed(topo):
-        g = flowing.pop(id(node), None)
-        if g is None:
-            continue
-        if node.is_leaf:
-            if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
-                leaf_grads[node] = node.grad
-            continue
-        for parent, vjp in node._parents:
-            pg = vjp(g)
-            held = flowing.get(id(parent))
-            flowing[id(parent)] = pg if held is None else held + pg
-    return leaf_grads
+# ---------------------------------------------------------------------------
+# passes over row shares
+
+def _share_graph(out: Tensor, part: Tensor) -> list[Tensor]:
+    """``out``'s graph in topological order, checked to reach no gradient leaf but ``part``."""
+    topo = _topo(out, stop=part) if out.requires_grad else []
+    if any(node.is_leaf and node is not part for node in topo):
+        raise ValueError("shards: a share's graph reaches a leaf that requires gradients "
+                         "other than its rows of x")
+    return topo
+
+
+def shards(fn: Callable[[Tensor, slice], Tensor], x: Tensor, starts: Sequence[int]) -> Tensor:
+    """``fn`` over row shares of ``x``, as one node that holds the shares' results in order.
+
+    ``starts`` are the rows at which a share may begin, 0 first; the shares
+    are ``_workers()`` contiguous runs of them, as even as ``np.array_split``
+    makes them. ``fn(part, rows)`` gets ``x[rows]`` as a leaf of its own and
+    returns a tensor whose first axis is those rows. The calling thread runs
+    the first share and helper threads (see :func:`_helpers`) the others.
+    Every share finishes before the call returns, and the first failing
+    share's error is raised. If ``x`` requires gradients, the node's VJP
+    runs each share's backward from its rows of ``g``, over the same threads,
+    and joins the input gradients.
+
+    A share's graph may reach no leaf that requires gradients other than its
+    ``part``; this raises ``ValueError`` otherwise. So when ``fn`` computes
+    each row from that row alone, the values and gradients are the same bits
+    as ``fn(x, slice(None))``, whatever the split and whichever thread ran a
+    share. With one share ``fn`` runs on ``x`` itself and no node is added.
+    """
+    groups = np.array_split(np.asarray(starts), min(_workers(), len(starts)))
+    bounds = [int(group[0]) for group in groups] + [x.shape[0]]
+    rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    parts = [x] if len(rows) == 1 else [Tensor(x.data[r], requires_grad=x.requires_grad)
+                                        for r in rows]
+
+    def build(i: int) -> tuple[Tensor, list[Tensor]]:
+        out = fn(parts[i], rows[i])
+        return out, _share_graph(out, parts[i])
+
+    built = _run_shares(build, len(rows))
+    if len(rows) == 1:
+        return built[0][0]
+
+    def vjp(g: Array) -> Array:
+        def back(i: int) -> Array:
+            (out, topo), part = built[i], parts[i]
+            part.grad = None
+            if topo:
+                _backprop(topo, out, g[rows[i]], defer=False)
+            return np.zeros_like(part.data) if part.grad is None else part.grad
+
+        return np.concatenate(_run_shares(back, len(rows)))
+
+    data = np.concatenate([out.data for out, _ in built])
+    for (out, _), share in zip(built, rows):
+        out.data = data[share]  # the same values, so the batch is held once
+    return _result(data, "shards", [(x, vjp)], check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,9 @@ KEY_TYPES: dict[str, type | object] = {
     "data.noise": _parse_non_negative_float,
     **_field_keys("model", ViTConfig),
     **_field_keys("train", TrainConfig, skip=("attack", "betas", "lam")),
-    **dict.fromkeys(_KEY_OF.values(), float),
+    "train.lambda": _parse_non_negative_float,
+    "train.beta1": float,
+    "train.beta2": float,
     **_field_keys("attack", AttackSpec, skip=("box",)),
     "eval.attacks": _parse_eval_attacks,
     "eval.adaptive_iters": _parse_positive_int,

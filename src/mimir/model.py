@@ -8,31 +8,29 @@ mean-pooled encoder tokens serves the fine-tuning path.
 All forward functions take and return autodiff tensors so both parameter
 gradients (training) and input gradients (attacks) are available.
 
-A forward-only ``encode_full`` (neither the images nor any parameter
-requires gradients: ``eval``'s and ``landscape``'s classifier passes,
-``mi-estimate``, ``attack_fea``'s clean latents and ``pgd``'s last-iterate
-score) runs the encoder over consecutive chunks of images whose widest
-activation fits ``FORWARD_CHUNK_BYTES``, so each layer's passes over its
-activations stay in cache, and concatenates the tokens in chunk order.
-When BLAS runs fewer threads than the process has cores, the chunks are
-split into ``_workers()`` contiguous shares: the calling thread runs the
-first share and helper threads run the others, one share each; the helpers
-are made for the call and joined before it returns or raises. Every encoder
-op works per image (batched GEMMs are per-image calls, layer norm and
-softmax are per row) and reads nothing but its operands, so the tokens are
-bit-identical to one pass over the batch whatever the chunk size and
-whichever thread ran a chunk.
+Passes on constant parameters (``ModelParams.constants()``: every attack
+iteration and every forward-only pass) run in image shares when the batch
+holds more than one ``_forward_chunk``: ``autodiff.shards`` runs the shares
+on the cores that BLAS leaves idle, the calling thread taking the first,
+and differentiates them share by share (see ``_splits``). A forward-only
+``encode_full`` (neither the images nor any parameter requires gradients:
+``eval``'s and ``landscape``'s classifier passes, ``mi-estimate``,
+``attack_fea``'s clean latents and ``pgd``'s last-iterate score) also runs
+each share in consecutive chunks of images whose widest activation fits
+``FORWARD_CHUNK_BYTES``, so each layer's passes over its activations stay in
+cache; its shares hold whole chunks. Every encoder and decoder op works per
+image (batched GEMMs are per-image calls, layer norm and softmax are per
+row, gathers and scatters index within a row) and reads nothing but its
+operands, so tokens, reconstructions and input gradients are bit-identical
+to one pass over the batch whatever the chunk size or the split and
+whichever thread ran a share. Passes on live parameters run whole: a split
+would change the bits of the weight-gradient sums over the batch.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -142,6 +140,10 @@ class MaskPlan:
     @property
     def masked(self) -> Array:
         return self.perm[:, self.num_visible:]
+
+    def rows(self, rows: slice) -> "MaskPlan":
+        """The plan of the images ``rows`` selects."""
+        return MaskPlan(perm=self.perm[rows], num_visible=self.num_visible)
 
 
 def sample_mask(num_patches: int, mask_ratio: float, rng: np.random.Generator,
@@ -425,67 +427,38 @@ def _forward_chunk(config: ViTConfig) -> int:
     return max(1, FORWARD_CHUNK_BYTES // widest)
 
 
-@functools.cache
-def _blas_thread_query():
-    """OpenBLAS's thread-count function from the library bundled with numpy, or None."""
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            try:
-                fn = getattr(ctypes.CDLL(str(lib)), symbol)
-            except (OSError, AttributeError):
-                continue
-            fn.restype = ctypes.c_int
-            return fn
-    return None
-
-
-def _workers() -> int:
-    """Threads for a forward-only encoder pass: one per group of cores that one BLAS call uses.
-
-    On a 2-core VM a pooled 64-image mid32 forward took 260-308 ms against
-    463-479 ms serial with one BLAS thread, but 522-564 ms against 452 ms
-    with two, so helpers run only on cores that BLAS leaves idle.
-    """
-    query = _blas_thread_query()
-    blas = None if query is None else query()
-    if not blas or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, len(os.sched_getaffinity(0)) // blas)
+def _splits(params: ModelParams, batch: int) -> bool:
+    """Whether a pass over ``batch`` images runs in shares: every parameter is constant and the
+    batch holds more than one forward chunk."""
+    return batch > _forward_chunk(params.config) and next(params.trainable(), None) is None
 
 
 def encode_full(params: ModelParams, images: Tensor) -> Tensor:
     """Encoder tokens ``[B, P, enc_dim]`` over every patch; shared by classify and attacks.
 
     No gather runs (nor its scatter backward); the tokens are bit-identical to
-    ``encode``'s under the identity plan with every patch visible. When no
-    graph is needed, the batch runs in chunks of ``_forward_chunk`` images,
-    spread over the cores that BLAS leaves idle. If chunks raise, every share
-    is waited for and the error of the first failing chunk is raised.
+    ``encode``'s under the identity plan with every patch visible. On
+    constant parameters the batch runs in shares (see ``_splits``); when no
+    graph is needed, each share runs in chunks of ``_forward_chunk`` images.
+    If shares raise, every share is waited for and the error of the first
+    failing one is raised.
     """
     cfg = params.config
     pos = Tensor(params["enc_pos"].data)
     patches = patchify(images, cfg.patch_size)
     _check_patches(cfg, patches)
-    chunk = _forward_chunk(cfg)
-    if (patches.shape[0] <= chunk or patches.requires_grad
-            or next(params.trainable(), None) is not None):
+    batch = patches.shape[0]
+    if not _splits(params, batch):
         return _encoder(params, patches, pos)
+    if patches.requires_grad:
+        return ad.shards(lambda part, _: _encoder(params, part, pos), patches, range(batch))
+    chunk = _forward_chunk(cfg)
 
-    def run(starts) -> list[Tensor]:
-        return [_encoder(params, Tensor(patches.data[start:start + chunk]), pos)
-                for start in starts]
+    def chunks(part: Tensor, _) -> Tensor:
+        return ad.concat([_encoder(params, Tensor(part.data[start:start + chunk]), pos)
+                          for start in range(0, part.shape[0], chunk)], axis=0)
 
-    starts = range(0, patches.shape[0], chunk)
-    shares = np.array_split(starts, min(_workers(), len(starts)))
-    if len(shares) == 1:
-        return ad.concat(run(starts), axis=0)
-    # leaving the block joins the helpers, also when the caller's share raises
-    with ThreadPoolExecutor(len(shares) - 1, thread_name_prefix="mimir-encoder") as helpers:
-        futures = [helpers.submit(run, share) for share in shares[1:]]
-        tokens = run(shares[0])
-    for future in futures:
-        tokens += future.result()
-    return ad.concat(tokens, axis=0)
+    return ad.shards(chunks, patches, range(0, batch, chunk))
 
 
 def _pooled_logits(params: ModelParams, z: Tensor) -> Tensor:

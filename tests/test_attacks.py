@@ -371,3 +371,53 @@ class TestAttackFea:
         spec = AttackSpec(epsilon=EPS_8_255, step_size=2 / 255, iters=5, init="zero")
         with pytest.raises(ValueError):
             attack_fea(params, imgs, spec, np.random.default_rng(0))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestAttacksInShares:
+    """On constant parameters the attack passes run in image shares; no bit depends on the split."""
+
+    @pytest.fixture(scope="class")
+    def mid32_model(self, mid32_config):
+        params = init_params(mid32_config, np.random.default_rng(0))
+        params["head.weight"].data = np.random.default_rng(1).normal(size=(96, 10))
+        return params
+
+    def _attack(self, kind, params, monkeypatch, workers):
+        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        shares = []
+        run_shares = ad._run_shares
+        monkeypatch.setattr(ad, "_run_shares",
+                            lambda task, count: shares.append(count) or run_shares(task, count))
+        images = np.random.default_rng(2).uniform(size=(13, 3, 32, 32))
+        labels = np.arange(13) % 10
+        rng = np.random.default_rng(3)
+        spec = AttackSpec(epsilon=EPS_8_255, step_size=2.0 / 255.0, iters=2)
+        if kind == "ce":
+            pert = attack_ce(params, images, labels, spec, rng)
+        elif kind == "mi":
+            pert = attack_mi(params, PenaltyConfig(), images, labels, 0.5, spec, rng)
+        elif kind == "fea":
+            pert = attack_fea(params, images, spec, rng)
+        else:
+            plan = sample_mask(64, 0.75, np.random.default_rng(4), batch_size=13)
+            pert = attack_recon(params, images, plan, pretrain_attack_spec(), rng)
+        return pert, max(shares, default=1)
+
+    @pytest.mark.parametrize("kind", ["ce", "mi", "fea", "recon"])
+    def test_same_bits_at_one_two_and_three_workers(self, mid32_model, monkeypatch, kind):
+        runs = {workers: self._attack(kind, mid32_model, monkeypatch, workers)
+                for workers in (1, 2, 3)}
+        assert {workers: shares for workers, (_, shares) in runs.items()} == {1: 1, 2: 2, 3: 3}
+        serial = runs[1][0]
+        if kind == "recon":
+            assert serial.last_forward is not None
+        for pert, _ in runs.values():
+            assert np.array_equal(_bits(pert.delta), _bits(serial.delta))
+            assert _bits(pert.achieved_loss) == _bits(serial.achieved_loss)
+            if kind == "recon":
+                assert np.array_equal(_bits(pert.last_forward.recon.data),
+                                      _bits(serial.last_forward.recon.data))

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -409,6 +411,28 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+# The caller allocates and frees 48 MiB in rounds, then a helper thread does the
+# same; prints how far the helper raised the peak RSS, in KiB.
+_HELPER_ROUNDS = """
+import resource
+import threading
+import numpy as np
+import mimir.autodiff
+
+def rounds():
+    for _ in range(3):
+        arrays = [np.full(1 << 17, 1.0) for _ in range(48)]
+        del arrays
+
+rounds()
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+helper = threading.Thread(target=rounds)
+helper.start()
+helper.join()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak)
+"""
+
+
 @pytest.mark.skipif(not _glibc(), reason="the heap policy applies to glibc only")
 class TestHeapPolicy:
     def _third_round_faults(self, **malloc_env) -> int:
@@ -425,6 +449,18 @@ class TestHeapPolicy:
         # glibc's own policy returns the freed arrays, so the third round faults them in again
         assert self._third_round_faults(MALLOC_TRIM_THRESHOLD_="0") > 5000
 
+    def test_arena_setting_opts_out_too(self):
+        assert self._third_round_faults(MALLOC_ARENA_MAX="8") > 5000
+
+    def test_helper_thread_reuses_the_callers_freed_heap(self):
+        """With one arena a helper allocates from the pages the caller freed, so peak RSS holds."""
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ad.__file__))
+        grown_kib = int(subprocess.run([sys.executable, "-c", _HELPER_ROUNDS], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert grown_kib < 16 << 10  # a helper arena of its own would add the 48 MiB again
+
 
 def test_heap_policy_leaves_non_glibc_alone(monkeypatch):
     def not_glibc(name):
@@ -436,3 +472,210 @@ def test_heap_policy_leaves_non_glibc_alone(monkeypatch):
     monkeypatch.setattr(os, "confstr", not_glibc)
     monkeypatch.setattr(ad.ctypes, "CDLL", no_dlopen)
     assert ad._keep_freed_heap() is False
+
+
+# ---------------------------------------------------------------------------
+# helper threads
+
+def _mimir_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("mimir-")]
+
+
+def _probe(part, rows, done, fail=(), pause=0.0):
+    """``2 * part`` as one node; its VJP waits ``pause`` s, then logs its first row or raises."""
+    def vjp(g):
+        if rows.start in fail:
+            raise FloatingPointError(f"non-finite gradient in the share at row {rows.start}")
+        time.sleep(pause)
+        done.append(rows.start)
+        return g * 2.0
+    return ad._result(part.data * 2.0, "probe", [(part, vjp)])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+class TestShards:
+    @pytest.fixture(autouse=True)
+    def force_workers(self, monkeypatch, workers):
+        monkeypatch.setattr(ad, "_workers", lambda: workers)
+
+    def test_values_and_gradient_equal_one_pass(self, workers):
+        x = Tensor(np.random.default_rng(0).normal(size=(7, 3, 4)), requires_grad=True)
+        w = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
+        out = ad.shards(lambda part, _: ad.gelu(ad.linear(part, w)), x, range(7))
+        whole = Tensor(x.data, requires_grad=True)
+        serial = ad.gelu(ad.linear(whole, w))
+        weights = Tensor(np.random.default_rng(2).normal(size=serial.shape))
+        ad.backward(ad.reduce_sum(ad.mul(out, weights)))
+        ad.backward(ad.reduce_sum(ad.mul(serial, weights)))
+        assert np.array_equal(out.data.view(np.int64), serial.data.view(np.int64))
+        assert np.array_equal(x.grad.view(np.int64), whole.grad.view(np.int64))
+
+    def test_shares_hold_runs_of_the_given_starts(self, workers):
+        seen = []
+        ad.shards(lambda part, rows: seen.append(rows) or part, Tensor(np.zeros((13, 2))),
+                  range(0, 13, 5))
+        expected = {1: [(0, 13)], 2: [(0, 10), (10, 13)], 3: [(0, 5), (5, 10), (10, 13)]}
+        assert sorted((rows.start, rows.stop) for rows in seen) == expected[workers]
+
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    def test_a_share_reaching_a_live_parameter_is_rejected(self, workers, requires_grad):
+        w = Tensor(np.ones(4), requires_grad=True)
+        x = Tensor(np.ones((6, 4)), requires_grad=requires_grad)
+        with pytest.raises(ValueError, match="reaches a leaf that requires gradients"):
+            ad.shards(lambda part, _: ad.mul(part, w), x, range(6))
+        assert w.grad is None and _mimir_threads() == []
+
+    def test_no_helper_outlives_a_pass_or_its_backward(self, workers):
+        x = Tensor(np.ones((9, 2)), requires_grad=True)
+        names = set()
+
+        def fn(part, rows):
+            names.add(threading.current_thread().name.split("_")[0])
+            return _probe(part, rows, [])
+
+        ad.backward(ad.reduce_sum(ad.shards(fn, x, range(9))))
+        assert np.array_equal(x.grad, np.full((9, 2), 2.0))
+        assert names == ({"MainThread"} if workers == 1 else {"MainThread", "mimir-shard"})
+        assert _mimir_threads() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_every_share_finishes_before_a_helpers_error_is_raised(monkeypatch, workers):
+    monkeypatch.setattr(ad, "_workers", lambda: workers)
+    x = Tensor(np.ones((9, 2)), requires_grad=True)
+    done = []
+    # every helper share fails at once; the caller's share logs only after a pause
+    fail = {2: {5}, 3: {3, 6}}[workers]
+    out = ad.shards(lambda part, rows: _probe(part, rows, done, fail=fail, pause=0.05),
+                    x, range(9))
+    with pytest.raises(FloatingPointError, match=f"share at row {min(fail)}$"):
+        ad.backward(ad.reduce_sum(out))
+    assert done == [0]
+    assert x.grad is None and _mimir_threads() == []
+
+
+def _mlp_loss(rows=64):
+    """A two-layer loss whose weight-gradient products have 64 * 96 * 384 multiply-adds each."""
+    rng = np.random.default_rng(0)
+    w1 = Tensor(rng.normal(size=(96, 384)) * 0.1, requires_grad=True)
+    w2 = Tensor(rng.normal(size=(384, 96)) * 0.1, requires_grad=True)
+    b1 = Tensor(np.zeros(384), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, rows // 2, 96)), requires_grad=True)
+    h = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2)
+    return ad.reduce_sum(ad.mul(h, h)), (w1, w2, b1, x)
+
+
+class TestDeferredWeightGradients:
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(ad, "_workers", lambda: 2)
+
+    def _helpers_spy(self, monkeypatch):
+        started = []
+        helpers = ad._helpers
+        monkeypatch.setattr(ad, "_helpers", lambda *args: started.append(args) or helpers(*args))
+        return started
+
+    def test_same_bits_deferred_or_not(self, monkeypatch):
+        started = self._helpers_spy(monkeypatch)
+        loss, leaves = _mlp_loss()
+        deferred = ad.backward(loss)
+        assert started == [(1, "mimir-grad")]
+        monkeypatch.setattr(ad, "_workers", lambda: 1)
+        loss, again = _mlp_loss()
+        serial = ad.backward(loss)
+        assert [t.shape for t in deferred] == [t.shape for t in serial]
+        for a, b in zip(deferred.values(), serial.values()):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert started == [(1, "mimir-grad")]
+
+    def test_small_products_start_no_helper(self, monkeypatch):
+        started = self._helpers_spy(monkeypatch)
+        loss, _ = _mlp_loss(rows=4)  # 4 * 96 * 384 multiply-adds, under DEFER_MIN_MACS
+        ad.backward(loss)
+        assert started == []
+
+    def test_a_failing_product_raises_from_backward(self, monkeypatch):
+        product = ad._WeightGrad.__call__
+
+        def fails_for_w2(self, g):
+            if self.shape == (384, 96):
+                raise RuntimeError("product failed")
+            return product(self, g)
+
+        monkeypatch.setattr(ad._WeightGrad, "__call__", fails_for_w2)
+        loss, leaves = _mlp_loss()
+        with pytest.raises(RuntimeError, match="product failed"):
+            ad.backward(loss)
+        assert all(t.grad is None for t in leaves)
+        assert _mimir_threads() == []
+
+    def test_no_helper_outlives_a_backward(self, monkeypatch):
+        names = set()
+        product = ad._WeightGrad.__call__
+
+        def spy(self, g):
+            names.add(threading.current_thread().name.split("_")[0])
+            return product(self, g)
+
+        monkeypatch.setattr(ad._WeightGrad, "__call__", spy)
+        loss, _ = _mlp_loss()
+        ad.backward(loss)
+        assert names == {"mimir-grad"}
+        assert _mimir_threads() == []
+
+
+@pytest.mark.skipif(ad._sched_getcpu() is None or not hasattr(os, "sched_setaffinity"),
+                    reason="needs glibc's sched_getcpu and sched_setaffinity")
+def test_helpers_run_off_the_callers_cpu(monkeypatch):
+    monkeypatch.setattr(ad, "_workers", lambda: 2)
+    getcpu = ad._sched_getcpu()
+    callers = []
+    monkeypatch.setattr(ad, "_sched_getcpu", lambda: lambda: callers.append(getcpu()) or callers[-1])
+    helpers = []
+
+    def fn(part, rows):
+        if rows.start:
+            helpers.append((callers[-1], os.sched_getaffinity(0)))
+        return part
+
+    ad.shards(fn, Tensor(np.zeros((4, 1))), range(4))
+    product = ad._WeightGrad.__call__
+
+    def spy(self, g):
+        helpers.append((callers[-1], os.sched_getaffinity(0)))
+        return product(self, g)
+
+    monkeypatch.setattr(ad._WeightGrad, "__call__", spy)
+    ad.backward(_mlp_loss()[0])
+    allowed = os.sched_getaffinity(0)
+    assert len(callers) == 2 and len(helpers) == 3  # one shard helper, two deferred products
+    for cpu, affinity in helpers:
+        assert affinity == (allowed - {cpu} if len(allowed) > 1 else allowed)
+
+
+def test_bits_hold_with_more_workers_than_cores_and_rapid_switching(monkeypatch):
+    """Shares and deferred products on three workers, with a thread switch every 10 us."""
+    rng = np.random.default_rng(5)
+    w1 = Tensor(rng.normal(size=(96, 384)) * 0.1)
+    w2 = Tensor(rng.normal(size=(384, 96)) * 0.1, requires_grad=True)
+    data = rng.normal(size=(12, 32, 96))
+
+    def grads(workers):
+        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        x = Tensor(data, requires_grad=True)
+        w2.zero_grad()
+        h = ad.shards(lambda part, _: ad.gelu(ad.linear(part, w1)), x, range(12))
+        ad.backward(ad.reduce_sum(ad.square(ad.linear(h, w2))))
+        return x.grad.view(np.int64), w2.grad.view(np.int64)
+
+    serial = grads(1)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for _ in range(3):
+            x_grad, w_grad = grads(3)
+            assert np.array_equal(x_grad, serial[0]) and np.array_equal(w_grad, serial[1])
+    finally:
+        sys.setswitchinterval(interval)
+    assert _mimir_threads() == []

@@ -421,7 +421,8 @@ class TestRunConfig:
         ("landscape", "landscape.resolution", -3), ("bounds", "bounds.num_classes", 0),
         ("pretrain", "model.enc_layers", 0), ("eval", "eval.attacks", "ce,pgd"),
         ("mi-estimate", "mi.alpha", 1), ("bounds", "bounds.step", 0.5),
-        ("landscape", "landscape.half_width", -1), ("eval", "eval.lambda", -1)])
+        ("landscape", "landscape.half_width", -1), ("eval", "eval.lambda", -1),
+        ("eval", "train.lambda", -1)])
     def test_bad_extent_exits_with_its_name_and_creates_nothing(self, tmp_path, capsys,
                                                                 command, key, value):
         """Each config is valid but for ``key``, so only the key's own check can stop it."""
@@ -432,7 +433,9 @@ class TestRunConfig:
                                                     f"command = {command}").splitlines()
         lines += [f"checkpoint = {tmp_path / 'm.ckpt'}", "bounds.step = 0.01",
                   "landscape.half_width = 0.1", "landscape.resolution = 3"]
-        lines = [line for line in lines if not line.startswith(f"{key} = ")] + [f"{key} = {value}"]
+        # only pretrain reads the train.* keys, so no other command builds a TrainConfig
+        lines = [line for line in lines if not line.startswith(f"{key} = ")
+                 and (command == "pretrain" or not line.startswith("train."))] + [f"{key} = {value}"]
         (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
         assert run_config(tmp_path / "c.cfg") == 1
         assert capsys.readouterr().err.startswith(f"error: line {len(lines)}: bad value for {key!r}: ")
@@ -441,7 +444,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("line, message", [
         ("attack.epsilon = 2", "epsilon must lie in [0, 1), got 2.0"),
         ("model.mask_ratio = 1.5", "mask_ratio must lie in [0, 1), got 1.5"),
-        ("train.lambda = -1", "lam must be non-negative, got -1.0"),
+        ("train.lambda = -1", "expected a non-negative number, got -1.0"),
         ("train.base_lr = -1", "base_lr must be positive, got -1.0"),
         ("train.weight_decay = -5", "weight_decay must be non-negative, got -5.0"),
         ("train.estimator = foo", "estimator must be 'hsic' or 'renyi2', got 'foo'"),
@@ -711,7 +714,8 @@ CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 @pytest.mark.skipif(CORES < 2, reason="one core: forward-only chunks never leave the caller")
 class TestBlasThreadDeterminism:
-    """CLI artifacts do not depend on whether forward-only chunks run on one thread or many."""
+    """CLI artifacts do not depend on whether image shares and weight gradients run on one
+    thread or many."""
 
     def _cli(self, tmp_path, blas_threads, *args):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
@@ -721,7 +725,7 @@ class TestBlasThreadDeterminism:
 
     def test_mi_estimate_and_eval_bytes_equal_at_one_and_all_blas_threads(self, tmp_path,
                                                                           mid32_config):
-        probe = "from mimir import model; print(model._workers())"
+        probe = "from mimir import autodiff; print(autodiff._workers())"
         workers = {threads: int(self._cli(tmp_path, threads, "-c", probe))
                    for threads in (1, CORES)}
         if workers[1] == 1:
@@ -743,4 +747,27 @@ class TestBlasThreadDeterminism:
                 self._cli(tmp_path, threads, "-m", "mimir.cli", command, "--config", "c.cfg",
                           "--out", str(out))
             outputs[threads] = [(out / name).read_bytes() for name in ("mi.csv", "eval.csv")]
+        assert outputs[1] == outputs[CORES]
+
+    def test_pretrain_bytes_equal_at_one_and_all_blas_threads(self, tmp_path):
+        """A mid32-shaped pretrain whose 8-image attack pass splits in two shares at one BLAS
+        thread, with the MI penalty on."""
+        probe = "from mimir import autodiff; print(autodiff._workers())"
+        if int(self._cli(tmp_path, 1, "-c", probe)) == 1:
+            pytest.skip("this BLAS does not report its thread count, so no helper runs")
+        (tmp_path / "p.cfg").write_text(
+            "command = pretrain\nseed = 4\ndata.source = synth\ndata.num_classes = 4\n"
+            "data.samples_per_class = 4\ndata.image_size = 32\ndata.channels = 3\n"
+            "data.noise = 0.1\nmodel.image_size = 32\nmodel.channels = 3\n"
+            "model.patch_size = 4\nmodel.enc_layers = 1\nmodel.enc_dim = 96\n"
+            "model.enc_heads = 4\nmodel.dec_layers = 1\nmodel.dec_dim = 64\n"
+            "model.dec_heads = 4\nmodel.num_classes = 4\ntrain.base_lr = 1e-3\n"
+            "train.total_epochs = 2\ntrain.batch_size = 8\ntrain.lambda = 0.5\n")
+        outputs = {}
+        for threads in (1, CORES):
+            out = tmp_path / f"blas{threads}"
+            self._cli(tmp_path, threads, "-m", "mimir.cli", "pretrain", "--config", "p.cfg",
+                      "--out", str(out))
+            outputs[threads] = [(out / name).read_bytes()
+                                for name in ("metrics_pretrain.csv", "pretrain.ckpt")]
         assert outputs[1] == outputs[CORES]

@@ -276,7 +276,7 @@ def _encoder_batches(monkeypatch):
         return encoder(params, tokens, pos)
 
     monkeypatch.setattr(model, "_encoder", spy)
-    monkeypatch.setattr(model, "_workers", lambda: 1)
+    monkeypatch.setattr(ad, "_workers", lambda: 1)
     return batches
 
 
@@ -558,7 +558,7 @@ class TestForwardOnlyPool:
 
     @pytest.fixture(autouse=True)
     def force_workers(self, monkeypatch, workers):
-        monkeypatch.setattr(model, "_workers", lambda: workers)
+        monkeypatch.setattr(ad, "_workers", lambda: workers)
 
     def test_mid32_bit_identical_to_the_graph_path(self, mid32_config, monkeypatch, workers):
         params = init_params(mid32_config, np.random.default_rng(0))
@@ -616,19 +616,18 @@ class TestForwardOnlyPool:
 
     def test_one_chunk_batch_never_touches_the_pool(self, mid32_config, monkeypatch, workers):
         used = []
-        executor = model.ThreadPoolExecutor
-        monkeypatch.setattr(model, "_workers", lambda: used.append("workers") or workers)
-        monkeypatch.setattr(model, "ThreadPoolExecutor",
-                            lambda *args, **kwargs: used.append(args) or executor(*args, **kwargs))
+        helpers = ad._helpers
+        monkeypatch.setattr(ad, "_workers", lambda: used.append("workers") or workers)
+        monkeypatch.setattr(ad, "_helpers", lambda *args: used.append(args) or helpers(*args))
         params = init_params(mid32_config, np.random.default_rng(0)).constants()
         model.encode_full(params, Tensor(_images(mid32_config, 5)))
         assert used == []
         model.encode_full(params, Tensor(_images(mid32_config, 6)))
-        assert used == ["workers", (1,)]
+        assert used == ["workers", (1, "mimir-shard")]
 
     @pytest.mark.parametrize("bad", [None, 0, 12], ids=["returns", "caller", "helper"])
     def test_no_helper_thread_outlives_the_call(self, mid32_config, monkeypatch, workers, bad):
-        """No ``mimir-encoder`` thread is alive once a pooled ``encode_full`` returned or raised."""
+        """No ``mimir-shard`` thread is alive once a pooled ``encode_full`` returned or raised."""
         params = init_params(mid32_config, np.random.default_rng(0)).constants()
         imgs = _images(mid32_config, 13)
         if bad is not None:
@@ -646,15 +645,15 @@ class TestForwardOnlyPool:
         else:
             with pytest.raises(FloatingPointError):
                 model.encode_full(params, Tensor(imgs))
-        assert "mimir-encoder" in seen
-        alive = [t.name for t in threading.enumerate() if t.name.startswith("mimir-encoder")]
+        assert "mimir-shard" in seen
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("mimir-")]
         assert alive == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_its_own_helpers(mid32_config, monkeypatch):
     """A child forked after the pool ran gets a fresh pool instead of its parent's dead threads."""
-    monkeypatch.setattr(model, "_workers", lambda: 2)
+    monkeypatch.setattr(ad, "_workers", lambda: 2)
     params = init_params(mid32_config, np.random.default_rng(0)).constants()
     x = Tensor(_images(mid32_config, 13))
     expected = model.encode_full(params, x).data
@@ -675,15 +674,15 @@ class TestWorkers:
 
     @pytest.mark.parametrize("blas, workers", [(1, 4), (2, 2), (3, 1), (4, 1), (8, 1), (None, 1)])
     def test_cores_over_blas_threads(self, monkeypatch, blas, workers):
-        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setattr(model, "_blas_thread_query", lambda: lambda: blas)
-        assert model._workers() == workers
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(ad, "_blas_thread_query", lambda: lambda: blas)
+        assert ad._workers() == workers
 
     def test_failed_lookup_gives_one_worker(self, monkeypatch):
-        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setattr(model, "_blas_thread_query", lambda: None)
-        assert model._workers() == 1
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(ad, "_blas_thread_query", lambda: None)
+        assert ad._workers() == 1
 
     def test_lookup_reads_a_thread_count(self):
-        query = model._blas_thread_query()
+        query = ad._blas_thread_query()
         assert query is None or query() >= 1

@@ -795,3 +795,51 @@ class TestTrainOnAttackForward:
         pinned = np.abs(moved - low) < 1e-15
         assert pinned.any() and np.all(moved[pinned] != low)
         assert pert.last_forward is None                 # ... but x + delta is not its bits
+
+
+class TestHelperThreadsInTraining:
+    """Which helper threads a training step starts, and that none moves a bit."""
+
+    def _started(self, monkeypatch, workers=2):
+        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        started = []
+        helpers = ad._helpers
+        monkeypatch.setattr(ad, "_helpers", lambda *args: started.append(args[1]) or helpers(*args))
+        return started
+
+    def _pretrain_step_grads(self, mid32_config):
+        params = init_params(mid32_config, np.random.default_rng(0))
+        dataset = synth_dataset(10, 2, 32, 0.1, np.random.default_rng(1), channels=3)
+        state = TrainState.create(params, 2)
+        x = dataset.images[:13]
+        plan = sample_mask(64, 0.75, state.rng, batch_size=13)
+        pert = attack_recon(params, x, plan, pretrain_attack_spec(), state.rng)
+        config = small_train_config(batch_size=13, lam=0.5)
+        loss, _, _ = _mimir_loss_parts(params, x, plan, pert.delta, config,
+                                       forward=pert.last_forward)
+        ad.backward(loss)
+        return {name: t.grad for name, t in params.trainable()}
+
+    def test_pretrain_grads_equal_with_and_without_deferred_products(self, mid32_config,
+                                                                    monkeypatch):
+        started = self._started(monkeypatch)
+        deferred = self._pretrain_step_grads(mid32_config)
+        assert started == ["mimir-shard", "mimir-shard", "mimir-grad"]
+        monkeypatch.setattr(ad, "DEFER_MIN_MACS", math.inf)
+        serial = self._pretrain_step_grads(mid32_config)
+        assert started[3:] == ["mimir-shard", "mimir-shard"]
+        assert [name for name, grad in deferred.items() if grad is None] == ["head.weight",
+                                                                             "head.bias"]
+        for name, grad in deferred.items():
+            if grad is None:
+                assert serial[name] is None
+            else:
+                assert np.array_equal(grad.view(np.int64), serial[name].view(np.int64)), name
+
+    def test_finetune_tiny16_step_starts_no_helper(self, tiny_config, tiny_dataset, monkeypatch):
+        started = self._started(monkeypatch)
+        state = TrainState.create(init_params(tiny_config, np.random.default_rng(0)), 0)
+        config = TrainConfig(base_lr=1e-3, total_epochs=2, batch_size=16,
+                             attack=finetune_attack_spec(), lam=0.0, layer_decay=0.65)
+        finetune_epoch(state, tiny_dataset, config)
+        assert started == []
