@@ -7,17 +7,17 @@ point). The four concrete objectives follow: classification cross-entropy,
 reconstruction error for pre-training, the MI-aware adaptive attack, and
 the feature-distance adaptive attack. Each objective is built on
 ``ModelParams.constants()``, so the reverse pass walks only the input path
-and never writes a parameter's ``.grad``. On constant parameters the
-encoder and autoencoder passes run in image shares (see :mod:`mimir.model`);
-the heads that couple the batch, the cross-entropy and MSE means and the MI
-penalty, run once on the joined batch.
+and never writes a parameter's ``.grad``. The encoder and autoencoder
+passes run in image shares (see :mod:`mimir.model`); the heads that couple
+the batch, the cross-entropy and MSE means and the MI penalty, run once on
+the joined batch.
 
 The one exception is the last iterate of ``attack_recon``: it is scored by
-a forward on the live parameters, and when that iterate is the returned
-point, the forward is handed back in ``Perturbation.last_forward`` so that
-pre-training builds its loss on it instead of running the autoencoder
-again. The attack runs no backward through that forward, so it still
-writes no ``.grad``.
+a forward on the live parameters, in shares as well, and when that iterate
+is the returned point, the forward is handed back in
+``Perturbation.last_forward`` so that pre-training builds its loss on it
+instead of running the autoencoder again. The attack runs no backward
+through that forward, so it still writes no ``.grad``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .mi import PenaltyConfig, penalty_mi
-from .model import (AutoencoderPass, MaskPlan, ModelParams, _pixel_mask, _pooled_logits, _splits,
+from .model import (AutoencoderPass, MaskPlan, ModelParams, _pixel_mask, _pooled_logits,
                     autoencoder_pass, encode_full, forward_autoencoder, unpatchify)
 
 Array = np.ndarray
@@ -254,10 +254,9 @@ def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: Attac
     Only visible patches are attacked: masked-patch pixels are pinned back to
     their natural values after initialization and every step (their
     gradients are zero anyway, but random init would otherwise touch them).
-    The autoencoder pass of the ascent runs in image shares on constant
-    parameters, each share with its rows of ``plan``; the MSE couples the
-    whole batch and runs once on the joined reconstruction. The last iterate
-    runs through the live parameters and, when kept, its
+    The autoencoder pass of the ascent runs on constant parameters; the MSE
+    couples the whole batch and runs once on the joined reconstruction. The
+    last iterate runs through the live parameters and, when kept, its
     :class:`mimir.model.AutoencoderPass` is ``last_forward``.
     """
     x = np.asarray(images, dtype=np.float64)
@@ -272,12 +271,7 @@ def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: Attac
 
     constants = params.constants()
 
-    def recon(part: Tensor, rows: slice) -> Tensor:
-        return forward_autoencoder(constants, part, plan.rows(rows))
-
     def objective(x_adv: Tensor) -> Tensor:
-        if _splits(constants, x.shape[0]):
-            return ad.mse_loss(ad.shards(recon, x_adv, range(x.shape[0])), target)
         return ad.mse_loss(forward_autoencoder(constants, x_adv, plan), target)
 
     def score_last(x_adv: Tensor) -> tuple[Tensor, AutoencoderPass]:

@@ -20,13 +20,14 @@ passes run on ``ModelParams.constants()``, so they never touch parameter
 ``.grad``.
 
 Helper threads: when BLAS runs fewer threads than the process has cores,
-two kinds of work go to threads that live for one call and are pinned to
-the allowed CPUs other than the caller's. ``shards`` runs a pass over row
-shares of its input, one share per thread, and differentiates it share by
-share. ``backward`` runs the weight-gradient products of large ``linear``
-nodes on one helper while the calling thread walks the rest of the graph,
-and adds the leaf gradients at the end in the order of a serial walk.
-Either way every gradient is the same bits as a serial run.
+``shards`` runs a pass over row shares of its input, one share per thread,
+and differentiates it share by share over the same threads. The threads
+live for one call and are pinned to the allowed CPUs other than the
+caller's. A share may reach a parameter only through an edge whose
+gradient sums row-local terms over the rows (``linear``'s weight and bias,
+``layer_norm``'s affine, ``expand`` over new leading axes): numpy adds such
+a sum row by row, so the shares' terms, summed on from share to share in
+row order, give every gradient the bits of one pass over the whole batch.
 
 Heap policy: every training step builds a whole graph and frees it again.
 With glibc's defaults, freeing it trims the heap and the next step faults
@@ -49,8 +50,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import operator
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -96,13 +99,12 @@ _keep_freed_heap()
 # ---------------------------------------------------------------------------
 # helper threads
 
-# Weight-gradient products of at least this many multiply-adds go to the
-# backward helper. On a 2-core VM at one BLAS thread, handing a product
-# over cost the caller about 10 us and starting the helper 84 us, while the
-# smallest product of a mid32 pre-training step (2.4M multiply-adds) took
-# 240 us and the largest of a tiny16 one (2^20) 80 us; so a tiny16
-# backward never starts the helper.
-DEFER_MIN_MACS = 1 << 21
+# A linear weight gradient whose per-row product holds at least this many
+# elements is summed one row's product at a time; smaller ones as one batched
+# product. At one BLAS thread, 16-row weight gradients took 0.66 against
+# 1.01 ms summed row by row at 96x384 and 0.96 against 1.51 ms at 256x64,
+# but 0.22 against 0.19 ms at 96x96; a tiny16 step only has small ones.
+ROW_PRODUCT_MIN = 1 << 14
 
 
 @functools.cache
@@ -155,7 +157,7 @@ def _pin_off(cpu: int) -> None:
         pass
 
 
-def _helpers(count: int, name: str) -> ThreadPoolExecutor:
+def _helpers(count: int) -> ThreadPoolExecutor:
     """``count`` helper threads for one call, each pinned off the CPU the caller runs on.
 
     Where the kernel never moves a running thread (a cpuset without load
@@ -168,8 +170,8 @@ def _helpers(count: int, name: str) -> ThreadPoolExecutor:
     getcpu = _sched_getcpu()
     cpu = getcpu() if getcpu is not None and hasattr(os, "sched_setaffinity") else -1
     if cpu < 0:
-        return ThreadPoolExecutor(count, thread_name_prefix=name)
-    return ThreadPoolExecutor(count, thread_name_prefix=name, initializer=_pin_off,
+        return ThreadPoolExecutor(count, thread_name_prefix="mimir-shard")
+    return ThreadPoolExecutor(count, thread_name_prefix="mimir-shard", initializer=_pin_off,
                               initargs=(cpu,))
 
 
@@ -182,7 +184,7 @@ def _run_shares(task: Callable[[int], object], count: int) -> list:
     if count == 1:
         return [task(0)]
     # leaving the block joins the helpers, also when the caller's share raises
-    with _helpers(count - 1, "mimir-shard") as pool:
+    with _helpers(count - 1) as pool:
         futures = [pool.submit(task, i) for i in range(1, count)]
         first = task(0)
     return [first] + [future.result() for future in futures]
@@ -265,6 +267,49 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+class _RowSum:
+    """VJP of a parameter edge whose gradient sums row-local terms over the rows, in order.
+
+    ``sum_on(g, total)`` adds the terms of ``g``'s rows, first to last, to
+    ``total`` (to the first term for None); the gradient is ``finish`` of
+    the sum over all rows. So the sum over a batch is the sum over its
+    first rows continued over the others, and ``shards`` builds it from row
+    shares that way.
+    """
+
+    __slots__ = ("sum_on", "finish")
+
+    def __init__(self, sum_on: Callable[[Array, Array | None], Array],
+                 finish: Callable[[Array], Array] | None = None):
+        self.sum_on, self.finish = sum_on, finish
+
+    def finished(self, total: Array) -> Array:
+        return total if self.finish is None else self.finish(total)
+
+    def __call__(self, g: Array) -> Array:
+        return self.finished(self.sum_on(g, None))
+
+
+def _stacked(terms: Callable[[Array], Array]) -> Callable[[Array, Array | None], Array]:
+    """``_RowSum.sum_on`` for ``terms(g)``, the terms stacked on axis 0.
+
+    numpy sums a C-contiguous stack over axis 0 row by row
+    (``tests/test_autodiff.py`` pins this), so a running total continues as
+    the first row of the stack.
+    """
+    def sum_on(g: Array, total: Array | None) -> Array:
+        stack = np.ascontiguousarray(terms(g))
+        if total is not None:
+            stack = np.concatenate((total[None], stack))
+        return stack.sum(axis=0)
+    return sum_on
+
+
+def _summed_to(shape: tuple[int, ...]) -> _RowSum:
+    """``_unbroadcast(g, shape)`` as a ``_RowSum``, for a ``g`` of more axes than ``shape``."""
+    return _RowSum(_stacked(lambda g: g), lambda total: _unbroadcast(total, shape))
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -384,26 +429,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.matmul(a.data, b.data), "matmul", [(a, grad_a), (b, grad_b)])
 
 
-class _WeightGrad:
-    """VJP of ``linear``'s weight, ``xᵀ g`` summed over the batch.
-
-    It reads nothing but ``x`` and ``g``, so ``backward`` may run it on its
-    helper thread (see :data:`DEFER_MIN_MACS`).
-    """
-
-    __slots__ = ("x", "shape")
-
-    def __init__(self, x: Array, shape: tuple[int, ...]):
-        self.x, self.shape = x, shape
-
-    @property
-    def macs(self) -> int:
-        return self.x.size * self.shape[1]
-
-    def __call__(self, g: Array) -> Array:
-        return _unbroadcast(np.matmul(self.x.swapaxes(-1, -2), g), self.shape)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of ``x``, as one graph node."""
     if x.ndim < 2 or w.ndim != 2:
@@ -413,10 +438,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[1],):
         raise ValueError(f"linear: bias shape {b.shape} does not match output dim {w.shape[1]}")
     out = np.matmul(x.data, w.data)
-    edges = [(x, lambda g: np.matmul(g, w.data.T)), (w, _WeightGrad(x.data, w.shape))]
+    xt = x.data.swapaxes(-1, -2)
+
+    def summed(g: Array, total: Array | None) -> Array:
+        # one row's product at a time, so it stays in cache; numpy's batched
+        # product is one BLAS call per row, to the same bits
+        rows = range(g.shape[0])
+        if total is None:
+            total, rows = np.matmul(xt[0], g[0]), rows[1:]
+        product = np.empty_like(total)
+        for row in rows:
+            np.matmul(xt[row], g[row], out=product)
+            total += product
+        return total
+
+    if x.ndim == 2:  # one product over the rows, not a sum of per-row terms
+        w_vjp = lambda g: np.matmul(xt, g)
+    else:
+        sum_on = summed if w.size >= ROW_PRODUCT_MIN else _stacked(lambda g: np.matmul(xt, g))
+        w_vjp = _RowSum(sum_on, lambda total: _unbroadcast(total, w.shape))
+    edges = [(x, lambda g: np.matmul(g, w.data.T)), (w, w_vjp)]
     if b is not None:
         out += b.data
-        edges.append((b, lambda g: _unbroadcast(g, b.shape)))
+        edges.append((b, _summed_to(b.shape)))
     return _result(out, "linear", edges)
 
 
@@ -534,7 +578,8 @@ def expand(a: Tensor, shape: Sequence[int]) -> Tensor:
     """Broadcast (copying) to a larger shape; gradients sum back."""
     target = tuple(int(s) for s in shape)
     out = np.ascontiguousarray(np.broadcast_to(a.data, target))
-    return _result(out, "expand", [(a, lambda g: _unbroadcast(g, a.shape))], check=False)
+    vjp = _summed_to(a.shape) if len(target) > a.ndim else lambda g: _unbroadcast(g, a.shape)
+    return _result(out, "expand", [(a, vjp)], check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +656,6 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     xhat *= inv
     np.multiply(xhat, gamma.data, out=out)
     out += beta.data
-    lead = tuple(range(a.ndim - 1))
 
     def grad_a(g: Array) -> Array:
         # (dim * gh - sum(gh) - xhat * sum(gh * xhat)) * inv / dim with gh = g * gamma
@@ -626,10 +670,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         gh /= dim
         return gh
 
+    # the affine gradients sum over every row of the leading axes, in order
     return _result(out, "layer_norm", [
         (a, grad_a),
-        (gamma, lambda g: (g * xhat).sum(axis=lead)),
-        (beta, lambda g: g.sum(axis=lead)),
+        (gamma, _RowSum(_stacked(lambda g: (g * xhat).reshape(-1, dim)))),
+        (beta, _RowSum(_stacked(lambda g: g.reshape(-1, dim)))),
     ])
 
 
@@ -691,11 +736,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse pass
 
-def _topo(root: Tensor, stop: Tensor | None = None) -> list[Tensor]:
-    """Every node reachable from ``root`` but not through ``stop``, each after all of its parents."""
+def _topo(roots: Sequence[Tensor], stop: Tensor | None = None) -> list[Tensor]:
+    """Every node reachable from ``roots`` but not through ``stop``, each after all of its parents."""
     topo: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -713,54 +758,51 @@ def _topo(root: Tensor, stop: Tensor | None = None) -> list[Tensor]:
     return topo
 
 
-def _sum_in_order(parts: list) -> Array:
-    """Left-to-right sum of gradient contributions, waiting for each deferred one."""
-    total = None
-    for part in parts:
-        part = part.result() if isinstance(part, Future) else part
-        total = part if total is None else total + part
-    return total
+def _walk(topo: list[Tensor], flowing: dict[int, object],
+          take: Callable[[Tensor, Callable, Array], bool] | None = None) -> list[tuple[Tensor, list]]:
+    """Send the gradients in ``flowing`` back through ``topo``; the leaves reached, in walk order.
 
-
-def _backprop(topo: list[Tensor], root: Tensor, seed: Array, defer: bool) -> dict[Tensor, Array]:
-    """Send ``seed`` from ``root`` back through ``topo``; add into every reached leaf's ``.grad``.
-
-    With ``defer``, each ``linear`` weight-gradient product of at least
-    ``DEFER_MIN_MACS`` multiply-adds runs on one helper thread, started at
-    the first of them, while this thread walks on down the graph. Leaf
-    gradients are added at the end, in the order a serial walk adds them,
-    so ``.grad`` is the same bits either way. An error, also one raised by a
-    deferred product, leaves every ``.grad`` as it was.
+    ``flowing`` maps the ids of the nodes the walk starts from to their
+    gradients (to a list of them for a leaf). Each leaf reached comes back
+    with the gradients its edges sent it, in walk order; a VJP that returns
+    None sends nothing. ``take(leaf, vjp, g)``, if given, may claim an edge
+    into a leaf by returning True; the walk then leaves that edge to it.
     """
-    # a non-leaf's gradient so far; a leaf's list of contributions, in walk order
-    flowing: dict[int, object] = {id(root): [seed] if root.is_leaf else seed}
     reached: list[tuple[Tensor, list]] = []
-    pool = None
-    try:
-        for node in reversed(topo):
-            g = flowing.pop(id(node), None)
-            if g is None:
-                continue
-            if node.is_leaf:
-                reached.append((node, g))
-                continue
-            for parent, vjp in node._parents:
-                if not parent.is_leaf:
-                    pg = vjp(g)
-                    held = flowing.get(id(parent))
-                    flowing[id(parent)] = pg if held is None else held + pg
-                    continue
-                if defer and type(vjp) is _WeightGrad and vjp.macs >= DEFER_MIN_MACS:
-                    if pool is None:
-                        pool = _helpers(1, "mimir-grad")
-                    pg = pool.submit(vjp, g)
-                else:
-                    pg = vjp(g)
-                flowing.setdefault(id(parent), []).append(pg)
-        totals = [(leaf, _sum_in_order(parts)) for leaf, parts in reached]
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for node in reversed(topo):
+        g = flowing.pop(id(node), None)
+        if g is None:
+            continue
+        if node.is_leaf:
+            reached.append((node, g))
+            continue
+        for parent, vjp in node._parents:
+            if not parent.is_leaf:
+                pg = vjp(g)
+                held = flowing.get(id(parent))
+                flowing[id(parent)] = pg if held is None else held + pg
+            elif take is None or not take(parent, vjp, g):
+                pg = vjp(g)
+                if pg is not None:
+                    flowing.setdefault(id(parent), []).append(pg)
+    return reached
+
+
+def backward(loss: Tensor) -> dict[Tensor, Array]:
+    """Accumulate gradients of a scalar loss into all reachable leaves.
+
+    Returns a map from each requires-grad leaf to its (accumulated) gradient
+    array. A loss with no gradient-tracked inputs yields an empty map. A
+    leaf's contributions are added in walk order; an error leaves every
+    ``.grad`` as it was.
+    """
+    if loss.data.size != 1:
+        raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if not loss.requires_grad:
+        return {}
+    seed = np.ones_like(loss.data)
+    reached = _walk(_topo([loss]), {id(loss): [seed] if loss.is_leaf else seed})
+    totals = [(leaf, functools.reduce(operator.add, parts)) for leaf, parts in reached]
     leaf_grads: dict[Tensor, Array] = {}
     for leaf, total in totals:
         leaf.grad = total.copy() if leaf.grad is None else leaf.grad + total
@@ -768,78 +810,157 @@ def _backprop(topo: list[Tensor], root: Tensor, seed: Array, defer: bool) -> dic
     return leaf_grads
 
 
-def backward(loss: Tensor) -> dict[Tensor, Array]:
-    """Accumulate gradients of a scalar loss into all reachable leaves.
-
-    Returns a map from each requires-grad leaf to its (accumulated) gradient
-    array. A loss with no gradient-tracked inputs yields an empty map.
-    """
-    if loss.data.size != 1:
-        raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return {}
-    return _backprop(_topo(loss), loss, np.ones_like(loss.data), defer=_workers() > 1)
-
-
 # ---------------------------------------------------------------------------
 # passes over row shares
 
-def _share_graph(out: Tensor, part: Tensor) -> list[Tensor]:
-    """``out``'s graph in topological order, checked to reach no gradient leaf but ``part``."""
-    topo = _topo(out, stop=part) if out.requires_grad else []
-    if any(node.is_leaf and node is not part for node in topo):
-        raise ValueError("shards: a share's graph reaches a leaf that requires gradients "
-                         "other than its rows of x")
+class _Seeds(dict):
+    """The gradients of a ``shards`` node's outputs, by output index; ``+`` joins them."""
+
+    def __add__(self, other: "_Seeds") -> "_Seeds":
+        return _Seeds({**self, **other})
+
+
+class _EdgeSum:
+    """One parameter edge's sum over the shares' terms so far: ``total`` holds shares ``< done``."""
+
+    __slots__ = ("total", "done")
+
+    def __init__(self):
+        self.total: Array | None = None
+        self.done = 0
+
+
+def _outputs(result: Tensor | tuple[Tensor, ...]) -> tuple[Tensor, ...]:
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _share_topo(outs: tuple[Tensor, ...], part: Tensor) -> list[Tensor]:
+    """The graph of a share's outputs down to ``part``, checked to reach every other
+    gradient leaf through a ``_RowSum`` edge."""
+    topo = _topo([out for out in outs if out.requires_grad], stop=part)
+    for node in topo:
+        for parent, vjp in node._parents:
+            if parent.is_leaf and parent is not part and type(vjp) is not _RowSum:
+                raise ValueError(f"shards: a share reaches a leaf that requires gradients through "
+                                 f"{node._op!r}, whose gradient is not a sum over rows")
     return topo
 
 
-def shards(fn: Callable[[Tensor, slice], Tensor], x: Tensor, starts: Sequence[int]) -> Tensor:
-    """``fn`` over row shares of ``x``, as one node that holds the shares' results in order.
+def shards(fn: Callable[[Tensor, slice], Tensor | tuple[Tensor, ...]], x: Tensor,
+           starts: Sequence[int]) -> Tensor | tuple[Tensor, ...]:
+    """``fn`` over row shares of ``x``, as nodes that hold the shares' results in order.
 
     ``starts`` are the rows at which a share may begin, 0 first; the shares
     are ``_workers()`` contiguous runs of them, as even as ``np.array_split``
     makes them. ``fn(part, rows)`` gets ``x[rows]`` as a leaf of its own and
-    returns a tensor whose first axis is those rows. The calling thread runs
-    the first share and helper threads (see :func:`_helpers`) the others.
-    Every share finishes before the call returns, and the first failing
-    share's error is raised. If ``x`` requires gradients, the node's VJP
-    runs each share's backward from its rows of ``g``, over the same threads,
-    and joins the input gradients.
+    returns a tensor, or a tuple of them, whose first axis is those rows; it
+    builds them from ``part``, constants and parameters. The calling thread
+    runs the first share and helper threads (see :func:`_helpers`) the
+    others. Every share finishes before the call returns, and the first
+    failing share's error is raised. The backward walks each share's graph
+    once, from its rows of the gradients of all outputs, over the same
+    threads, and joins the input gradients.
 
-    A share's graph may reach no leaf that requires gradients other than its
-    ``part``; this raises ``ValueError`` otherwise. So when ``fn`` computes
-    each row from that row alone, the values and gradients are the same bits
-    as ``fn(x, slice(None))``, whatever the split and whichever thread ran a
-    share. With one share ``fn`` runs on ``x`` itself and no node is added.
+    A share may reach a leaf that requires gradients, other than its
+    ``part``, only through a ``_RowSum`` edge; this raises ``ValueError``
+    otherwise. Share i sums each such edge on over its rows from the total
+    of shares 0 to i-1, waiting for share i-1 to have summed it if need be,
+    and each parameter gets its gradient through one edge of the node. So
+    when ``fn`` computes each row from that row alone and keeps the rows on
+    the leading axis of every tensor it builds, the values and gradients
+    are the same bits as ``fn(x, slice(None))``, whatever the split and
+    whichever thread ran a share. With one share ``fn`` runs on ``x``
+    itself and no node is added.
     """
     groups = np.array_split(np.asarray(starts), min(_workers(), len(starts)))
     bounds = [int(group[0]) for group in groups] + [x.shape[0]]
     rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    parts = [x] if len(rows) == 1 else [Tensor(x.data[r], requires_grad=x.requires_grad)
-                                        for r in rows]
+    if len(rows) == 1:
+        result = fn(x, rows[0])
+        _share_topo(_outputs(result), x)
+        return result
+    parts = [Tensor(x.data[r], requires_grad=x.requires_grad) for r in rows]
 
-    def build(i: int) -> tuple[Tensor, list[Tensor]]:
-        out = fn(parts[i], rows[i])
-        return out, _share_graph(out, parts[i])
+    def build(i: int) -> tuple[Tensor | tuple[Tensor, ...], list[Tensor]]:
+        result = fn(parts[i], rows[i])
+        return result, _share_topo(_outputs(result), parts[i])
 
     built = _run_shares(build, len(rows))
-    if len(rows) == 1:
-        return built[0][0]
+    params = list({id(p): p for node in reversed(built[0][1]) for p, _ in node._parents
+                   if p.is_leaf and p is not parts[0]}.values())
 
-    def vjp(g: Array) -> Array:
-        def back(i: int) -> Array:
-            (out, topo), part = built[i], parts[i]
-            part.grad = None
-            if topo:
-                _backprop(topo, out, g[rows[i]], defer=False)
-            return np.zeros_like(part.data) if part.grad is None else part.grad
+    def backprop(seeds: _Seeds) -> dict[int, Array | None]:
+        sums: dict[tuple[int, int], tuple[_EdgeSum, _RowSum]] = {}
+        turn = threading.Condition()
+        failed = [len(rows)]  # the first share that raised
 
-        return np.concatenate(_run_shares(back, len(rows)))
+        def back(i: int) -> list | None:
+            (result, topo), part = built[i], parts[i]
+            outs = _outputs(result)
+            uses: dict[int, int] = {}
 
-    data = np.concatenate([out.data for out, _ in built])
-    for (out, _), share in zip(built, rows):
-        out.data = data[share]  # the same values, so the batch is held once
-    return _result(data, "shards", [(x, vjp)], check=False)
+            def take(leaf: Tensor, vjp: _RowSum, g: Array) -> bool:
+                """Sum the edge on over this share's rows once share i-1 has (share 0 never waits)."""
+                if leaf is part:
+                    return False
+                key = (id(leaf), uses.get(id(leaf), 0))  # the leaf's n-th edge in walk order
+                uses[id(leaf)] = key[1] + 1
+                with turn:
+                    edge, _ = sums.setdefault(key, (_EdgeSum(), vjp))
+                    turn.wait_for(lambda: edge.done == i or failed[0] < i)
+                    if failed[0] < i:
+                        raise RuntimeError(f"shards: share {failed[0]} failed")
+                total = vjp.sum_on(g, edge.total)
+                with turn:
+                    edge.total, edge.done = total, i + 1
+                    turn.notify_all()
+                return True
+
+            flowing = {id(outs[k]): [g[rows[i]]] if outs[k] is part else g[rows[i]]
+                       for k, g in seeds.items()}
+            try:
+                reached = _walk(topo, flowing, take)
+            except BaseException:
+                with turn:
+                    failed[0] = min(failed[0], i)
+                    turn.notify_all()
+                raise
+            return next((g for leaf, g in reached if leaf is part), None)
+
+        found = _run_shares(back, len(rows))
+        grads: dict[int, Array | None] = {}
+        for p in params:
+            edges = []  # the parameter's edges in walk order
+            while (id(p), len(edges)) in sums:
+                edge, vjp = sums[id(p), len(edges)]
+                edges.append(vjp.finished(edge.total))
+            grads[id(p)] = functools.reduce(operator.add, edges) if edges else None
+        if x.requires_grad:
+            grads[id(x)] = np.concatenate([
+                np.zeros_like(part.data) if g is None else functools.reduce(operator.add, g)
+                for g, part in zip(found, parts)])
+        return grads
+
+    # the node's first VJP call walks the shares; each call then takes its own gradient
+    pending: dict[int, Array | None] = {}
+
+    def vjp_of(leaf: Tensor) -> Callable[[_Seeds], Array | None]:
+        def vjp(seeds: _Seeds) -> Array | None:
+            if not pending:
+                pending.update(backprop(seeds))
+            return pending.pop(id(leaf))
+        return vjp
+
+    joint = _result(np.empty(0), "shards", [(p, vjp_of(p)) for p in [x] + params], check=False)
+    results = []
+    for k in range(len(_outputs(built[0][0]))):
+        outs = [_outputs(result)[k] for result, _ in built]
+        data = np.concatenate([out.data for out in outs])
+        for out, share in zip(outs, rows):
+            out.data = data[share]  # the same values, so the batch is held once
+        results.append(_result(data, "shards", [(joint, lambda g, k=k: _Seeds({k: g}))],
+                               check=False))
+    return tuple(results) if isinstance(built[0][0], tuple) else results[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ mean-pooled encoder tokens serves the fine-tuning path.
 All forward functions take and return autodiff tensors so both parameter
 gradients (training) and input gradients (attacks) are available.
 
-Passes on constant parameters (``ModelParams.constants()``: every attack
-iteration and every forward-only pass) run in image shares when the batch
-holds more than one ``_forward_chunk``: ``autodiff.shards`` runs the shares
-on the cores that BLAS leaves idle, the calling thread taking the first,
-and differentiates them share by share (see ``_splits``). A forward-only
-``encode_full`` (neither the images nor any parameter requires gradients:
-``eval``'s and ``landscape``'s classifier passes, ``mi-estimate``,
+A pass whose batch holds more than one ``_forward_chunk`` runs in image
+shares (see ``_splits``), on live and on constant parameters alike:
+``autodiff.shards`` runs the shares on the cores that BLAS leaves idle, the
+calling thread taking the first, and differentiates them share by share. A
+forward-only ``encode_full`` (neither the images nor any parameter requires
+gradients: ``eval``'s and ``landscape``'s classifier passes, ``mi-estimate``,
 ``attack_fea``'s clean latents and ``pgd``'s last-iterate score) also runs
 each share in consecutive chunks of images whose widest activation fits
 ``FORWARD_CHUNK_BYTES``, so each layer's passes over its activations stay in
@@ -23,8 +22,10 @@ image (batched GEMMs are per-image calls, layer norm and softmax are per
 row, gathers and scatters index within a row) and reads nothing but its
 operands, so tokens, reconstructions and input gradients are bit-identical
 to one pass over the batch whatever the chunk size or the split and
-whichever thread ran a share. Passes on live parameters run whole: a split
-would change the bits of the weight-gradient sums over the batch.
+whichever thread ran a share. A share reaches the parameters only through
+sums over its rows (``linear``'s weight and bias, ``layer_norm``'s affine,
+the mask token's ``expand``), which ``shards`` continues from share to share
+in row order, so the parameter gradients are the bits of the unsplit pass.
 """
 
 from __future__ import annotations
@@ -408,11 +409,27 @@ class AutoencoderPass:
     recon: Tensor               # [batch, num_patches, patch_dim] reconstructed patches
 
 
-def autoencoder_pass(params: ModelParams, images: Tensor, plan: MaskPlan) -> AutoencoderPass:
-    """patchify -> encode -> decode, keeping every intermediate the loss needs."""
-    patches = patchify(images, params.config.patch_size)
+def _encode_decode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> tuple[Tensor, Tensor]:
     latent = encode(params, patches, plan)
-    return AutoencoderPass(patches=patches, latent=latent, recon=decode(params, latent))
+    return latent.z, decode(params, latent)
+
+
+def autoencoder_pass(params: ModelParams, images: Tensor, plan: MaskPlan) -> AutoencoderPass:
+    """patchify -> encode -> decode, keeping every intermediate the loss needs.
+
+    Encode and decode run in image shares (see ``_splits``), each share with
+    its rows of ``plan``; the latent tokens and the reconstruction are then
+    two outputs of one ``shards`` node, so a loss on both walks each share
+    once.
+    """
+    patches = patchify(images, params.config.patch_size)
+    batch = patches.shape[0]
+    if _splits(params, batch):
+        z, recon = ad.shards(lambda part, rows: _encode_decode(params, part, plan.rows(rows)),
+                             patches, range(batch))
+    else:
+        z, recon = _encode_decode(params, patches, plan)
+    return AutoencoderPass(patches=patches, latent=LatentBatch(z=z, plan=plan), recon=recon)
 
 
 def forward_autoencoder(params: ModelParams, images: Tensor, plan: MaskPlan) -> Tensor:
@@ -428,20 +445,19 @@ def _forward_chunk(config: ViTConfig) -> int:
 
 
 def _splits(params: ModelParams, batch: int) -> bool:
-    """Whether a pass over ``batch`` images runs in shares: every parameter is constant and the
-    batch holds more than one forward chunk."""
-    return batch > _forward_chunk(params.config) and next(params.trainable(), None) is None
+    """Whether a pass over ``batch`` images runs in shares: the batch holds more than one
+    forward chunk."""
+    return batch > _forward_chunk(params.config)
 
 
 def encode_full(params: ModelParams, images: Tensor) -> Tensor:
     """Encoder tokens ``[B, P, enc_dim]`` over every patch; shared by classify and attacks.
 
     No gather runs (nor its scatter backward); the tokens are bit-identical to
-    ``encode``'s under the identity plan with every patch visible. On
-    constant parameters the batch runs in shares (see ``_splits``); when no
-    graph is needed, each share runs in chunks of ``_forward_chunk`` images.
-    If shares raise, every share is waited for and the error of the first
-    failing one is raised.
+    ``encode``'s under the identity plan with every patch visible. The batch
+    runs in shares (see ``_splits``); when no graph is needed, each share
+    runs in chunks of ``_forward_chunk`` images. If shares raise, every
+    share is waited for and the error of the first failing one is raised.
     """
     cfg = params.config
     pos = Tensor(params["enc_pos"].data)
@@ -450,7 +466,7 @@ def encode_full(params: ModelParams, images: Tensor) -> Tensor:
     batch = patches.shape[0]
     if not _splits(params, batch):
         return _encoder(params, patches, pos)
-    if patches.requires_grad:
+    if patches.requires_grad or next(params.trainable(), None) is not None:
         return ad.shards(lambda part, _: _encoder(params, part, pos), patches, range(batch))
     chunk = _forward_chunk(cfg)
 

@@ -15,7 +15,10 @@ is the forward of the loss. Otherwise the loop runs a fresh forward at
 ``x + delta``. Either way the loss is computed by the same ops on the same
 bits, so the results do not depend on which path ran. The attacks' own
 backward passes stay on constant parameters and write no ``.grad``.
-Fine-tuning runs a fresh forward at ``x + delta`` after its attack.
+Fine-tuning runs a fresh forward at ``x + delta`` after its attack. The
+training forward and backward run in image shares like the attacks' passes
+(see :mod:`mimir.model`), and every ``.grad`` has the bits of one pass over
+the whole batch.
 
 Checkpoint format (version 2, all integers little-endian):
     magic 'MIMR' | uint32 version

@@ -252,6 +252,32 @@ class TestInPlaceKernels:
             assert not np.shares_memory(got, g) and not np.shares_memory(got, t.data)
 
 
+class TestRowOrderSums:
+    """``shards`` builds every parameter gradient on numpy summing leading axes row by row."""
+
+    @staticmethod
+    def _row_by_row(rows):
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total = total + row
+        return total
+
+    @pytest.mark.parametrize("shape, axes", [((32, 96, 384), 0), ((32, 16, 96), 0),
+                                             ((13, 64, 64), 0), ((32, 16, 96), (0, 1)),
+                                             ((32, 64, 64), (0, 1))])
+    def test_leading_axis_sums_equal_row_by_row_and_continued_prefix_sums(self, shape, axes):
+        terms = np.random.default_rng(0).normal(size=shape)
+        rows = terms.reshape((-1,) + shape[2:]) if axes == (0, 1) else terms
+        whole = terms.sum(axis=axes).view(np.int64)
+        assert np.array_equal(self._row_by_row(rows).view(np.int64), whole)
+        for split in (1, 5, len(rows) // 2, len(rows) - 1):
+            # the way a share continues the sum of the shares before it: a spare first row
+            stack = np.empty((1 + len(rows) - split,) + rows.shape[1:])
+            stack[1:] = rows[split:]
+            stack[0] = rows[:split].sum(axis=0)
+            assert np.array_equal(stack.sum(axis=0).view(np.int64), whole), split
+
+
 class TestLosses:
     def test_mse_identity(self):
         x = Tensor(np.array([0.3, 0.7]))
@@ -492,6 +518,22 @@ def _probe(part, rows, done, fail=(), pause=0.0):
     return ad._result(part.data * 2.0, "probe", [(part, vjp)])
 
 
+def _live_params() -> list[Tensor]:
+    rng = np.random.default_rng(2)
+    shapes = [(8, 6), (6,), (8,), (8,), (6,), (6, 3)]  # w, b, gamma, beta, token, w2
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+def _live_pass(params: list[Tensor], part: Tensor) -> tuple[Tensor, Tensor]:
+    """``[rows, 5, 8]`` to two outputs through linear, layer_norm and a token's expand; the bias
+    ``b`` is reached through two edges."""
+    w, b, gamma, beta, token, w2 = params
+    y = ad.gelu(ad.linear(ad.layer_norm(part, gamma, beta), w, b))
+    y = ad.mul(y, ad.expand(b, y.shape))
+    tokens = ad.expand(token, (part.shape[0], 2, 6))
+    return y, ad.linear(ad.concat([y, tokens], axis=1), w2)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 class TestShards:
     @pytest.fixture(autouse=True)
@@ -519,11 +561,32 @@ class TestShards:
 
     @pytest.mark.parametrize("requires_grad", [True, False])
     def test_a_share_reaching_a_live_parameter_is_rejected(self, workers, requires_grad):
+        """...through an edge whose gradient is no sum over rows, here ``mul``'s, by op name."""
         w = Tensor(np.ones(4), requires_grad=True)
         x = Tensor(np.ones((6, 4)), requires_grad=requires_grad)
-        with pytest.raises(ValueError, match="reaches a leaf that requires gradients"):
+        with pytest.raises(ValueError, match="through 'mul', whose gradient is not a sum over rows"):
             ad.shards(lambda part, _: ad.mul(part, w), x, range(6))
         assert w.grad is None and _mimir_threads() == []
+
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    def test_live_parameters_get_the_bits_of_one_pass(self, workers, requires_grad):
+        """Every row-sum edge kind, two outputs that the loss reads, each .grad as one pass."""
+        def run(split):
+            params = _live_params()
+            x = Tensor(np.random.default_rng(3).normal(size=(7, 5, 8)), requires_grad=requires_grad)
+            if split:
+                y, z = ad.shards(lambda part, _: _live_pass(params, part), x, range(7))
+            else:
+                y, z = _live_pass(params, x)
+            weights = np.random.default_rng(4)
+            loss = ad.add(ad.reduce_sum(ad.mul(y, Tensor(weights.normal(size=y.shape)))),
+                          ad.reduce_sum(ad.square(ad.mul(z, Tensor(weights.normal(size=z.shape))))))
+            ad.backward(loss)
+            return [y.data, z.data] + [t.grad for t in params] + ([x.grad] if requires_grad else [])
+
+        for a, b in zip(run(True), run(False)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert _mimir_threads() == []
 
     def test_no_helper_outlives_a_pass_or_its_backward(self, workers):
         x = Tensor(np.ones((9, 2)), requires_grad=True)
@@ -554,75 +617,67 @@ def test_every_share_finishes_before_a_helpers_error_is_raised(monkeypatch, work
     assert x.grad is None and _mimir_threads() == []
 
 
-def _mlp_loss(rows=64):
-    """A two-layer loss whose weight-gradient products have 64 * 96 * 384 multiply-adds each."""
-    rng = np.random.default_rng(0)
-    w1 = Tensor(rng.normal(size=(96, 384)) * 0.1, requires_grad=True)
-    w2 = Tensor(rng.normal(size=(384, 96)) * 0.1, requires_grad=True)
-    b1 = Tensor(np.zeros(384), requires_grad=True)
-    x = Tensor(rng.normal(size=(2, rows // 2, 96)), requires_grad=True)
-    h = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2)
-    return ad.reduce_sum(ad.mul(h, h)), (w1, w2, b1, x)
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("fail", ["caller", "helper"])
+class TestLiveShareFailures:
+    """A failing share of a pass on live parameters: every share finishes, the first failing
+    share's error is raised, no ``.grad`` moves and no helper thread is left."""
 
-
-class TestDeferredWeightGradients:
     @pytest.fixture(autouse=True)
-    def two_workers(self, monkeypatch):
-        monkeypatch.setattr(ad, "_workers", lambda: 2)
+    def force_workers(self, monkeypatch, workers):
+        monkeypatch.setattr(ad, "_workers", lambda: workers)
 
-    def _helpers_spy(self, monkeypatch):
-        started = []
-        helpers = ad._helpers
-        monkeypatch.setattr(ad, "_helpers", lambda *args: started.append(args) or helpers(*args))
-        return started
+    @staticmethod
+    def _params():
+        params = _live_params()
+        for t in params:
+            t.grad = np.full_like(t.data, 7.0)
+        return params
 
-    def test_same_bits_deferred_or_not(self, monkeypatch):
-        started = self._helpers_spy(monkeypatch)
-        loss, leaves = _mlp_loss()
-        deferred = ad.backward(loss)
-        assert started == [(1, "mimir-grad")]
-        monkeypatch.setattr(ad, "_workers", lambda: 1)
-        loss, again = _mlp_loss()
-        serial = ad.backward(loss)
-        assert [t.shape for t in deferred] == [t.shape for t in serial]
-        for a, b in zip(deferred.values(), serial.values()):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
-        assert started == [(1, "mimir-grad")]
-
-    def test_small_products_start_no_helper(self, monkeypatch):
-        started = self._helpers_spy(monkeypatch)
-        loss, _ = _mlp_loss(rows=4)  # 4 * 96 * 384 multiply-adds, under DEFER_MIN_MACS
-        ad.backward(loss)
-        assert started == []
-
-    def test_a_failing_product_raises_from_backward(self, monkeypatch):
-        product = ad._WeightGrad.__call__
-
-        def fails_for_w2(self, g):
-            if self.shape == (384, 96):
-                raise RuntimeError("product failed")
-            return product(self, g)
-
-        monkeypatch.setattr(ad._WeightGrad, "__call__", fails_for_w2)
-        loss, leaves = _mlp_loss()
-        with pytest.raises(RuntimeError, match="product failed"):
-            ad.backward(loss)
-        assert all(t.grad is None for t in leaves)
+    @staticmethod
+    def _assert_untouched(params):
+        assert all(np.array_equal(t.grad, np.full_like(t.data, 7.0)) for t in params)
         assert _mimir_threads() == []
 
-    def test_no_helper_outlives_a_backward(self, monkeypatch):
-        names = set()
-        product = ad._WeightGrad.__call__
+    def test_nan_in_one_shares_forward(self, workers, fail):
+        params = self._params()
+        data = np.random.default_rng(3).normal(size=(9, 5, 8))
+        bad = {"caller": 1, "helper": 8}[fail]
+        data[bad, 0, 0] = np.nan
+        done = []
 
-        def spy(self, g):
-            names.add(threading.current_thread().name.split("_")[0])
-            return product(self, g)
+        def fn(part, rows):
+            out = _live_pass(params, part)
+            done.append(rows.start)
+            return out
 
-        monkeypatch.setattr(ad._WeightGrad, "__call__", spy)
-        loss, _ = _mlp_loss()
-        ad.backward(loss)
-        assert names == {"mimir-grad"}
-        assert _mimir_threads() == []
+        with pytest.raises(FloatingPointError, match="layer_norm: non-finite"):
+            ad.shards(fn, Tensor(data, requires_grad=True), range(9))
+        starts = {2: [0, 5], 3: [0, 3, 6]}[workers]
+        failing = max(start for start in starts if start <= bad)
+        assert sorted(done) == [start for start in starts if start != failing]
+        self._assert_untouched(params)
+
+    def test_raise_in_one_shares_backward(self, workers, fail):
+        params = self._params()
+        x = Tensor(np.random.default_rng(3).normal(size=(9, 5, 8)), requires_grad=True)
+        done = []
+        # The probe is the first node a share's backward visits. Either the caller's share
+        # fails at once, before it sums any parameter edge the helpers wait for, or every
+        # helper share does while the caller's pauses.
+        failing = {"caller": {0}, "helper": {2: {5}, 3: {3, 6}}[workers]}[fail]
+
+        def fn(part, rows):
+            y, z = _live_pass(params, part)
+            return y, _probe(z, rows, done, fail=failing, pause=0.05)
+
+        y, z = ad.shards(fn, x, range(9))
+        with pytest.raises(FloatingPointError, match=f"share at row {min(failing)}$"):
+            ad.backward(ad.add(ad.reduce_sum(y), ad.reduce_sum(z)))
+        starts = {2: [0, 5], 3: [0, 3, 6]}[workers]
+        assert sorted(done) == [s for s in starts if s not in failing]
+        assert x.grad is None
+        self._assert_untouched(params)
 
 
 @pytest.mark.skipif(ad._sched_getcpu() is None or not hasattr(os, "sched_setaffinity"),
@@ -633,49 +688,50 @@ def test_helpers_run_off_the_callers_cpu(monkeypatch):
     callers = []
     monkeypatch.setattr(ad, "_sched_getcpu", lambda: lambda: callers.append(getcpu()) or callers[-1])
     helpers = []
+    w = Tensor(np.ones((1, 1)), requires_grad=True)
 
     def fn(part, rows):
-        if rows.start:
+        out = ad.linear(part, w)
+        if not rows.start:
+            return out
+
+        def vjp(g):
             helpers.append((callers[-1], os.sched_getaffinity(0)))
-        return part
+            return g
 
-    ad.shards(fn, Tensor(np.zeros((4, 1))), range(4))
-    product = ad._WeightGrad.__call__
-
-    def spy(self, g):
         helpers.append((callers[-1], os.sched_getaffinity(0)))
-        return product(self, g)
+        return ad._result(out.data, "spy", [(out, vjp)])
 
-    monkeypatch.setattr(ad._WeightGrad, "__call__", spy)
-    ad.backward(_mlp_loss()[0])
+    ad.backward(ad.reduce_sum(ad.shards(fn, Tensor(np.zeros((4, 1, 1))), range(4))))
     allowed = os.sched_getaffinity(0)
-    assert len(callers) == 2 and len(helpers) == 3  # one shard helper, two deferred products
+    assert len(callers) == 2 and len(helpers) == 2  # the helper of the pass and of its backward
     for cpu, affinity in helpers:
         assert affinity == (allowed - {cpu} if len(allowed) > 1 else allowed)
 
 
 def test_bits_hold_with_more_workers_than_cores_and_rapid_switching(monkeypatch):
-    """Shares and deferred products on three workers, with a thread switch every 10 us."""
+    """Live shares on three workers, with a thread switch every 10 us."""
     rng = np.random.default_rng(5)
-    w1 = Tensor(rng.normal(size=(96, 384)) * 0.1)
+    w1 = Tensor(rng.normal(size=(96, 384)) * 0.1, requires_grad=True)
     w2 = Tensor(rng.normal(size=(384, 96)) * 0.1, requires_grad=True)
     data = rng.normal(size=(12, 32, 96))
 
     def grads(workers):
         monkeypatch.setattr(ad, "_workers", lambda: workers)
         x = Tensor(data, requires_grad=True)
+        w1.zero_grad()
         w2.zero_grad()
-        h = ad.shards(lambda part, _: ad.gelu(ad.linear(part, w1)), x, range(12))
-        ad.backward(ad.reduce_sum(ad.square(ad.linear(h, w2))))
-        return x.grad.view(np.int64), w2.grad.view(np.int64)
+        h = ad.shards(lambda part, _: ad.linear(ad.gelu(ad.linear(part, w1)), w2), x, range(12))
+        ad.backward(ad.reduce_sum(ad.square(h)))
+        return [t.view(np.int64) for t in (x.grad, w1.grad, w2.grad)]
 
     serial = grads(1)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
         for _ in range(3):
-            x_grad, w_grad = grads(3)
-            assert np.array_equal(x_grad, serial[0]) and np.array_equal(w_grad, serial[1])
+            for got, want in zip(grads(3), serial):
+                assert np.array_equal(got, want)
     finally:
         sys.setswitchinterval(interval)
     assert _mimir_threads() == []

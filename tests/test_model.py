@@ -623,7 +623,7 @@ class TestForwardOnlyPool:
         model.encode_full(params, Tensor(_images(mid32_config, 5)))
         assert used == []
         model.encode_full(params, Tensor(_images(mid32_config, 6)))
-        assert used == ["workers", (1, "mimir-shard")]
+        assert used == ["workers", (1,)]
 
     @pytest.mark.parametrize("bad", [None, 0, 12], ids=["returns", "caller", "helper"])
     def test_no_helper_thread_outlives_the_call(self, mid32_config, monkeypatch, workers, bad):

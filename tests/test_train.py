@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -10,7 +13,7 @@ from mimir import attacks, model, train
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import AttackSpec, attack_recon, finetune_attack_spec, pretrain_attack_spec
-from mimir.data import synth_dataset
+from mimir.data import Dataset, synth_dataset
 from mimir.mi import PenaltyConfig, hsic, median_bandwidth, penalty_mi
 from mimir.model import (ModelParams, ViTConfig, classify, decode, encode, init_params, patchify,
                          sample_mask)
@@ -804,7 +807,7 @@ class TestHelperThreadsInTraining:
         monkeypatch.setattr(ad, "_workers", lambda: workers)
         started = []
         helpers = ad._helpers
-        monkeypatch.setattr(ad, "_helpers", lambda *args: started.append(args[1]) or helpers(*args))
+        monkeypatch.setattr(ad, "_helpers", lambda count: started.append(count) or helpers(count))
         return started
 
     def _pretrain_step_grads(self, mid32_config):
@@ -820,21 +823,21 @@ class TestHelperThreadsInTraining:
         ad.backward(loss)
         return {name: t.grad for name, t in params.trainable()}
 
-    def test_pretrain_grads_equal_with_and_without_deferred_products(self, mid32_config,
-                                                                    monkeypatch):
+    def test_pretrain_grads_equal_in_shares_and_whole(self, mid32_config, monkeypatch):
         started = self._started(monkeypatch)
-        deferred = self._pretrain_step_grads(mid32_config)
-        assert started == ["mimir-shard", "mimir-shard", "mimir-grad"]
-        monkeypatch.setattr(ad, "DEFER_MIN_MACS", math.inf)
-        serial = self._pretrain_step_grads(mid32_config)
-        assert started[3:] == ["mimir-shard", "mimir-shard"]
-        assert [name for name, grad in deferred.items() if grad is None] == ["head.weight",
-                                                                             "head.bias"]
-        for name, grad in deferred.items():
+        shared = self._pretrain_step_grads(mid32_config)
+        # the attack's pass and its backward, the live last-iterate score, the training backward
+        assert started == [1, 1, 1, 1]
+        monkeypatch.setattr(ad, "_workers", lambda: 1)
+        whole = self._pretrain_step_grads(mid32_config)
+        assert started == [1, 1, 1, 1]
+        assert [name for name, grad in shared.items() if grad is None] == ["head.weight",
+                                                                           "head.bias"]
+        for name, grad in shared.items():
             if grad is None:
-                assert serial[name] is None
+                assert whole[name] is None
             else:
-                assert np.array_equal(grad.view(np.int64), serial[name].view(np.int64)), name
+                assert np.array_equal(grad.view(np.int64), whole[name].view(np.int64)), name
 
     def test_finetune_tiny16_step_starts_no_helper(self, tiny_config, tiny_dataset, monkeypatch):
         started = self._started(monkeypatch)
@@ -843,3 +846,127 @@ class TestHelperThreadsInTraining:
                              attack=finetune_attack_spec(), lam=0.0, layer_decay=0.65)
         finetune_epoch(state, tiny_dataset, config)
         assert started == []
+
+
+@pytest.fixture(scope="module")
+def mid32_batch():
+    """13 CIFAR-shaped images: three forward chunks, the last one partial."""
+    ds = synth_dataset(10, 2, 32, 0.1, np.random.default_rng(1), channels=3)
+    return Dataset(images=ds.images[:13], labels=ds.labels[:13], split=ds.split, num_classes=10)
+
+
+class TestLiveSharesInTraining:
+    """A 13-image mid32 training step, whose live passes run in shares, at 1, 2 and 3 workers:
+    every ``.grad``, parameter and optimizer moment is the same bits."""
+
+    @staticmethod
+    def _step(mid32_config, batch, monkeypatch, workers, finetune=False,
+              run_shares=ad._run_shares, **overrides):
+        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        shares = []
+        monkeypatch.setattr(ad, "_run_shares",
+                            lambda task, count: shares.append(count) or run_shares(task, count))
+        params = init_params(mid32_config, np.random.default_rng(0))
+        params["head.weight"].data = np.random.default_rng(5).normal(size=(96, 10))
+        state = TrainState.create(params, 2)
+        if finetune:
+            config = small_train_config(batch_size=13, lam=0.0, layer_decay=0.65,
+                                        attack=finetune_attack_spec(iters=1))
+            finetune_epoch(state, batch, config)
+        else:
+            pretrain_epoch(state, batch, small_train_config(batch_size=13, lam=0.5, **overrides))
+        return state, {name: t.grad for name, t in params.trainable()}, shares
+
+    @staticmethod
+    def _assert_same(runs, passes):
+        """``passes`` calls of ``_run_shares`` per step, each over ``workers`` shares."""
+        assert {workers: shares for workers, (_, _, shares) in runs.items()} == {
+            1: [], 2: [2] * passes, 3: [3] * passes}
+        state, grads, _ = runs[1]
+        for other, other_grads, _ in runs.values():
+            assert other_grads.keys() == grads.keys()
+            for name, grad in grads.items():
+                if grad is None:
+                    assert other_grads[name] is None, name
+                else:
+                    assert np.array_equal(other_grads[name].view(np.int64),
+                                          grad.view(np.int64)), name
+            _assert_same_state(other, state)
+
+    @pytest.mark.parametrize("forward", ["kept", "fresh"])
+    @pytest.mark.parametrize("masked_only", [False, True], ids=["all-patches", "masked-only"])
+    @pytest.mark.parametrize("estimator", ["hsic", "renyi2"])
+    def test_pretrain_step(self, mid32_config, mid32_batch, monkeypatch, estimator, masked_only,
+                           forward):
+        kept = []
+        real = train.attack_recon
+
+        def spy(*args, **kwargs):
+            pert = real(*args, **kwargs)
+            kept.append(pert.last_forward is not None)
+            if forward == "fresh":
+                pert.last_forward = None  # the loop then runs its own forward
+            return pert
+
+        monkeypatch.setattr(train, "attack_recon", spy)
+        runs = {workers: self._step(mid32_config, mid32_batch, monkeypatch, workers,
+                                    estimator=estimator, recon_masked_only=masked_only)
+                for workers in (1, 2, 3)}
+        assert kept == [True] * 3
+        # the attack's pass and its backward, the live last-iterate score, the fresh forward if
+        # any, and the training backward
+        self._assert_same(runs, passes={"kept": 4, "fresh": 5}[forward])
+
+    def test_finetune_step_through_classify(self, mid32_config, mid32_batch, monkeypatch):
+        runs = {workers: self._step(mid32_config, mid32_batch, monkeypatch, workers, finetune=True)
+                for workers in (1, 2, 3)}
+        # the attack's pass, its backward and its last-iterate score; then the training forward
+        # and backward
+        self._assert_same(runs, passes=5)
+
+
+# A 32-image pre-training step of the CIFAR-shaped benchmark model at ``argv[1]`` workers;
+# prints the peak RSS in MiB.
+_PRETRAIN_PEAK = """
+import resource
+import sys
+import numpy as np
+from mimir import autodiff as ad
+from mimir.attacks import pretrain_attack_spec
+from mimir.data import Dataset, synth_dataset
+from mimir.model import ViTConfig, init_params
+from mimir.train import TrainConfig, TrainState, pretrain_epoch
+
+ad._workers = lambda: int(sys.argv[1])
+config = ViTConfig(image_size=32, channels=3, patch_size=4, enc_layers=6, enc_dim=96, enc_heads=4,
+                   enc_mlp_ratio=4, dec_layers=2, dec_dim=64, dec_heads=4, dec_mlp_ratio=4,
+                   num_classes=10, mask_ratio=0.75)
+state = TrainState.create(init_params(config, np.random.default_rng(0)), 0)
+data = synth_dataset(4, 8, 32, 0.1, np.random.default_rng(1), channels=3)
+pretrain_epoch(state, data, TrainConfig(base_lr=1e-3, total_epochs=2, batch_size=32,
+                                        attack=pretrain_attack_spec()))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10)
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the one-arena heap policy applies to glibc only")
+def test_live_shares_keep_the_peak_rss_of_one_thread():
+    """A share sums each parameter edge on from the share before it and holds no stack of terms.
+    On a 2-core VM the 2-worker step peaked 2-6 MiB above the 1-worker one; a share that kept
+    its terms until the end would add some 50 MiB."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ad.__file__))
+
+    def peak_mib(workers):
+        return int(subprocess.run([sys.executable, "-c", _PRETRAIN_PEAK, str(workers)], env=env,
+                                  check=True, capture_output=True, text=True).stdout)
+
+    assert peak_mib(2) - peak_mib(1) <= 16
