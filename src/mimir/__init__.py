@@ -11,6 +11,7 @@ Submodules:
     evaluate  -- natural/robust accuracy and loss-landscape grids
     config    -- strict flat key-value experiment configs
     cli       -- command-line entry point
+    _runtime  -- heap policy, worker count and the helper threads of split passes
 """
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ reconstruction error for pre-training, the MI-aware adaptive attack, and
 the feature-distance adaptive attack. Each objective is built on
 ``ModelParams.constants()``, so the reverse pass walks only the input path
 and never writes a parameter's ``.grad``. The encoder and autoencoder
-passes run in image shares (see :mod:`mimir.model`); the heads that couple
+passes run in image shares (see ``autodiff.shards``); the heads that couple
 the batch, the cross-entropy and MSE means and the MI penalty, run once on
 the joined batch.
 

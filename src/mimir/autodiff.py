@@ -19,85 +19,34 @@ same graph doubles the accumulated leaf gradients. Attacks and forward-only
 passes run on ``ModelParams.constants()``, so they never touch parameter
 ``.grad``.
 
-Helper threads: when BLAS runs fewer threads than the process has cores,
-``shards`` runs a pass over row shares of its input, one share per thread,
-and differentiates it share by share over the same threads. The threads
-live for one call and are pinned to the allowed CPUs other than the
-caller's. A share may reach a parameter only through an edge whose
-gradient sums row-local terms over the rows (``linear``'s weight and bias,
-``layer_norm``'s affine, ``expand`` over new leading axes): numpy adds such
-a sum row by row, so the shares' terms, summed on from share to share in
-row order, give every gradient the bits of one pass over the whole batch.
-
-Heap policy: every training step builds a whole graph and frees it again.
-With glibc's defaults, freeing it trims the heap and the next step faults
-the same pages back in (about 18,000 minor faults per mid32 pre-training
-step on glibc 2.36). Importing this module therefore sets, once, glibc's
-mmap threshold to 32 MiB (the ceiling of glibc's own dynamic threshold on
-64-bit) and its trim threshold to the largest value, so a step reuses the
-pages the last one freed and RSS stays at its peak. It also caps glibc at
-one malloc arena: a helper thread would otherwise get an arena of its own,
-whose pages no other thread reuses, and a pre-training step that runs
-helpers peaked at 311-322 MB of RSS against 245-257 MB with the one arena.
-The policy does nothing off glibc, or when the environment already tunes
-malloc (any ``MALLOC_`` variable, such as ``MALLOC_ARENA_MAX`` or
-``MALLOC_TRIM_THRESHOLD_``, or a ``glibc.malloc.`` entry in
-``GLIBC_TUNABLES``).
+Passes over row shares: ``shards`` runs a pass over row shares of its
+input, on helper threads (see :mod:`mimir._runtime`), and differentiates
+it share by share. A share may reach a parameter only through an edge
+whose gradient sums row-local terms over the rows (``linear``'s weight and
+bias, ``layer_norm``'s affine, ``expand`` over new leading axes): numpy
+adds such a sum row by row, so the shares' terms, summed on from share to
+share in row order, give every gradient the bits of one pass over the
+whole batch.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import operator
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf
 
+from . import _runtime
+
 Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
-
-
-def _keep_freed_heap() -> bool:
-    """Apply the heap policy of the module docstring; True if glibc took it."""
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):
-        return False
-    if not libc or not libc.startswith("glibc"):
-        return False
-    if (any(key.startswith("MALLOC_") for key in os.environ)
-            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
-        return False
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    # a refused mmap threshold leaves glibc's state untouched, so the trim
-    # threshold is set only after it; the trim threshold alone would turn
-    # off the dynamic mmap threshold and fault far more
-    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
-            and mallopt(_M_TRIM_THRESHOLD, 2**31 - 1) == 1
-            and mallopt(_M_ARENA_MAX, 1) == 1)
-
-
-_keep_freed_heap()
-
-
-# ---------------------------------------------------------------------------
-# helper threads
 
 # A linear weight gradient whose per-row product holds at least this many
 # elements is summed one row's product at a time; smaller ones as one batched
@@ -105,89 +54,6 @@ _keep_freed_heap()
 # 1.01 ms summed row by row at 96x384 and 0.96 against 1.51 ms at 256x64,
 # but 0.22 against 0.19 ms at 96x96; a tiny16 step only has small ones.
 ROW_PRODUCT_MIN = 1 << 14
-
-
-@functools.cache
-def _blas_thread_query():
-    """OpenBLAS's thread-count function from the library bundled with numpy, or None."""
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            try:
-                fn = getattr(ctypes.CDLL(str(lib)), symbol)
-            except (OSError, AttributeError):
-                continue
-            fn.restype = ctypes.c_int
-            return fn
-    return None
-
-
-def _workers() -> int:
-    """Threads a pass may use: one per group of cores that one BLAS call uses.
-
-    On a 2-core VM a pooled 64-image mid32 forward took 260-308 ms against
-    463-479 ms serial with one BLAS thread, but 522-564 ms against 452 ms
-    with two, so helpers run only on cores that BLAS leaves idle.
-    """
-    query = _blas_thread_query()
-    blas = None if query is None else query()
-    if not blas or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, len(os.sched_getaffinity(0)) // blas)
-
-
-@functools.cache
-def _sched_getcpu():
-    """glibc's ``sched_getcpu``, or None where it is missing."""
-    try:
-        fn = ctypes.CDLL(None).sched_getcpu
-    except (OSError, AttributeError):
-        return None
-    fn.argtypes = ()
-    fn.restype = ctypes.c_int
-    return fn
-
-
-def _pin_off(cpu: int) -> None:
-    """Keep the calling thread to the CPUs the process may use, except ``cpu``; no-op if none is left."""
-    try:
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(0, others)
-    except OSError:
-        pass
-
-
-def _helpers(count: int) -> ThreadPoolExecutor:
-    """``count`` helper threads for one call, each pinned off the CPU the caller runs on.
-
-    Where the kernel never moves a running thread (a cpuset without load
-    balancing), a helper that starts on the caller's CPU shares it for good:
-    a GEMM helper did so for a whole process in 5 of 10 processes, for a
-    speed-up of 0.99-1.04 against 1.92-1.99 in the others. Pinned, 9 of 10
-    processes read 1.92-2.04. Leaving a ``with`` block on the executor joins
-    the threads.
-    """
-    getcpu = _sched_getcpu()
-    cpu = getcpu() if getcpu is not None and hasattr(os, "sched_setaffinity") else -1
-    if cpu < 0:
-        return ThreadPoolExecutor(count, thread_name_prefix="mimir-shard")
-    return ThreadPoolExecutor(count, thread_name_prefix="mimir-shard", initializer=_pin_off,
-                              initargs=(cpu,))
-
-
-def _run_shares(task: Callable[[int], object], count: int) -> list:
-    """``task(i)`` for every share i: the first on the calling thread, the others on helpers.
-
-    Every share runs to its end before this returns or raises; the error of
-    the first failing share is raised.
-    """
-    if count == 1:
-        return [task(0)]
-    # leaving the block joins the helpers, also when the caller's share raises
-    with _helpers(count - 1) as pool:
-        futures = [pool.submit(task, i) for i in range(1, count)]
-        first = task(0)
-    return [first] + [future.result() for future in futures]
 
 
 class Tensor:
@@ -310,6 +176,25 @@ def _stacked(terms: Callable[[Array], Array]) -> Callable[[Array, Array | None],
 def _summed_to(shape: tuple[int, ...]) -> _RowSum:
     """``_unbroadcast(g, shape)`` as a ``_RowSum``, for a ``g`` of more axes than ``shape``."""
     return _RowSum(_stacked(lambda g: g), lambda total: _unbroadcast(total, shape))
+
+
+def _joint(parents: Sequence[Tensor], grads: Callable[[object], dict[int, object]]) -> list:
+    """Edges to ``parents`` whose VJPs share one call of ``grads``.
+
+    ``grads(g)`` returns the gradient of every parent that requires one, by
+    index in ``parents``. ``backward`` calls a node's kept VJPs back to back
+    with one g: the first call computes them all, each call pops its own.
+    """
+    pending: dict[int, object] = {}
+
+    def vjp_of(i: int) -> Callable:
+        def vjp(g):
+            if not pending:
+                pending.update(grads(g))
+            return pending.pop(i)
+        return vjp
+
+    return [(p, vjp_of(i)) for i, p in enumerate(parents)]
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -511,18 +396,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             found[2] = merge(np.matmul(p.swapaxes(-1, -2), gh), (0, 2, 1, 3))
         return found
 
-    # backward calls the kept parents' VJPs back to back with one g: the first
-    # call computes every needed gradient, each call takes its own.
-    pending: dict[int, Array] = {}
-
-    def vjp_of(i: int) -> Callable[[Array], Array]:
-        def vjp(g: Array) -> Array:
-            if not pending:
-                pending.update(grads(g))
-            return pending.pop(i)
-        return vjp
-
-    return _result(out, "attention", [(q, vjp_of(0)), (k, vjp_of(1)), (v, vjp_of(2))])
+    return _result(out, "attention", _joint([q, k, v], grads))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -830,10 +704,6 @@ class _EdgeSum:
         self.done = 0
 
 
-def _outputs(result: Tensor | tuple[Tensor, ...]) -> tuple[Tensor, ...]:
-    return result if isinstance(result, tuple) else (result,)
-
-
 def _share_topo(outs: tuple[Tensor, ...], part: Tensor) -> list[Tensor]:
     """The graph of a share's outputs down to ``part``, checked to reach every other
     gradient leaf through a ``_RowSum`` edge."""
@@ -846,20 +716,20 @@ def _share_topo(outs: tuple[Tensor, ...], part: Tensor) -> list[Tensor]:
     return topo
 
 
-def shards(fn: Callable[[Tensor, slice], Tensor | tuple[Tensor, ...]], x: Tensor,
-           starts: Sequence[int]) -> Tensor | tuple[Tensor, ...]:
+def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor,
+           starts: Sequence[int]) -> tuple[Tensor, ...]:
     """``fn`` over row shares of ``x``, as nodes that hold the shares' results in order.
 
     ``starts`` are the rows at which a share may begin, 0 first; the shares
-    are ``_workers()`` contiguous runs of them, as even as ``np.array_split``
-    makes them. ``fn(part, rows)`` gets ``x[rows]`` as a leaf of its own and
-    returns a tensor, or a tuple of them, whose first axis is those rows; it
-    builds them from ``part``, constants and parameters. The calling thread
-    runs the first share and helper threads (see :func:`_helpers`) the
-    others. Every share finishes before the call returns, and the first
-    failing share's error is raised. The backward walks each share's graph
-    once, from its rows of the gradients of all outputs, over the same
-    threads, and joins the input gradients.
+    are ``_runtime.workers()`` contiguous runs of them, as even as
+    ``np.array_split`` makes them. ``fn(part, rows)`` gets ``x[rows]`` as a
+    leaf of its own and returns a tuple of tensors whose first axis is those
+    rows; it builds them from ``part``, constants and parameters. The
+    calling thread runs the first share and helper threads (see
+    ``_runtime.run_shares``) the others. Every share finishes before the
+    call returns, and the first failing share's error is raised. The
+    backward walks each share's graph once, from its rows of the gradients
+    of all outputs, over the same threads, and joins the input gradients.
 
     A share may reach a leaf that requires gradients, other than its
     ``part``, only through a ``_RowSum`` edge; this raises ``ValueError``
@@ -872,20 +742,20 @@ def shards(fn: Callable[[Tensor, slice], Tensor | tuple[Tensor, ...]], x: Tensor
     whichever thread ran a share. With one share ``fn`` runs on ``x``
     itself and no node is added.
     """
-    groups = np.array_split(np.asarray(starts), min(_workers(), len(starts)))
+    groups = np.array_split(np.asarray(starts), min(_runtime.workers(), len(starts)))
     bounds = [int(group[0]) for group in groups] + [x.shape[0]]
     rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     if len(rows) == 1:
-        result = fn(x, rows[0])
-        _share_topo(_outputs(result), x)
-        return result
+        outs = fn(x, rows[0])
+        _share_topo(outs, x)
+        return outs
     parts = [Tensor(x.data[r], requires_grad=x.requires_grad) for r in rows]
 
-    def build(i: int) -> tuple[Tensor | tuple[Tensor, ...], list[Tensor]]:
-        result = fn(parts[i], rows[i])
-        return result, _share_topo(_outputs(result), parts[i])
+    def build(i: int) -> tuple[tuple[Tensor, ...], list[Tensor]]:
+        outs = fn(parts[i], rows[i])
+        return outs, _share_topo(outs, parts[i])
 
-    built = _run_shares(build, len(rows))
+    built = _runtime.run_shares(build, len(rows))
     params = list({id(p): p for node in reversed(built[0][1]) for p, _ in node._parents
                    if p.is_leaf and p is not parts[0]}.values())
 
@@ -895,8 +765,7 @@ def shards(fn: Callable[[Tensor, slice], Tensor | tuple[Tensor, ...]], x: Tensor
         failed = [len(rows)]  # the first share that raised
 
         def back(i: int) -> list | None:
-            (result, topo), part = built[i], parts[i]
-            outs = _outputs(result)
+            (outs, topo), part = built[i], parts[i]
             uses: dict[int, int] = {}
 
             def take(leaf: Tensor, vjp: _RowSum, g: Array) -> bool:
@@ -927,40 +796,30 @@ def shards(fn: Callable[[Tensor, slice], Tensor | tuple[Tensor, ...]], x: Tensor
                 raise
             return next((g for leaf, g in reached if leaf is part), None)
 
-        found = _run_shares(back, len(rows))
-        grads: dict[int, Array | None] = {}
-        for p in params:
+        found = _runtime.run_shares(back, len(rows))
+        grads: dict[int, Array | None] = {}  # by index in [x] + params
+        for j, p in enumerate(params, start=1):
             edges = []  # the parameter's edges in walk order
             while (id(p), len(edges)) in sums:
                 edge, vjp = sums[id(p), len(edges)]
                 edges.append(vjp.finished(edge.total))
-            grads[id(p)] = functools.reduce(operator.add, edges) if edges else None
+            grads[j] = functools.reduce(operator.add, edges) if edges else None
         if x.requires_grad:
-            grads[id(x)] = np.concatenate([
+            grads[0] = np.concatenate([
                 np.zeros_like(part.data) if g is None else functools.reduce(operator.add, g)
                 for g, part in zip(found, parts)])
         return grads
 
-    # the node's first VJP call walks the shares; each call then takes its own gradient
-    pending: dict[int, Array | None] = {}
-
-    def vjp_of(leaf: Tensor) -> Callable[[_Seeds], Array | None]:
-        def vjp(seeds: _Seeds) -> Array | None:
-            if not pending:
-                pending.update(backprop(seeds))
-            return pending.pop(id(leaf))
-        return vjp
-
-    joint = _result(np.empty(0), "shards", [(p, vjp_of(p)) for p in [x] + params], check=False)
+    joint = _result(np.empty(0), "shards", _joint([x] + params, backprop), check=False)
     results = []
-    for k in range(len(_outputs(built[0][0]))):
-        outs = [_outputs(result)[k] for result, _ in built]
+    for k in range(len(built[0][0])):
+        outs = [share_outs[k] for share_outs, _ in built]
         data = np.concatenate([out.data for out in outs])
         for out, share in zip(outs, rows):
             out.data = data[share]  # the same values, so the batch is held once
         results.append(_result(data, "shards", [(joint, lambda g, k=k: _Seeds({k: g}))],
                                check=False))
-    return tuple(results) if isinstance(built[0][0], tuple) else results[0]
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------

@@ -9,23 +9,18 @@ All forward functions take and return autodiff tensors so both parameter
 gradients (training) and input gradients (attacks) are available.
 
 A pass whose batch holds more than one ``_forward_chunk`` runs in image
-shares (see ``_splits``), on live and on constant parameters alike:
-``autodiff.shards`` runs the shares on the cores that BLAS leaves idle, the
-calling thread taking the first, and differentiates them share by share. A
-forward-only ``encode_full`` (neither the images nor any parameter requires
-gradients: ``eval``'s and ``landscape``'s classifier passes, ``mi-estimate``,
-``attack_fea``'s clean latents and ``pgd``'s last-iterate score) also runs
-each share in consecutive chunks of images whose widest activation fits
-``FORWARD_CHUNK_BYTES``, so each layer's passes over its activations stay in
-cache; its shares hold whole chunks. Every encoder and decoder op works per
-image (batched GEMMs are per-image calls, layer norm and softmax are per
-row, gathers and scatters index within a row) and reads nothing but its
-operands, so tokens, reconstructions and input gradients are bit-identical
-to one pass over the batch whatever the chunk size or the split and
-whichever thread ran a share. A share reaches the parameters only through
-sums over its rows (``linear``'s weight and bias, ``layer_norm``'s affine,
-the mask token's ``expand``), which ``shards`` continues from share to share
-in row order, so the parameter gradients are the bits of the unsplit pass.
+shares through ``autodiff.shards`` (see ``_splits``), on live and on
+constant parameters alike. A forward-only ``encode_full`` (neither the
+images nor any parameter requires gradients: ``eval``'s and
+``landscape``'s classifier passes, ``mi-estimate``, ``attack_fea``'s clean
+latents and ``pgd``'s last-iterate score) also runs each share in
+consecutive chunks of images whose widest activation fits
+``FORWARD_CHUNK_BYTES``, so each layer's passes over its activations stay
+in cache; its shares hold whole chunks. Every encoder and decoder op works
+per image (batched GEMMs are per-image calls, layer norm and softmax are
+per row, gathers and scatters index within a row) and reads nothing but
+its operands, which is what ``shards`` needs for every value and gradient
+to be the bits of one pass over the batch, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -456,8 +451,7 @@ def encode_full(params: ModelParams, images: Tensor) -> Tensor:
     No gather runs (nor its scatter backward); the tokens are bit-identical to
     ``encode``'s under the identity plan with every patch visible. The batch
     runs in shares (see ``_splits``); when no graph is needed, each share
-    runs in chunks of ``_forward_chunk`` images. If shares raise, every
-    share is waited for and the error of the first failing one is raised.
+    runs in chunks of ``_forward_chunk`` images.
     """
     cfg = params.config
     pos = Tensor(params["enc_pos"].data)
@@ -467,14 +461,14 @@ def encode_full(params: ModelParams, images: Tensor) -> Tensor:
     if not _splits(params, batch):
         return _encoder(params, patches, pos)
     if patches.requires_grad or next(params.trainable(), None) is not None:
-        return ad.shards(lambda part, _: _encoder(params, part, pos), patches, range(batch))
+        return ad.shards(lambda part, _: (_encoder(params, part, pos),), patches, range(batch))[0]
     chunk = _forward_chunk(cfg)
 
-    def chunks(part: Tensor, _) -> Tensor:
-        return ad.concat([_encoder(params, Tensor(part.data[start:start + chunk]), pos)
-                          for start in range(0, part.shape[0], chunk)], axis=0)
+    def chunks(part: Tensor, _) -> tuple[Tensor]:
+        return (ad.concat([_encoder(params, Tensor(part.data[start:start + chunk]), pos)
+                           for start in range(0, part.shape[0], chunk)], axis=0),)
 
-    return ad.shards(chunks, patches, range(0, batch, chunk))
+    return ad.shards(chunks, patches, range(0, batch, chunk))[0]
 
 
 def _pooled_logits(params: ModelParams, z: Tensor) -> Tensor:

@@ -17,8 +17,7 @@ bits, so the results do not depend on which path ran. The attacks' own
 backward passes stay on constant parameters and write no ``.grad``.
 Fine-tuning runs a fresh forward at ``x + delta`` after its attack. The
 training forward and backward run in image shares like the attacks' passes
-(see :mod:`mimir.model`), and every ``.grad`` has the bits of one pass over
-the whole batch.
+(see ``autodiff.shards``).
 
 Checkpoint format (version 2, all integers little-endian):
     magic 'MIMR' | uint32 version

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mimir import attacks
+from mimir import _runtime as rt
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import (AttackSpec, EPS_8_255, attack_ce, attack_fea, attack_mi,
@@ -387,10 +388,10 @@ class TestAttacksInShares:
         return params
 
     def _attack(self, kind, params, monkeypatch, workers):
-        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        monkeypatch.setattr(rt, "workers", lambda: workers)
         shares = []
-        run_shares = ad._run_shares
-        monkeypatch.setattr(ad, "_run_shares",
+        run_shares = rt.run_shares
+        monkeypatch.setattr(rt, "run_shares",
                             lambda task, count: shares.append(count) or run_shares(task, count))
         images = np.random.default_rng(2).uniform(size=(13, 3, 32, 32))
         labels = np.arange(13) % 10

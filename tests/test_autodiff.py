@@ -1,6 +1,4 @@
 import math
-import os
-import subprocess
 import sys
 import threading
 import time
@@ -9,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from mimir import _runtime as rt
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor, tensor_create
 
@@ -411,95 +410,6 @@ def test_composed_loss_input_gradients():
     assert report.max_rel_error < 1e-4
 
 
-def _glibc() -> bool:
-    try:
-        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
-    except (AttributeError, ValueError, OSError):
-        return False
-
-
-# Three rounds of 25 written-and-freed 4 MiB arrays after importing the engine;
-# prints the minor page faults of the third round.
-_HEAP_ROUNDS = """
-import resource
-import numpy as np
-import mimir.autodiff
-
-def round_trip():
-    arrays = [np.full(1 << 19, 1.0) for _ in range(25)]
-    del arrays
-
-round_trip()
-round_trip()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-round_trip()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-# The caller allocates and frees 48 MiB in rounds, then a helper thread does the
-# same; prints how far the helper raised the peak RSS, in KiB.
-_HELPER_ROUNDS = """
-import resource
-import threading
-import numpy as np
-import mimir.autodiff
-
-def rounds():
-    for _ in range(3):
-        arrays = [np.full(1 << 17, 1.0) for _ in range(48)]
-        del arrays
-
-rounds()
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-helper = threading.Thread(target=rounds)
-helper.start()
-helper.join()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak)
-"""
-
-
-@pytest.mark.skipif(not _glibc(), reason="the heap policy applies to glibc only")
-class TestHeapPolicy:
-    def _third_round_faults(self, **malloc_env) -> int:
-        env = {key: value for key, value in os.environ.items()
-               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
-        env.update(malloc_env, PYTHONPATH=os.path.dirname(os.path.dirname(ad.__file__)))
-        return int(subprocess.run([sys.executable, "-c", _HEAP_ROUNDS], env=env, check=True,
-                                  capture_output=True, text=True).stdout)
-
-    def test_freed_arrays_are_reused_without_faulting(self):
-        assert self._third_round_faults() < 1000
-
-    def test_user_malloc_setting_wins(self):
-        # glibc's own policy returns the freed arrays, so the third round faults them in again
-        assert self._third_round_faults(MALLOC_TRIM_THRESHOLD_="0") > 5000
-
-    def test_arena_setting_opts_out_too(self):
-        assert self._third_round_faults(MALLOC_ARENA_MAX="8") > 5000
-
-    def test_helper_thread_reuses_the_callers_freed_heap(self):
-        """With one arena a helper allocates from the pages the caller freed, so peak RSS holds."""
-        env = {key: value for key, value in os.environ.items()
-               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ad.__file__))
-        grown_kib = int(subprocess.run([sys.executable, "-c", _HELPER_ROUNDS], env=env, check=True,
-                                       capture_output=True, text=True).stdout)
-        assert grown_kib < 16 << 10  # a helper arena of its own would add the 48 MiB again
-
-
-def test_heap_policy_leaves_non_glibc_alone(monkeypatch):
-    def not_glibc(name):
-        raise ValueError(f"unrecognized configuration name {name!r}")
-
-    def no_dlopen(*args, **kwargs):
-        raise AssertionError("mallopt looked up off glibc")
-
-    monkeypatch.setattr(os, "confstr", not_glibc)
-    monkeypatch.setattr(ad.ctypes, "CDLL", no_dlopen)
-    assert ad._keep_freed_heap() is False
-
-
 # ---------------------------------------------------------------------------
 # helper threads
 
@@ -538,12 +448,12 @@ def _live_pass(params: list[Tensor], part: Tensor) -> tuple[Tensor, Tensor]:
 class TestShards:
     @pytest.fixture(autouse=True)
     def force_workers(self, monkeypatch, workers):
-        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        monkeypatch.setattr(rt, "workers", lambda: workers)
 
     def test_values_and_gradient_equal_one_pass(self, workers):
         x = Tensor(np.random.default_rng(0).normal(size=(7, 3, 4)), requires_grad=True)
         w = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
-        out = ad.shards(lambda part, _: ad.gelu(ad.linear(part, w)), x, range(7))
+        (out,) = ad.shards(lambda part, _: (ad.gelu(ad.linear(part, w)),), x, range(7))
         whole = Tensor(x.data, requires_grad=True)
         serial = ad.gelu(ad.linear(whole, w))
         weights = Tensor(np.random.default_rng(2).normal(size=serial.shape))
@@ -554,7 +464,7 @@ class TestShards:
 
     def test_shares_hold_runs_of_the_given_starts(self, workers):
         seen = []
-        ad.shards(lambda part, rows: seen.append(rows) or part, Tensor(np.zeros((13, 2))),
+        ad.shards(lambda part, rows: seen.append(rows) or (part,), Tensor(np.zeros((13, 2))),
                   range(0, 13, 5))
         expected = {1: [(0, 13)], 2: [(0, 10), (10, 13)], 3: [(0, 5), (5, 10), (10, 13)]}
         assert sorted((rows.start, rows.stop) for rows in seen) == expected[workers]
@@ -565,7 +475,7 @@ class TestShards:
         w = Tensor(np.ones(4), requires_grad=True)
         x = Tensor(np.ones((6, 4)), requires_grad=requires_grad)
         with pytest.raises(ValueError, match="through 'mul', whose gradient is not a sum over rows"):
-            ad.shards(lambda part, _: ad.mul(part, w), x, range(6))
+            ad.shards(lambda part, _: (ad.mul(part, w),), x, range(6))
         assert w.grad is None and _mimir_threads() == []
 
     @pytest.mark.parametrize("requires_grad", [True, False])
@@ -594,9 +504,10 @@ class TestShards:
 
         def fn(part, rows):
             names.add(threading.current_thread().name.split("_")[0])
-            return _probe(part, rows, [])
+            return (_probe(part, rows, []),)
 
-        ad.backward(ad.reduce_sum(ad.shards(fn, x, range(9))))
+        (out,) = ad.shards(fn, x, range(9))
+        ad.backward(ad.reduce_sum(out))
         assert np.array_equal(x.grad, np.full((9, 2), 2.0))
         assert names == ({"MainThread"} if workers == 1 else {"MainThread", "mimir-shard"})
         assert _mimir_threads() == []
@@ -604,13 +515,13 @@ class TestShards:
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_every_share_finishes_before_a_helpers_error_is_raised(monkeypatch, workers):
-    monkeypatch.setattr(ad, "_workers", lambda: workers)
+    monkeypatch.setattr(rt, "workers", lambda: workers)
     x = Tensor(np.ones((9, 2)), requires_grad=True)
     done = []
     # every helper share fails at once; the caller's share logs only after a pause
     fail = {2: {5}, 3: {3, 6}}[workers]
-    out = ad.shards(lambda part, rows: _probe(part, rows, done, fail=fail, pause=0.05),
-                    x, range(9))
+    (out,) = ad.shards(lambda part, rows: (_probe(part, rows, done, fail=fail, pause=0.05),),
+                       x, range(9))
     with pytest.raises(FloatingPointError, match=f"share at row {min(fail)}$"):
         ad.backward(ad.reduce_sum(out))
     assert done == [0]
@@ -625,7 +536,7 @@ class TestLiveShareFailures:
 
     @pytest.fixture(autouse=True)
     def force_workers(self, monkeypatch, workers):
-        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        monkeypatch.setattr(rt, "workers", lambda: workers)
 
     @staticmethod
     def _params():
@@ -680,35 +591,6 @@ class TestLiveShareFailures:
         self._assert_untouched(params)
 
 
-@pytest.mark.skipif(ad._sched_getcpu() is None or not hasattr(os, "sched_setaffinity"),
-                    reason="needs glibc's sched_getcpu and sched_setaffinity")
-def test_helpers_run_off_the_callers_cpu(monkeypatch):
-    monkeypatch.setattr(ad, "_workers", lambda: 2)
-    getcpu = ad._sched_getcpu()
-    callers = []
-    monkeypatch.setattr(ad, "_sched_getcpu", lambda: lambda: callers.append(getcpu()) or callers[-1])
-    helpers = []
-    w = Tensor(np.ones((1, 1)), requires_grad=True)
-
-    def fn(part, rows):
-        out = ad.linear(part, w)
-        if not rows.start:
-            return out
-
-        def vjp(g):
-            helpers.append((callers[-1], os.sched_getaffinity(0)))
-            return g
-
-        helpers.append((callers[-1], os.sched_getaffinity(0)))
-        return ad._result(out.data, "spy", [(out, vjp)])
-
-    ad.backward(ad.reduce_sum(ad.shards(fn, Tensor(np.zeros((4, 1, 1))), range(4))))
-    allowed = os.sched_getaffinity(0)
-    assert len(callers) == 2 and len(helpers) == 2  # the helper of the pass and of its backward
-    for cpu, affinity in helpers:
-        assert affinity == (allowed - {cpu} if len(allowed) > 1 else allowed)
-
-
 def test_bits_hold_with_more_workers_than_cores_and_rapid_switching(monkeypatch):
     """Live shares on three workers, with a thread switch every 10 us."""
     rng = np.random.default_rng(5)
@@ -717,11 +599,12 @@ def test_bits_hold_with_more_workers_than_cores_and_rapid_switching(monkeypatch)
     data = rng.normal(size=(12, 32, 96))
 
     def grads(workers):
-        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        monkeypatch.setattr(rt, "workers", lambda: workers)
         x = Tensor(data, requires_grad=True)
         w1.zero_grad()
         w2.zero_grad()
-        h = ad.shards(lambda part, _: ad.linear(ad.gelu(ad.linear(part, w1)), w2), x, range(12))
+        (h,) = ad.shards(lambda part, _: (ad.linear(ad.gelu(ad.linear(part, w1)), w2),), x,
+                         range(12))
         ad.backward(ad.reduce_sum(ad.square(h)))
         return [t.view(np.int64) for t in (x.grad, w1.grad, w2.grad)]
 

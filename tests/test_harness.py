@@ -725,7 +725,7 @@ class TestBlasThreadDeterminism:
 
     def test_mi_estimate_and_eval_bytes_equal_at_one_and_all_blas_threads(self, tmp_path,
                                                                           mid32_config):
-        probe = "from mimir import autodiff; print(autodiff._workers())"
+        probe = "from mimir import _runtime; print(_runtime.workers())"
         workers = {threads: int(self._cli(tmp_path, threads, "-c", probe))
                    for threads in (1, CORES)}
         if workers[1] == 1:
@@ -752,7 +752,7 @@ class TestBlasThreadDeterminism:
     def test_pretrain_bytes_equal_at_one_and_all_blas_threads(self, tmp_path):
         """A mid32-shaped pretrain whose 8-image attack pass splits in two shares at one BLAS
         thread, with the MI penalty on."""
-        probe = "from mimir import autodiff; print(autodiff._workers())"
+        probe = "from mimir import _runtime; print(_runtime.workers())"
         if int(self._cli(tmp_path, 1, "-c", probe)) == 1:
             pytest.skip("this BLAS does not report its thread count, so no helper runs")
         (tmp_path / "p.cfg").write_text(

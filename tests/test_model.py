@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from mimir import _runtime as rt
 from mimir import autodiff as ad
 from mimir import model
 from mimir.autodiff import Tensor
@@ -276,7 +277,7 @@ def _encoder_batches(monkeypatch):
         return encoder(params, tokens, pos)
 
     monkeypatch.setattr(model, "_encoder", spy)
-    monkeypatch.setattr(ad, "_workers", lambda: 1)
+    monkeypatch.setattr(rt, "workers", lambda: 1)
     return batches
 
 
@@ -558,7 +559,7 @@ class TestForwardOnlyPool:
 
     @pytest.fixture(autouse=True)
     def force_workers(self, monkeypatch, workers):
-        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        monkeypatch.setattr(rt, "workers", lambda: workers)
 
     def test_mid32_bit_identical_to_the_graph_path(self, mid32_config, monkeypatch, workers):
         params = init_params(mid32_config, np.random.default_rng(0))
@@ -616,14 +617,15 @@ class TestForwardOnlyPool:
 
     def test_one_chunk_batch_never_touches_the_pool(self, mid32_config, monkeypatch, workers):
         used = []
-        helpers = ad._helpers
-        monkeypatch.setattr(ad, "_workers", lambda: used.append("workers") or workers)
-        monkeypatch.setattr(ad, "_helpers", lambda *args: used.append(args) or helpers(*args))
+        run_shares = rt.run_shares
+        monkeypatch.setattr(rt, "workers", lambda: used.append("workers") or workers)
+        monkeypatch.setattr(rt, "run_shares",
+                            lambda task, count: used.append(count) or run_shares(task, count))
         params = init_params(mid32_config, np.random.default_rng(0)).constants()
         model.encode_full(params, Tensor(_images(mid32_config, 5)))
         assert used == []
         model.encode_full(params, Tensor(_images(mid32_config, 6)))
-        assert used == ["workers", (1,)]
+        assert used == ["workers", 2]
 
     @pytest.mark.parametrize("bad", [None, 0, 12], ids=["returns", "caller", "helper"])
     def test_no_helper_thread_outlives_the_call(self, mid32_config, monkeypatch, workers, bad):
@@ -652,8 +654,8 @@ class TestForwardOnlyPool:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_its_own_helpers(mid32_config, monkeypatch):
-    """A child forked after the pool ran gets a fresh pool instead of its parent's dead threads."""
-    monkeypatch.setattr(ad, "_workers", lambda: 2)
+    """A split pass in a child forked after the parent ran one finishes with the parent's bits."""
+    monkeypatch.setattr(rt, "workers", lambda: 2)
     params = init_params(mid32_config, np.random.default_rng(0)).constants()
     x = Tensor(_images(mid32_config, 13))
     expected = model.encode_full(params, x).data
@@ -667,22 +669,3 @@ def test_forked_child_runs_its_own_helpers(mid32_config, monkeypatch):
             os._exit(status)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
-
-
-class TestWorkers:
-    """``_workers``: one encoder thread per group of cores that one BLAS call occupies."""
-
-    @pytest.mark.parametrize("blas, workers", [(1, 4), (2, 2), (3, 1), (4, 1), (8, 1), (None, 1)])
-    def test_cores_over_blas_threads(self, monkeypatch, blas, workers):
-        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setattr(ad, "_blas_thread_query", lambda: lambda: blas)
-        assert ad._workers() == workers
-
-    def test_failed_lookup_gives_one_worker(self, monkeypatch):
-        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setattr(ad, "_blas_thread_query", lambda: None)
-        assert ad._workers() == 1
-
-    def test_lookup_reads_a_thread_count(self):
-        query = ad._blas_thread_query()
-        assert query is None or query() >= 1

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mimir import attacks, model, train
+from mimir import _runtime as rt
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import AttackSpec, attack_recon, finetune_attack_spec, pretrain_attack_spec
@@ -804,10 +805,11 @@ class TestHelperThreadsInTraining:
     """Which helper threads a training step starts, and that none moves a bit."""
 
     def _started(self, monkeypatch, workers=2):
-        monkeypatch.setattr(ad, "_workers", lambda: workers)
+        monkeypatch.setattr(rt, "workers", lambda: workers)
         started = []
-        helpers = ad._helpers
-        monkeypatch.setattr(ad, "_helpers", lambda count: started.append(count) or helpers(count))
+        run_shares = rt.run_shares
+        monkeypatch.setattr(rt, "run_shares",
+                            lambda task, count: started.append(count) or run_shares(task, count))
         return started
 
     def _pretrain_step_grads(self, mid32_config):
@@ -827,10 +829,10 @@ class TestHelperThreadsInTraining:
         started = self._started(monkeypatch)
         shared = self._pretrain_step_grads(mid32_config)
         # the attack's pass and its backward, the live last-iterate score, the training backward
-        assert started == [1, 1, 1, 1]
-        monkeypatch.setattr(ad, "_workers", lambda: 1)
+        assert started == [2, 2, 2, 2]
+        monkeypatch.setattr(rt, "workers", lambda: 1)
         whole = self._pretrain_step_grads(mid32_config)
-        assert started == [1, 1, 1, 1]
+        assert started == [2, 2, 2, 2]
         assert [name for name, grad in shared.items() if grad is None] == ["head.weight",
                                                                            "head.bias"]
         for name, grad in shared.items():
@@ -861,10 +863,10 @@ class TestLiveSharesInTraining:
 
     @staticmethod
     def _step(mid32_config, batch, monkeypatch, workers, finetune=False,
-              run_shares=ad._run_shares, **overrides):
-        monkeypatch.setattr(ad, "_workers", lambda: workers)
+              run_shares=rt.run_shares, **overrides):
+        monkeypatch.setattr(rt, "workers", lambda: workers)
         shares = []
-        monkeypatch.setattr(ad, "_run_shares",
+        monkeypatch.setattr(rt, "run_shares",
                             lambda task, count: shares.append(count) or run_shares(task, count))
         params = init_params(mid32_config, np.random.default_rng(0))
         params["head.weight"].data = np.random.default_rng(5).normal(size=(96, 10))
@@ -879,7 +881,7 @@ class TestLiveSharesInTraining:
 
     @staticmethod
     def _assert_same(runs, passes):
-        """``passes`` calls of ``_run_shares`` per step, each over ``workers`` shares."""
+        """``passes`` calls of ``run_shares`` per step, each over ``workers`` shares."""
         assert {workers: shares for workers, (_, _, shares) in runs.items()} == {
             1: [], 2: [2] * passes, 3: [3] * passes}
         state, grads, _ = runs[1]
@@ -931,13 +933,13 @@ _PRETRAIN_PEAK = """
 import resource
 import sys
 import numpy as np
-from mimir import autodiff as ad
+from mimir import _runtime
 from mimir.attacks import pretrain_attack_spec
 from mimir.data import Dataset, synth_dataset
 from mimir.model import ViTConfig, init_params
 from mimir.train import TrainConfig, TrainState, pretrain_epoch
 
-ad._workers = lambda: int(sys.argv[1])
+_runtime.workers = lambda: int(sys.argv[1])
 config = ViTConfig(image_size=32, channels=3, patch_size=4, enc_layers=6, enc_dim=96, enc_heads=4,
                    enc_mlp_ratio=4, dec_layers=2, dec_dim=64, dec_heads=4, dec_mlp_ratio=4,
                    num_classes=10, mask_ratio=0.75)
