@@ -7,7 +7,7 @@ Submodules:
     bounds    -- closed-form information-bottleneck bounds and curve export
     attacks   -- L-infinity PGD engine and the concrete attack objectives
     train     -- pre-training / fine-tuning loops, AdamW, checkpoints
-    data      -- dataset loading and synthesis
+    data      -- dataset loading and synthesis, and the CSV writer
     evaluate  -- natural/robust accuracy and loss-landscape grids
     config    -- strict flat key-value experiment configs
     cli       -- command-line entry point

@@ -57,8 +57,8 @@ class AttackSpec:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.step_size <= 0.0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if int(self.iters) < 1:
             raise ValueError(f"iters must be a positive integer, got {self.iters}")
         if self.init not in ("zero", "random"):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .data import write_csv
+
 
 @dataclass(frozen=True)
 class BoundsInput:
@@ -81,7 +83,4 @@ def bound_curves(num_classes: int, grid_step: float) -> BoundCurve:
 
 def write_bound_curve_csv(curve: BoundCurve, path) -> None:
     """CSV schema: header ``p_e,lower,upper``, 6 decimal places."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("p_e,lower,upper\n")
-        for p, lo, hi in curve.rows:
-            fh.write(f"{p:.6f},{lo:.6f},{hi:.6f}\n")
+    write_csv(path, "p_e,lower,upper", ((f"{value:.6f}" for value in row) for row in curve.rows))

@@ -2,9 +2,10 @@
 
 Subcommands: pretrain | finetune | attack | eval | bounds | landscape |
 mi-estimate, each driven by a strict key-value config (see config.py) with
-``--seed`` and ``--out`` overrides. All artifacts are CSV files plus binary
-checkpoints under the output directory, which is made at the first artifact
-write, so a run that fails before it leaves nothing behind. They are
+``--seed`` and ``--out`` overrides. All artifacts are CSV files, written by
+``data.write_csv`` once a command's results exist, plus binary checkpoints
+under the output directory, which is made at the first write, so a failed
+run leaves nothing behind and a failed rerun leaves the earlier files. They are
 byte-deterministic given the config and seed; the metrics ``seconds``
 column is therefore pinned to 0.000 in the files, with real wall-clock
 timing available from the epoch metrics at runtime.
@@ -26,7 +27,7 @@ import numpy as np
 from .attacks import attack_ce
 from .bounds import bound_curves, write_bound_curve_csv
 from .config import ConfigError, ExperimentConfig, load_config
-from .data import Dataset, load_cifar10_binary, synth_dataset
+from .data import Dataset, load_cifar10_binary, synth_dataset, write_csv
 from .evaluate import (AttackJob, attack_batches, evaluate, landscape_grid, write_eval_csv,
                        write_landscape_csv)
 from .mi import hsic_from_grams, rbf_gram, renyi_mi_from_grams
@@ -34,8 +35,6 @@ from .model import ModelParams, encode_full, init_params
 from .autodiff import Tensor
 from .train import (TrainConfig, TrainState, finetune_epoch, load_checkpoint, pretrain_epoch,
                     save_checkpoint)
-
-METRICS_HEADER = "epoch,loss_mse,loss_mi,loss_total,lr,seconds\n"
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -69,20 +68,20 @@ def _dataset_and_params(cfg: ExperimentConfig) -> tuple[Dataset, ModelParams]:
 
 
 def _cmd_train(cfg: ExperimentConfig) -> int:
-    """Train every epoch, then save the checkpoint; a rerun rewrites the metrics CSV."""
+    """Train every epoch, then save the checkpoint, then the metrics CSV; a run
+    that fails before its last epoch ends writes nothing."""
     dataset, params = _dataset_and_params(cfg)
     epoch_fn = pretrain_epoch if cfg.command == "pretrain" else finetune_epoch
     state = TrainState.create(params, cfg.seed)
-    path = cfg.out_path(f"metrics_{cfg.command}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(METRICS_HEADER)
-        for _ in range(cfg.train.total_epochs):
-            metrics = epoch_fn(state, dataset, cfg.train)
-            total = metrics.loss_mse + cfg.train.lam * metrics.loss_mi
-            fh.write(f"{state.epoch},{metrics.loss_mse:.10e},{metrics.loss_mi:.10e},"
-                     f"{total:.10e},{metrics.lr:.10e},0.000\n")
-            fh.flush()
+    rows = []
+    for _ in range(cfg.train.total_epochs):
+        metrics = epoch_fn(state, dataset, cfg.train)
+        total = metrics.loss_mse + cfg.train.lam * metrics.loss_mi
+        rows.append((str(state.epoch), f"{metrics.loss_mse:.10e}", f"{metrics.loss_mi:.10e}",
+                     f"{total:.10e}", f"{metrics.lr:.10e}", "0.000"))
     save_checkpoint(state, cfg.out_path(f"{cfg.command}.ckpt"))
+    write_csv(cfg.out_path(f"metrics_{cfg.command}.csv"),
+              "epoch,loss_mse,loss_mi,loss_total,lr,seconds", rows)
     return 0
 
 
@@ -126,9 +125,8 @@ def _cmd_attack(cfg: ExperimentConfig) -> int:
         rows.append((pert.achieved_loss, float(np.max(np.abs(pert.delta))), len(y)))
     mean_obj = sum(r[0] * r[2] for r in rows) / len(dataset)
     max_linf = max(r[1] for r in rows)
-    with open(cfg.out_path("attack.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("attack,mean_objective,max_linf,n\n")
-        fh.write(f"pgd{cfg.attack.iters},{mean_obj:.10e},{max_linf:.10e},{len(dataset)}\n")
+    write_csv(cfg.out_path("attack.csv"), "attack,mean_objective,max_linf,n",
+              [(f"pgd{cfg.attack.iters}", f"{mean_obj:.10e}", f"{max_linf:.10e}", str(len(dataset)))])
     return 0
 
 
@@ -161,11 +159,9 @@ def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
     gram_z = rbf_gram(z.reshape(n, -1))
     estimates = [hsic_from_grams(gram_x, gram_z),
                  renyi_mi_from_grams(gram_x, gram_z, alpha=cfg.get("mi.alpha", 2.0))]
-    with open(cfg.out_path("mi.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("estimator,alpha,value\n")
-        for est in estimates:
-            alpha_txt = "" if est.alpha is None else f"{est.alpha:g}"
-            fh.write(f"{est.estimator},{alpha_txt},{est.value:.10e}\n")
+    write_csv(cfg.out_path("mi.csv"), "estimator,alpha,value",
+              ((est.estimator, "" if est.alpha is None else f"{est.alpha:g}", f"{est.value:.10e}")
+               for est in estimates))
     return 0
 
 

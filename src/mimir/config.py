@@ -12,6 +12,7 @@ builds them, so a bad value fails by key and line before any command runs.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
@@ -178,6 +179,8 @@ def _parse(text: str) -> tuple[dict[str, object], dict[str, int]]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[key] = KEY_TYPES[key](raw_value)
+            if isinstance(values[key], float) and not math.isfinite(values[key]):
+                raise ValueError(f"expected a finite number, got {values[key]}")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         lines[key] = lineno

@@ -1,10 +1,10 @@
-"""Dataset loading and synthesis.
+"""Dataset loading and synthesis, and the one CSV writer.
 
 Images are float64 in [0, 1], shaped [N, C, H, W]. The CIFAR-10 loader reads
 the standard binary batch files; the synthetic generator produces
 class-conditional stripe patterns that a nearest-template classifier
 separates perfectly at zero noise, which keeps desk-scale experiments
-meaningful.
+meaningful. ``write_csv`` writes every CSV artifact.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def synth_dataset(num_classes: int, samples_per_class: int, image_size: int, noi
     """Class templates plus uniform pixel noise, shuffled; deterministic per rng."""
     if samples_per_class < 1:
         raise ValueError("samples_per_class must be positive")
-    if noise < 0.0:
-        raise ValueError("noise must be non-negative")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be non-negative and finite, got {noise}")
     templates = class_templates(num_classes, image_size, channels)
     n = num_classes * samples_per_class
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
@@ -111,3 +111,11 @@ def synth_dataset(num_classes: int, samples_per_class: int, image_size: int, noi
     order = rng.permutation(n)
     return Dataset(images=images[order], labels=labels[order], split="synth",
                    num_classes=num_classes)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and each row's formatted fields, comma-joined; every line is
+    built before the file is opened, so a row that fails to format leaves no file."""
+    text = "".join(f"{line}\n" for line in [header, *(",".join(row) for row in rows)])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)

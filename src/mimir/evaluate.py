@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .attacks import AttackSpec, attack_ce, attack_fea, attack_mi
-from .data import Dataset
+from .data import Dataset, write_csv
 from .mi import PenaltyConfig
 from .model import ModelParams, classify
 
@@ -88,12 +88,9 @@ def evaluate(params: ModelParams, dataset: Dataset, jobs: list[AttackJob],
 
 def write_eval_csv(report: EvalReport, path) -> None:
     """CSV schema: ``attack,natural,robust,n``; natural repeated per row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("attack,natural,robust,n\n")
-        for name, pct in report.robust:
-            fh.write(f"{name},{report.natural:.6f},{pct:.6f},{report.n}\n")
-        if not report.robust:
-            fh.write(f"none,{report.natural:.6f},{report.natural:.6f},{report.n}\n")
+    write_csv(path, "attack,natural,robust,n",
+              ((name, f"{report.natural:.6f}", f"{pct:.6f}", str(report.n))
+               for name, pct in report.robust or [("none", report.natural)]))
 
 
 def _dataset_ce(params: ModelParams, dataset: Dataset, batch_size: int) -> float:
@@ -109,8 +106,8 @@ def _dataset_ce(params: ModelParams, dataset: Dataset, batch_size: int) -> float
 
 def _check_half_width(grid_half_width: float) -> float:
     grid_half_width = float(grid_half_width)
-    if not grid_half_width > 0.0:
-        raise ValueError(f"grid_half_width must be positive, got {grid_half_width}")
+    if not 0.0 < grid_half_width < np.inf:
+        raise ValueError(f"grid_half_width must be positive and finite, got {grid_half_width}")
     return grid_half_width
 
 
@@ -122,7 +119,8 @@ def landscape_grid(params: ModelParams, dataset: Dataset, grid_half_width: float
     Two random directions are drawn, each rescaled per named tensor to match
     that tensor's norm (zero-norm tensors stay unperturbed); the loss is
     evaluated at theta + a d1 + b d2 over an odd-resolution grid so the
-    exact unperturbed loss sits at the center cell.
+    exact unperturbed loss sits at the center cell. Each other cell is scored
+    on a fresh ``ModelParams`` holding the moved tensors; ``params`` is never edited.
     """
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError("resolution must be an odd integer >= 3")
@@ -144,29 +142,18 @@ def landscape_grid(params: ModelParams, dataset: Dataset, grid_half_width: float
 
     d1 = draw_direction()
     d2 = draw_direction()
-    base = {name: params[name].data for name in names}
     axis = np.linspace(-grid_half_width, grid_half_width, resolution)
     axis[resolution // 2] = 0.0  # linspace can miss zero by an ulp, e.g. (0.45, 7)
     rows = []
-    try:
-        for a in axis:
-            for b in axis:
-                if a == 0.0 and b == 0.0:
-                    for name in names:
-                        params[name].data = base[name]
-                else:
-                    for name in names:
-                        params[name].data = base[name] + a * d1[name] + b * d2[name]
-                rows.append((float(a), float(b), _dataset_ce(params, dataset, batch_size)))
-    finally:
-        for name in names:
-            params[name].data = base[name]
+    for a in axis:
+        for b in axis:
+            cell = params if a == 0.0 and b == 0.0 else ModelParams(params.config, {
+                **params.tensors,
+                **{name: Tensor(params[name].data + a * d1[name] + b * d2[name]) for name in names}})
+            rows.append((float(a), float(b), _dataset_ce(cell, dataset, batch_size)))
     return rows
 
 
 def write_landscape_csv(rows: list[tuple[float, float, float]], path) -> None:
     """CSV schema: ``a,b,loss``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("a,b,loss\n")
-        for a, b, loss in rows:
-            fh.write(f"{a:.6f},{b:.6f},{loss:.10e}\n")
+    write_csv(path, "a,b,loss", ((f"{a:.6f}", f"{b:.6f}", f"{loss:.10e}") for a, b, loss in rows))

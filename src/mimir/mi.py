@@ -150,8 +150,8 @@ def symmetric_eigenvalues(matrix, tol: float | None = None) -> Spectrum:
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1.0:
         raise ValueError("alpha = 1 (Shannon limit) is not implemented")
     return alpha

@@ -94,6 +94,9 @@ class TrainConfig:
         for name in ("weight_decay", "lam"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("base_lr", "weight_decay", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.layer_decay <= 1.0:
             raise ValueError(f"layer_decay must lie in (0, 1], got {self.layer_decay}")
         PenaltyConfig(estimator=self.estimator)  # rejects unknown estimator names
@@ -148,12 +151,14 @@ def adamw_step(state: TrainState, grads: dict[str, Array], lr: float, config: Tr
         p = state.params[name]
         if g.shape != p.data.shape:
             raise ValueError(f"adamw_step: gradient shape {g.shape} != param {p.data.shape} for {name}")
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / (1.0 - b1 ** t)
-        v_hat = state.v[name] / (1.0 - b2 ** t)
+        m = b1 * state.m[name] + (1.0 - b1) * g
+        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
         eff = lr * (lr_scales.get(name, 1.0) if lr_scales else 1.0)
-        p.data = p.data - eff * (m_hat / (np.sqrt(v_hat) + 1e-8) + config.weight_decay * p.data)
+        new = p.data - eff * (m / (1.0 - b1 ** t) / (np.sqrt(v / (1.0 - b2 ** t)) + 1e-8)
+                              + config.weight_decay * p.data)
+        if not np.isfinite(new).all():
+            raise FloatingPointError(f"adamw_step: non-finite update for {name}")
+        state.m[name], state.v[name], p.data = m, v, new
     state.step = t
     return state
 

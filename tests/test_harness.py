@@ -1,9 +1,12 @@
+import ast
+import math
 import os
 import struct
 import subprocess
 import sys
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import (AttackSpec, adaptive_attack_spec, attack_ce, finetune_attack_spec,
                            pretrain_attack_spec)
+from mimir import cli
 from mimir.cli import _cmd_attack, _eval_jobs, main, run_config
 from mimir.config import ConfigError, ExperimentConfig, load_config, parse_config_text, serialize_config
 from mimir.data import Dataset, class_templates, load_cifar10_binary, synth_dataset
@@ -20,7 +24,7 @@ from mimir.evaluate import AttackJob, evaluate, landscape_grid
 from mimir import evaluate as evaluate_module
 from mimir import mi
 from mimir.model import classify, encode_full, init_params
-from mimir.train import TrainConfig, TrainState, load_checkpoint, save_checkpoint
+from mimir.train import TrainConfig, TrainState, load_checkpoint, pretrain_epoch, save_checkpoint
 
 from conftest import tiny_vit_config
 
@@ -204,6 +208,20 @@ class TestLandscape:
         landscape_grid(trained_model, tiny_dataset, 0.5, 3, np.random.default_rng(0))
         for name, data in before.items():
             assert np.array_equal(trained_model[name].data, data)
+
+    def test_callers_tensors_keep_their_arrays_while_cells_are_scored(self, trained_model,
+                                                                     tiny_dataset, monkeypatch):
+        arrays = {name: t.data for name, t in trained_model.tensors.items()}
+        kept = []
+        score = evaluate_module._dataset_ce
+
+        def spy(params, dataset, batch_size):
+            kept.append(all(trained_model[name].data is data for name, data in arrays.items()))
+            return score(params, dataset, batch_size)
+
+        monkeypatch.setattr(evaluate_module, "_dataset_ce", spy)
+        landscape_grid(trained_model, tiny_dataset, 0.5, 3, np.random.default_rng(0))
+        assert kept == [True] * 9
 
 
 BASE_CONFIG = """
@@ -422,10 +440,19 @@ class TestRunConfig:
         ("pretrain", "model.enc_layers", 0), ("eval", "eval.attacks", "ce,pgd"),
         ("mi-estimate", "mi.alpha", 1), ("bounds", "bounds.step", 0.5),
         ("landscape", "landscape.half_width", -1), ("eval", "eval.lambda", -1),
-        ("eval", "train.lambda", -1)])
+        ("eval", "train.lambda", -1),
+        ("pretrain", "train.base_lr", "inf"), ("pretrain", "train.weight_decay", "inf"),
+        ("pretrain", "train.lambda", "inf"), ("pretrain", "data.noise", "inf"),
+        ("mi-estimate", "mi.alpha", "nan"), ("mi-estimate", "mi.alpha", "inf"),
+        ("attack", "attack.step_size", "nan"), ("eval", "eval.lambda", "inf"),
+        ("landscape", "landscape.half_width", "inf")])
     def test_bad_extent_exits_with_its_name_and_creates_nothing(self, tmp_path, capsys,
                                                                 command, key, value):
-        """Each config is valid but for ``key``, so only the key's own check can stop it."""
+        """Each config is valid but for ``key``, so only the key's own check can stop it.
+
+        The non-finite values among them, left to run, write non-finite
+        artifacts or fail mid-run, not by key.
+        """
         save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
                         tmp_path / "m.ckpt")
         out = tmp_path / "out"
@@ -581,6 +608,37 @@ class TestRunConfig:
                             (out / "pretrain.ckpt").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @staticmethod
+    def _fail_in_second_epoch(monkeypatch):
+        epochs = []
+
+        def epoch(state, dataset, config):
+            epochs.append(state.epoch)
+            if len(epochs) == 2:
+                raise FloatingPointError("diverged in the second epoch")
+            return pretrain_epoch(state, dataset, config)
+
+        monkeypatch.setattr(cli, "pretrain_epoch", epoch)
+
+    def test_rerun_failing_in_its_second_epoch_leaves_the_first_runs_files(self, tmp_path,
+                                                                          monkeypatch):
+        out = tmp_path / "out"
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=out))
+        assert run_config(cfg) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(first) == ["metrics_pretrain.csv", "pretrain.ckpt"]
+        self._fail_in_second_epoch(monkeypatch)
+        assert run_config(cfg) == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
+    def test_run_failing_in_its_second_epoch_leaves_no_directory(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        (tmp_path / "p.cfg").write_text(BASE_CONFIG.format(out=out))
+        self._fail_in_second_epoch(monkeypatch)
+        assert run_config(tmp_path / "p.cfg") == 1
+        assert not out.exists()
+
     def test_rerun_into_same_dir_rewrites_metrics(self, tmp_path):
         once, twice = tmp_path / "once", tmp_path / "twice"
         for out, runs in ((once, 1), (twice, 2)):
@@ -707,6 +765,45 @@ class TestRunConfig:
         state = load_checkpoint(out / "pretrain.ckpt")
         assert state.epoch == 3
         assert state.params.config.enc_dim == 32
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("owner", ["base_lr", "weight_decay", "lam", "step_size", "alpha",
+                                   "half_width", "noise"])
+def test_owners_of_float_keys_reject_non_finite_values(owner, value):
+    """Library callers get the finiteness check that ``load_config`` applies to every key."""
+    train = dict(base_lr=1e-3, total_epochs=1, batch_size=1, attack=pretrain_attack_spec())
+    build = {"step_size": lambda: replace(pretrain_attack_spec(), step_size=value),
+             "alpha": lambda: mi._check_alpha(value),
+             "half_width": lambda: evaluate_module._check_half_width(value),
+             "noise": lambda: synth_dataset(2, 1, 2, value, np.random.default_rng(0))}.get(
+        owner, lambda: TrainConfig(**{**train, owner: value}))
+    with pytest.raises(ValueError):
+        build()
+
+
+# the two functions that write artifacts: every CSV, and the binary checkpoint
+_FILE_WRITERS = {("data.py", "write_csv"), ("train.py", "save_checkpoint")}
+
+
+def test_only_the_csv_and_checkpoint_writers_open_files_for_writing():
+    offenders = []
+    for path in sorted(Path(mimir.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): "<module>" for node in ast.walk(tree)}
+        for func in ast.walk(tree):  # outer functions come first, so inner ones win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                              getattr(node.func, "attr", None))):
+                continue
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            reads = all(isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+") for mode in modes)
+            if not reads and (path.name, owner[id(node)]) not in _FILE_WRITERS:
+                offenders.append(f"{path.name}:{node.lineno} in {owner[id(node)]}")
+    assert offenders == []
 
 
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

@@ -101,6 +101,15 @@ class TestAdamW:
         with pytest.raises(ValueError):
             adamw_step(state, {"head.bias": np.zeros(99)}, 0.01, small_train_config())
 
+    def test_non_finite_update_refused_by_parameter_name(self):
+        state = self._state()
+        grad = np.ones_like(state.params["head.bias"].data)
+        grad[0] = np.inf
+        before = state.params["head.bias"].data
+        with pytest.raises(FloatingPointError, match="head.bias"), np.errstate(invalid="ignore"):
+            adamw_step(state, {"head.bias": grad}, 0.01, small_train_config())
+        assert state.params["head.bias"].data is before and not state.m["head.bias"].any()
+
     def test_step_counter_increments(self):
         state = self._state()
         adamw_step(state, {}, 0.01, small_train_config())
