@@ -8,9 +8,9 @@ reconstruction error for pre-training, the MI-aware adaptive attack, and
 the feature-distance adaptive attack. Each objective is built on
 ``ModelParams.constants()``, so the reverse pass walks only the input path
 and never writes a parameter's ``.grad``. The encoder and autoencoder
-passes run in image shares (see ``autodiff.shards``); the heads that couple
-the batch, the cross-entropy and MSE means and the MI penalty, run once on
-the joined batch.
+passes run in image shares (see ``model._split_pass``); the heads that
+couple the batch, the cross-entropy and MSE means and the MI penalty, run
+once on the joined batch.
 
 The one exception is the last iterate of ``attack_recon``: it is scored by
 a forward on the live parameters, in shares as well, and when that iterate

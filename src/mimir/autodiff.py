@@ -48,13 +48,6 @@ Array = np.ndarray
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# A linear weight gradient whose per-row product holds at least this many
-# elements is summed one row's product at a time; smaller ones as one batched
-# product. At one BLAS thread, 16-row weight gradients took 0.66 against
-# 1.01 ms summed row by row at 96x384 and 0.96 against 1.51 ms at 256x64,
-# but 0.22 against 0.19 ms at 96x96; a tiny16 step only has small ones.
-ROW_PRODUCT_MIN = 1 << 14
-
 
 class Tensor:
     """Dense float64 array, optionally tracked in the differentiation graph.
@@ -340,8 +333,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if x.ndim == 2:  # one product over the rows, not a sum of per-row terms
         w_vjp = lambda g: np.matmul(xt, g)
     else:
-        sum_on = summed if w.size >= ROW_PRODUCT_MIN else _stacked(lambda g: np.matmul(xt, g))
-        w_vjp = _RowSum(sum_on, lambda total: _unbroadcast(total, w.shape))
+        w_vjp = _RowSum(summed, lambda total: _unbroadcast(total, w.shape))
     edges = [(x, lambda g: np.matmul(g, w.data.T)), (w, w_vjp)]
     if b is not None:
         out += b.data
@@ -716,20 +708,20 @@ def _share_topo(outs: tuple[Tensor, ...], part: Tensor) -> list[Tensor]:
     return topo
 
 
-def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor,
-           starts: Sequence[int]) -> tuple[Tensor, ...]:
+def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tuple[Tensor, ...]:
     """``fn`` over row shares of ``x``, as nodes that hold the shares' results in order.
 
-    ``starts`` are the rows at which a share may begin, 0 first; the shares
-    are ``_runtime.workers()`` contiguous runs of them, as even as
-    ``np.array_split`` makes them. ``fn(part, rows)`` gets ``x[rows]`` as a
-    leaf of its own and returns a tuple of tensors whose first axis is those
-    rows; it builds them from ``part``, constants and parameters. The
-    calling thread runs the first share and helper threads (see
-    ``_runtime.run_shares``) the others. Every share finishes before the
-    call returns, and the first failing share's error is raised. The
-    backward walks each share's graph once, from its rows of the gradients
-    of all outputs, over the same threads, and joins the input gradients.
+    The shares are ``min(_runtime.workers(), rows)`` contiguous runs of
+    rows, as even as ``np.array_split`` makes them (the first ones a row
+    longer); this alone decides where a share begins. ``fn(part, rows)``
+    gets ``x[rows]`` as a leaf of its own and returns a tuple of tensors
+    whose first axis is those rows; it builds them from ``part``, constants
+    and parameters. The calling thread runs the first share and helper
+    threads (see ``_runtime.run_shares``) the others. Every share finishes
+    before the call returns, and the first failing share's error is raised.
+    The backward walks each share's graph once, from its rows of the
+    gradients of all outputs, over the same threads, and joins the input
+    gradients.
 
     A share may reach a leaf that requires gradients, other than its
     ``part``, only through a ``_RowSum`` edge; this raises ``ValueError``
@@ -742,9 +734,8 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor,
     whichever thread ran a share. With one share ``fn`` runs on ``x``
     itself and no node is added.
     """
-    groups = np.array_split(np.asarray(starts), min(_runtime.workers(), len(starts)))
-    bounds = [int(group[0]) for group in groups] + [x.shape[0]]
-    rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    shares = np.array_split(np.arange(x.shape[0]), min(_runtime.workers(), x.shape[0]))
+    rows = [slice(int(share[0]), int(share[-1]) + 1) for share in shares]
     if len(rows) == 1:
         outs = fn(x, rows[0])
         _share_topo(outs, x)

@@ -64,13 +64,25 @@ def _dataset_and_params(cfg: ExperimentConfig) -> tuple[Dataset, ModelParams]:
     if (channels, size, width) != (arch.channels, arch.image_size, arch.image_size):
         raise ConfigError(f"data.image_size = {size} and data.channels = {channels} do not fit the "
                           f"model's image_size = {arch.image_size} and channels = {arch.channels}")
+    if cfg.command not in ("pretrain", "mi-estimate") and dataset.num_classes > arch.num_classes:
+        raise ConfigError(f"data.num_classes = {dataset.num_classes} exceeds the model's "
+                          f"num_classes = {arch.num_classes}")
     return dataset, params
+
+
+def _check_mi_batches(n: int, batch_size: int, key: str, lam: float) -> None:
+    """Reject batches of ``n`` samples that leave one alone for an MI penalty of weight ``lam``."""
+    if lam > 0.0 and (n % batch_size or batch_size) < 2:
+        raise ConfigError(f"{key} = {batch_size} leaves a batch of 1 of the {n} images, and the "
+                          "MI penalty needs at least 2 per batch")
 
 
 def _cmd_train(cfg: ExperimentConfig) -> int:
     """Train every epoch, then save the checkpoint, then the metrics CSV; a run
     that fails before its last epoch ends writes nothing."""
     dataset, params = _dataset_and_params(cfg)
+    if cfg.command == "pretrain":
+        _check_mi_batches(len(dataset), cfg.train.batch_size, "train.batch_size", cfg.train.lam)
     epoch_fn = pretrain_epoch if cfg.command == "pretrain" else finetune_epoch
     state = TrainState.create(params, cfg.seed)
     rows = []
@@ -109,8 +121,10 @@ def _subset(dataset: Dataset, cfg: ExperimentConfig) -> Dataset:
 
 def _cmd_eval(cfg: ExperimentConfig) -> int:
     dataset, params = _dataset_and_params(cfg)
-    report = evaluate(params, _subset(dataset, cfg), _eval_jobs(cfg), seed=cfg.seed,
-                      batch_size=cfg.get("eval.batch_size", 64))
+    dataset, jobs = _subset(dataset, cfg), _eval_jobs(cfg)
+    batch_size = cfg.get("eval.batch_size", 64)
+    _check_mi_batches(len(dataset), batch_size, "eval.batch_size", max(job.lam for job in jobs))
+    report = evaluate(params, dataset, jobs, seed=cfg.seed, batch_size=batch_size)
     write_eval_csv(report, cfg.out_path("eval.csv"))
     return 0
 

@@ -9,18 +9,18 @@ All forward functions take and return autodiff tensors so both parameter
 gradients (training) and input gradients (attacks) are available.
 
 A pass whose batch holds more than one ``_forward_chunk`` runs in image
-shares through ``autodiff.shards`` (see ``_splits``), on live and on
+shares through ``autodiff.shards`` (see ``_split_pass``), on live and on
 constant parameters alike. A forward-only ``encode_full`` (neither the
 images nor any parameter requires gradients: ``eval``'s and
 ``landscape``'s classifier passes, ``mi-estimate``, ``attack_fea``'s clean
-latents and ``pgd``'s last-iterate score) also runs each share in
-consecutive chunks of images whose widest activation fits
-``FORWARD_CHUNK_BYTES``, so each layer's passes over its activations stay
-in cache; its shares hold whole chunks. Every encoder and decoder op works
-per image (batched GEMMs are per-image calls, layer norm and softmax are
-per row, gathers and scatters index within a row) and reads nothing but
-its operands, which is what ``shards`` needs for every value and gradient
-to be the bits of one pass over the batch, whatever the chunk size.
+latents and ``pgd``'s last-iterate score) also runs each share's images in
+consecutive chunks whose widest activation fits ``FORWARD_CHUNK_BYTES``,
+so each layer's passes over its activations stay in cache. Every encoder
+and decoder op works per image (batched GEMMs are per-image calls, layer
+norm and softmax are per row, gathers and scatters index within a row) and
+reads nothing but its operands, which is what ``shards`` needs for every
+value and gradient to be the bits of one pass over the batch, wherever a
+share or a chunk begins.
 """
 
 from __future__ import annotations
@@ -412,18 +412,14 @@ def _encode_decode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> tupl
 def autoencoder_pass(params: ModelParams, images: Tensor, plan: MaskPlan) -> AutoencoderPass:
     """patchify -> encode -> decode, keeping every intermediate the loss needs.
 
-    Encode and decode run in image shares (see ``_splits``), each share with
-    its rows of ``plan``; the latent tokens and the reconstruction are then
-    two outputs of one ``shards`` node, so a loss on both walks each share
-    once.
+    Encode and decode run in image shares (see ``_split_pass``), each share
+    with its rows of ``plan``; the latent tokens and the reconstruction are
+    then two outputs of one ``shards`` node, so a loss on both walks each
+    share once.
     """
     patches = patchify(images, params.config.patch_size)
-    batch = patches.shape[0]
-    if _splits(params, batch):
-        z, recon = ad.shards(lambda part, rows: _encode_decode(params, part, plan.rows(rows)),
-                             patches, range(batch))
-    else:
-        z, recon = _encode_decode(params, patches, plan)
+    z, recon = _split_pass(params, patches,
+                           lambda part, rows: _encode_decode(params, part, plan.rows(rows)))
     return AutoencoderPass(patches=patches, latent=LatentBatch(z=z, plan=plan), recon=recon)
 
 
@@ -439,36 +435,35 @@ def _forward_chunk(config: ViTConfig) -> int:
     return max(1, FORWARD_CHUNK_BYTES // widest)
 
 
-def _splits(params: ModelParams, batch: int) -> bool:
-    """Whether a pass over ``batch`` images runs in shares: the batch holds more than one
-    forward chunk."""
-    return batch > _forward_chunk(params.config)
+def _split_pass(params: ModelParams, x: Tensor, fn) -> tuple[Tensor, ...]:
+    """``fn(x, rows)`` over a batch of images, as ``ad.shards`` takes it: once when the batch
+    holds at most one forward chunk, in image shares through ``ad.shards`` otherwise."""
+    if x.shape[0] <= _forward_chunk(params.config):
+        return fn(x, slice(None))
+    return ad.shards(fn, x)
 
 
 def encode_full(params: ModelParams, images: Tensor) -> Tensor:
     """Encoder tokens ``[B, P, enc_dim]`` over every patch; shared by classify and attacks.
 
     No gather runs (nor its scatter backward); the tokens are bit-identical to
-    ``encode``'s under the identity plan with every patch visible. The batch
-    runs in shares (see ``_splits``); when no graph is needed, each share
-    runs in chunks of ``_forward_chunk`` images.
+    ``encode``'s under the identity plan with every patch visible. The batch runs in
+    shares (see ``_split_pass``), each in chunks of ``_forward_chunk`` images when
+    nothing needs a gradient.
     """
     cfg = params.config
     pos = Tensor(params["enc_pos"].data)
     patches = patchify(images, cfg.patch_size)
     _check_patches(cfg, patches)
-    batch = patches.shape[0]
-    if not _splits(params, batch):
-        return _encoder(params, patches, pos)
     if patches.requires_grad or next(params.trainable(), None) is not None:
-        return ad.shards(lambda part, _: (_encoder(params, part, pos),), patches, range(batch))[0]
+        return _split_pass(params, patches, lambda part, _: (_encoder(params, part, pos),))[0]
     chunk = _forward_chunk(cfg)
 
     def chunks(part: Tensor, _) -> tuple[Tensor]:
         return (ad.concat([_encoder(params, Tensor(part.data[start:start + chunk]), pos)
                            for start in range(0, part.shape[0], chunk)], axis=0),)
 
-    return ad.shards(chunks, patches, range(0, batch, chunk))[0]
+    return _split_pass(params, patches, chunks)[0]
 
 
 def _pooled_logits(params: ModelParams, z: Tensor) -> Tensor:

@@ -17,7 +17,7 @@ bits, so the results do not depend on which path ran. The attacks' own
 backward passes stay on constant parameters and write no ``.grad``.
 Fine-tuning runs a fresh forward at ``x + delta`` after its attack. The
 training forward and backward run in image shares like the attacks' passes
-(see ``autodiff.shards``).
+(see ``model._split_pass``).
 
 Checkpoint format (version 2, all integers little-endian):
     magic 'MIMR' | uint32 version
@@ -151,11 +151,12 @@ def adamw_step(state: TrainState, grads: dict[str, Array], lr: float, config: Tr
         p = state.params[name]
         if g.shape != p.data.shape:
             raise ValueError(f"adamw_step: gradient shape {g.shape} != param {p.data.shape} for {name}")
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
         eff = lr * (lr_scales.get(name, 1.0) if lr_scales else 1.0)
-        new = p.data - eff * (m / (1.0 - b1 ** t) / (np.sqrt(v / (1.0 - b2 ** t)) + 1e-8)
-                              + config.weight_decay * p.data)
+        with np.errstate(all="ignore"):  # a non-finite result is refused by name below
+            m = b1 * state.m[name] + (1.0 - b1) * g
+            v = b2 * state.v[name] + (1.0 - b2) * (g * g)
+            new = p.data - eff * (m / (1.0 - b1 ** t) / (np.sqrt(v / (1.0 - b2 ** t)) + 1e-8)
+                                  + config.weight_decay * p.data)
         if not np.isfinite(new).all():
             raise FloatingPointError(f"adamw_step: non-finite update for {name}")
         state.m[name], state.v[name], p.data = m, v, new
@@ -203,8 +204,6 @@ def _mimir_loss_parts(params: ModelParams, images: Array, plan: MaskPlan, delta:
         mse = ad.mse_loss(recon_patches, target_patches)
     if config.lam == 0.0:
         return mse, mse.item(), 0.0
-    if x.shape[0] < 2:
-        raise ValueError("the MI penalty needs a batch of at least 2 samples")
     x_vis = ad.gather_rows(forward.patches, plan.visible)
     pen = penalty_mi(x_vis, latent.z, penalty or PenaltyConfig(estimator=config.estimator))
     loss = ad.add(mse, ad.scale(pen, config.lam))

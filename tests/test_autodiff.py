@@ -450,23 +450,31 @@ class TestShards:
     def force_workers(self, monkeypatch, workers):
         monkeypatch.setattr(rt, "workers", lambda: workers)
 
-    def test_values_and_gradient_equal_one_pass(self, workers):
-        x = Tensor(np.random.default_rng(0).normal(size=(7, 3, 4)), requires_grad=True)
-        w = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
-        (out,) = ad.shards(lambda part, _: (ad.gelu(ad.linear(part, w)),), x, range(7))
-        whole = Tensor(x.data, requires_grad=True)
-        serial = ad.gelu(ad.linear(whole, w))
-        weights = Tensor(np.random.default_rng(2).normal(size=serial.shape))
-        ad.backward(ad.reduce_sum(ad.mul(out, weights)))
-        ad.backward(ad.reduce_sum(ad.mul(serial, weights)))
-        assert np.array_equal(out.data.view(np.int64), serial.data.view(np.int64))
-        assert np.array_equal(x.grad.view(np.int64), whole.grad.view(np.int64))
+    @pytest.mark.parametrize("w_shape", [(4, 5), (32, 32), (96, 384)])
+    def test_values_and_gradient_equal_one_pass(self, workers, w_shape):
+        """...and the weight gradient equals one batched product's terms summed over the rows,
+        for small and large weights."""
+        rng = np.random.default_rng(0)
+        data, w_data = rng.normal(size=(7, 3, w_shape[0])), rng.normal(size=w_shape)
+        weights = Tensor(rng.normal(size=(7, 3, w_shape[1])))
 
-    def test_shares_hold_runs_of_the_given_starts(self, workers):
+        def run(split):
+            x, w = Tensor(data, requires_grad=True), Tensor(w_data, requires_grad=True)
+            fn = lambda part, _: (ad.linear(part, w),)
+            (out,) = ad.shards(fn, x) if split else fn(x, slice(None))
+            ad.backward(ad.reduce_sum(ad.mul(out, weights)))  # out's gradient is ``weights``
+            return out.data, x.grad, w.grad
+
+        split, whole = run(True), run(False)
+        for a, b in zip(split, whole):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        batched = np.matmul(data.swapaxes(-1, -2), weights.data).sum(axis=0)
+        assert np.array_equal(split[2].view(np.int64), batched.view(np.int64))
+
+    def test_shares_are_even_runs_of_rows(self, workers):
         seen = []
-        ad.shards(lambda part, rows: seen.append(rows) or (part,), Tensor(np.zeros((13, 2))),
-                  range(0, 13, 5))
-        expected = {1: [(0, 13)], 2: [(0, 10), (10, 13)], 3: [(0, 5), (5, 10), (10, 13)]}
+        ad.shards(lambda part, rows: seen.append(rows) or (part,), Tensor(np.zeros((13, 2))))
+        expected = {1: [(0, 13)], 2: [(0, 7), (7, 13)], 3: [(0, 5), (5, 9), (9, 13)]}
         assert sorted((rows.start, rows.stop) for rows in seen) == expected[workers]
 
     @pytest.mark.parametrize("requires_grad", [True, False])
@@ -475,7 +483,7 @@ class TestShards:
         w = Tensor(np.ones(4), requires_grad=True)
         x = Tensor(np.ones((6, 4)), requires_grad=requires_grad)
         with pytest.raises(ValueError, match="through 'mul', whose gradient is not a sum over rows"):
-            ad.shards(lambda part, _: (ad.mul(part, w),), x, range(6))
+            ad.shards(lambda part, _: (ad.mul(part, w),), x)
         assert w.grad is None and _mimir_threads() == []
 
     @pytest.mark.parametrize("requires_grad", [True, False])
@@ -485,7 +493,7 @@ class TestShards:
             params = _live_params()
             x = Tensor(np.random.default_rng(3).normal(size=(7, 5, 8)), requires_grad=requires_grad)
             if split:
-                y, z = ad.shards(lambda part, _: _live_pass(params, part), x, range(7))
+                y, z = ad.shards(lambda part, _: _live_pass(params, part), x)
             else:
                 y, z = _live_pass(params, x)
             weights = np.random.default_rng(4)
@@ -506,7 +514,7 @@ class TestShards:
             names.add(threading.current_thread().name.split("_")[0])
             return (_probe(part, rows, []),)
 
-        (out,) = ad.shards(fn, x, range(9))
+        (out,) = ad.shards(fn, x)
         ad.backward(ad.reduce_sum(out))
         assert np.array_equal(x.grad, np.full((9, 2), 2.0))
         assert names == ({"MainThread"} if workers == 1 else {"MainThread", "mimir-shard"})
@@ -520,8 +528,7 @@ def test_every_share_finishes_before_a_helpers_error_is_raised(monkeypatch, work
     done = []
     # every helper share fails at once; the caller's share logs only after a pause
     fail = {2: {5}, 3: {3, 6}}[workers]
-    (out,) = ad.shards(lambda part, rows: (_probe(part, rows, done, fail=fail, pause=0.05),),
-                       x, range(9))
+    (out,) = ad.shards(lambda part, rows: (_probe(part, rows, done, fail=fail, pause=0.05),), x)
     with pytest.raises(FloatingPointError, match=f"share at row {min(fail)}$"):
         ad.backward(ad.reduce_sum(out))
     assert done == [0]
@@ -563,7 +570,7 @@ class TestLiveShareFailures:
             return out
 
         with pytest.raises(FloatingPointError, match="layer_norm: non-finite"):
-            ad.shards(fn, Tensor(data, requires_grad=True), range(9))
+            ad.shards(fn, Tensor(data, requires_grad=True))
         starts = {2: [0, 5], 3: [0, 3, 6]}[workers]
         failing = max(start for start in starts if start <= bad)
         assert sorted(done) == [start for start in starts if start != failing]
@@ -582,7 +589,7 @@ class TestLiveShareFailures:
             y, z = _live_pass(params, part)
             return y, _probe(z, rows, done, fail=failing, pause=0.05)
 
-        y, z = ad.shards(fn, x, range(9))
+        y, z = ad.shards(fn, x)
         with pytest.raises(FloatingPointError, match=f"share at row {min(failing)}$"):
             ad.backward(ad.add(ad.reduce_sum(y), ad.reduce_sum(z)))
         starts = {2: [0, 5], 3: [0, 3, 6]}[workers]
@@ -603,8 +610,7 @@ def test_bits_hold_with_more_workers_than_cores_and_rapid_switching(monkeypatch)
         x = Tensor(data, requires_grad=True)
         w1.zero_grad()
         w2.zero_grad()
-        (h,) = ad.shards(lambda part, _: (ad.linear(ad.gelu(ad.linear(part, w1)), w2),), x,
-                         range(12))
+        (h,) = ad.shards(lambda part, _: (ad.linear(ad.gelu(ad.linear(part, w1)), w2),), x)
         ad.backward(ad.reduce_sum(ad.square(h)))
         return [t.view(np.int64) for t in (x.grad, w1.grad, w2.grad)]
 

@@ -518,6 +518,43 @@ class TestRunConfig:
                                            "fit the model's image_size = 16 and channels = 1\n")
         assert not out.exists()
 
+    @staticmethod
+    def _checkpoint_config(tmp_path, command, *extra):
+        """BASE_CONFIG for ``command`` on a saved tiny checkpoint, ``extra`` lines replacing
+        their keys; only the training commands keep the train.* keys."""
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        keys = {line.split(" = ")[0] for line in extra}
+        lines = [line for line in BASE_CONFIG.format(out=tmp_path / "out").splitlines()
+                 if line.split(" = ")[0] not in keys
+                 and (command in ("pretrain", "finetune") or not line.startswith("train."))]
+        lines = [line.replace("command = pretrain", f"command = {command}") for line in lines]
+        lines += [f"checkpoint = {tmp_path / 'm.ckpt'}", "landscape.half_width = 0.1",
+                  "landscape.resolution = 3", *extra]
+        (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
+        return tmp_path / "c.cfg"
+
+    @pytest.mark.parametrize("command", ["finetune", "attack", "eval", "landscape"])
+    def test_labels_beyond_the_head_rejected_by_key(self, tmp_path, capsys, command):
+        """Left to run, these failed mid-run with a message that named no key."""
+        assert run_config(self._checkpoint_config(tmp_path, command, "data.num_classes = 5")) == 1
+        assert capsys.readouterr().err == ("error: data.num_classes = 5 exceeds the model's "
+                                           "num_classes = 4\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key", [("pretrain", "train.batch_size"),
+                                              ("eval", "eval.batch_size")])
+    def test_mi_penalty_batch_of_one_rejected_by_key(self, tmp_path, capsys, command, key):
+        """9 images in batches of 4 leave one alone; left to run, pretrain trained two steps and
+        eval ran its natural pass and ``ce`` attack before the MI penalty failed."""
+        extra = ["data.num_classes = 3", "data.samples_per_class = 3", f"{key} = 4"]
+        if command == "pretrain":
+            extra.append("train.lambda = 1e-3")
+        assert run_config(self._checkpoint_config(tmp_path, command, *extra)) == 1
+        assert capsys.readouterr().err == (f"error: {key} = 4 leaves a batch of 1 of the 9 images, "
+                                           "and the MI penalty needs at least 2 per batch\n")
+        assert not (tmp_path / "out").exists()
+
     def test_eval_model_key_contradicting_checkpoint_creates_nothing(self, tmp_path, capsys):
         save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
                         tmp_path / "m.ckpt")

@@ -309,9 +309,11 @@ def _encoder_threads(monkeypatch, fail=()):
 
 
 def _shares(batch, chunk, workers):
-    """First image of every chunk, grouped in the contiguous shares ``encode_full`` runs."""
-    starts = range(0, batch, chunk)
-    return [list(share) for share in np.array_split(starts, min(workers, len(starts)))]
+    """(first image, size) of every chunk, grouped in the even shares ``encode_full`` runs:
+    each share runs its own images in chunks from its first image on."""
+    return [[(start, min(chunk, share[-1] + 1 - start))
+             for start in range(share[0], share[-1] + 1, chunk)]
+            for share in np.array_split(np.arange(batch), min(workers, batch))]
 
 
 class TestForwardOnlyChunks:
@@ -321,7 +323,8 @@ class TestForwardOnlyChunks:
         assert model._forward_chunk(mid32_config) == 5   # 192 KiB of MLP hidden per image
         assert model._forward_chunk(tiny_config) == 64   # 16 KiB per image
 
-    @pytest.mark.parametrize("batch, chunks", [(13, [5, 5, 3]), (10, [5, 5]), (1, [1])])
+    @pytest.mark.parametrize("batch, chunks", [(13, [5, 5, 3]), (10, [5, 5]), (1, [1]),
+                                               (64, [5] * 12 + [4])])
     def test_bit_identical_to_the_graph_path(self, mid32_config, monkeypatch, batch, chunks):
         params = init_params(mid32_config, np.random.default_rng(0))
         imgs = _images(mid32_config, batch)
@@ -561,16 +564,22 @@ class TestForwardOnlyPool:
     def force_workers(self, monkeypatch, workers):
         monkeypatch.setattr(rt, "workers", lambda: workers)
 
-    def test_mid32_bit_identical_to_the_graph_path(self, mid32_config, monkeypatch, workers):
+    @pytest.mark.parametrize("batch", [13, 64])  # 64: mi-estimate's batch
+    def test_mid32_bit_identical_to_the_graph_path(self, mid32_config, monkeypatch, workers,
+                                                   batch):
+        """The graph path runs at one worker, as one unsplit pass (see ``_encoder_batches``)."""
         params = init_params(mid32_config, np.random.default_rng(0))
-        imgs = _marked_images(mid32_config, 13)
+        imgs = _marked_images(mid32_config, batch)
+        monkeypatch.setattr(rt, "workers", lambda: 1)
         graph = model.encode_full(params, Tensor(imgs))
+        monkeypatch.setattr(rt, "workers", lambda: workers)
         done = _encoder_threads(monkeypatch)
         pooled = model.encode_full(params.constants(), Tensor(imgs))
-        assert sorted(call[:2] for call in done) == [(0, 5), (5, 5), (10, 3)]
+        shares = _shares(batch, 5, workers)
+        assert sorted(call[:2] for call in done) == sorted(sum(shares, []))
         caller = threading.get_ident()
-        share = _shares(13, 5, workers)[0]
-        assert all((thread == caller) == (first in share) for first, _, thread in done)
+        assert all((thread == caller) == ((first, size) in shares[0])
+                   for first, size, thread in done)
         assert np.array_equal(pooled.data.view(np.int64), graph.data.view(np.int64))
 
     @pytest.mark.parametrize("budget_images", [1, 2, 3, 4, 7])
@@ -583,7 +592,8 @@ class TestForwardOnlyPool:
         monkeypatch.setattr(model, "FORWARD_CHUNK_BYTES", budget_images * widest)
         done = _encoder_threads(monkeypatch)
         pooled = model.encode_full(params, Tensor(imgs)).data
-        assert sorted(first for first, _, _ in done) == list(range(0, 9, budget_images))
+        chunks = sum(_shares(9, budget_images, workers), [])
+        assert sorted(call[:2] for call in done) == sorted(chunks)
         assert any(thread != threading.get_ident() for _, _, thread in done)
         assert np.array_equal(pooled.view(np.int64), whole.view(np.int64))
 
@@ -599,10 +609,10 @@ class TestForwardOnlyPool:
         with pytest.raises(FloatingPointError):
             model.encode_full(params, Tensor(poisoned))
         # every share ran to its end or to its failing chunk before the error surfaced
-        failing = bad // 5 * 5
-        skipped = {first for share in _shares(13, 5, workers) if failing in share
-                   for first in share if first >= failing}
-        assert sorted(first for first, _, _ in done) == sorted({0, 5, 10} - skipped)
+        expected = [first for share in _shares(13, 5, workers) for first, size in share
+                    if not any(start <= bad < start + size for start, size in share
+                               if start <= first)]
+        assert sorted(first for first, _, _ in done) == expected
         again = model.encode_full(params, Tensor(imgs)).data
         assert np.array_equal(again.view(np.int64), clean.view(np.int64))
 
@@ -610,7 +620,8 @@ class TestForwardOnlyPool:
                                                           workers):
         params = init_params(mid32_config, np.random.default_rng(0)).constants()
         imgs = _marked_images(mid32_config, 13)
-        done = _encoder_threads(monkeypatch, fail={5, 10})
+        # the caller's second chunk and every helper's first
+        done = _encoder_threads(monkeypatch, fail={2: {5, 7}, 3: {5, 9}}[workers])
         with pytest.raises(FloatingPointError, match="chunk at image 5$"):
             model.encode_full(params, Tensor(imgs))
         assert [first for first, _, _ in done] == [0]
@@ -625,7 +636,7 @@ class TestForwardOnlyPool:
         model.encode_full(params, Tensor(_images(mid32_config, 5)))
         assert used == []
         model.encode_full(params, Tensor(_images(mid32_config, 6)))
-        assert used == ["workers", 2]
+        assert used == ["workers", workers]
 
     @pytest.mark.parametrize("bad", [None, 0, 12], ids=["returns", "caller", "helper"])
     def test_no_helper_thread_outlives_the_call(self, mid32_config, monkeypatch, workers, bad):

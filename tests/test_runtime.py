@@ -154,7 +154,7 @@ def test_helpers_run_off_the_callers_cpu(monkeypatch):
         helpers.append((callers[-1], os.sched_getaffinity(0)))
         return (ad._result(out.data, "spy", [(out, vjp)]),)
 
-    (out,) = ad.shards(fn, Tensor(np.zeros((4, 1, 1))), range(4))
+    (out,) = ad.shards(fn, Tensor(np.zeros((4, 1, 1))))
     ad.backward(ad.reduce_sum(out))
     allowed = os.sched_getaffinity(0)
     assert len(callers) == 2 and len(helpers) == 2  # the helper of the pass and of its backward
@@ -199,3 +199,19 @@ def test_only_the_runtime_imports_ctypes_or_an_executor():
         if found:
             offenders[path.name] = found
     assert offenders == {}
+
+
+def test_only_the_split_pass_helper_calls_shards():
+    """``model._split_pass`` alone decides whether a pass runs in shares."""
+    callers = set()
+    for path in sorted(Path(rt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): "<module>" for node in ast.walk(tree)}
+        for func in ast.walk(tree):  # outer functions come first, so inner ones win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        callers.update((path.name, owner[id(node)]) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and "shards" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None)))
+    assert callers == {("model.py", "_split_pass")}

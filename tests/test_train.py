@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -106,7 +107,8 @@ class TestAdamW:
         grad = np.ones_like(state.params["head.bias"].data)
         grad[0] = np.inf
         before = state.params["head.bias"].data
-        with pytest.raises(FloatingPointError, match="head.bias"), np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="head.bias"), warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error alone, with no numpy warning before it
             adamw_step(state, {"head.bias": grad}, 0.01, small_train_config())
         assert state.params["head.bias"].data is before and not state.m["head.bias"].any()
 
@@ -181,7 +183,7 @@ class TestMimirLoss:
     def test_penalty_needs_batch(self):
         params, imgs, plan, delta, cfg = self._setup(1e-5)
         single_plan = sample_mask(16, 0.75, np.random.default_rng(0), batch_size=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^penalty_mi: batch must contain at least 2 samples$"):
             mimir_loss(params, imgs[:1], single_plan, delta[:1], cfg)
 
     def test_masked_only_flag(self):
