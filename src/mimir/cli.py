@@ -33,21 +33,20 @@ from .evaluate import (AttackJob, attack_batches, evaluate, landscape_grid, writ
 from .mi import hsic_from_grams, rbf_gram, renyi_mi_from_grams
 from .model import ModelParams, encode_full, init_params
 from .autodiff import Tensor
-from .train import (TrainConfig, TrainState, finetune_epoch, load_checkpoint, pretrain_epoch,
-                    save_checkpoint)
+from .train import TrainState, finetune_epoch, load_checkpoint, pretrain_epoch, save_checkpoint
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     source = cfg.get("data.source")
     if source == "cifar10":
-        return load_cifar10_binary(cfg.get("data.dir"), cfg.get("data.split", "train"))
+        return load_cifar10_binary(cfg.get("data.dir"), cfg.get("data.split"))
     return synth_dataset(
         num_classes=cfg.get("data.num_classes"),
         samples_per_class=cfg.get("data.samples_per_class"),
         image_size=cfg.get("data.image_size"),
         noise=cfg.get("data.noise"),
-        rng=np.random.default_rng([cfg.seed, 1]),
-        channels=cfg.get("data.channels", 1),
+        rng=np.random.default_rng([cfg.get("seed"), 1]),
+        channels=cfg.get("data.channels"),
     )
 
 
@@ -57,7 +56,7 @@ def _dataset_and_params(cfg: ExperimentConfig) -> tuple[Dataset, ModelParams]:
         params = load_checkpoint(cfg.get("checkpoint")).params
         cfg.check_model_keys(params.config)
     else:
-        params = init_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
+        params = init_params(cfg.model, np.random.default_rng([cfg.get("seed"), 0]))
     dataset = _build_dataset(cfg)
     arch = params.config
     _, channels, size, width = dataset.images.shape
@@ -84,7 +83,7 @@ def _cmd_train(cfg: ExperimentConfig) -> int:
     if cfg.command == "pretrain":
         _check_mi_batches(len(dataset), cfg.train.batch_size, "train.batch_size", cfg.train.lam)
     epoch_fn = pretrain_epoch if cfg.command == "pretrain" else finetune_epoch
-    state = TrainState.create(params, cfg.seed)
+    state = TrainState.create(params, cfg.get("seed"))
     rows = []
     for _ in range(cfg.train.total_epochs):
         metrics = epoch_fn(state, dataset, cfg.train)
@@ -98,10 +97,10 @@ def _cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def _eval_jobs(cfg: ExperimentConfig) -> list[AttackJob]:
-    adaptive_iters = cfg.get("eval.adaptive_iters", 100)
-    lam = cfg.get("eval.lambda", cfg.get("train.lambda", TrainConfig.lam))
+    adaptive_iters = cfg.get("eval.adaptive_iters")
+    lam = cfg.get("eval.lambda")
     jobs = []
-    for kind in (entry.strip() for entry in str(cfg.get("eval.attacks", "ce,mi,fea")).split(",")):
+    for kind in (entry.strip() for entry in cfg.get("eval.attacks").split(",")):
         if kind == "ce":
             jobs.append(AttackJob(f"pgd{cfg.attack.iters}", "ce", cfg.attack))
         else:  # "mi" or "fea"; load_config rejects any other entry
@@ -122,9 +121,9 @@ def _subset(dataset: Dataset, cfg: ExperimentConfig) -> Dataset:
 def _cmd_eval(cfg: ExperimentConfig) -> int:
     dataset, params = _dataset_and_params(cfg)
     dataset, jobs = _subset(dataset, cfg), _eval_jobs(cfg)
-    batch_size = cfg.get("eval.batch_size", 64)
+    batch_size = cfg.get("eval.batch_size")
     _check_mi_batches(len(dataset), batch_size, "eval.batch_size", max(job.lam for job in jobs))
-    report = evaluate(params, dataset, jobs, seed=cfg.seed, batch_size=batch_size)
+    report = evaluate(params, dataset, jobs, seed=cfg.get("seed"), batch_size=batch_size)
     write_eval_csv(report, cfg.out_path("eval.csv"))
     return 0
 
@@ -134,7 +133,7 @@ def _cmd_attack(cfg: ExperimentConfig) -> int:
     dataset, params = _dataset_and_params(cfg)
     dataset = _subset(dataset, cfg)
     rows = []
-    for x, y, (rng,) in attack_batches(dataset, cfg.get("eval.batch_size", 64), cfg.seed, 1):
+    for x, y, (rng,) in attack_batches(dataset, cfg.get("eval.batch_size"), cfg.get("seed"), 1):
         pert = attack_ce(params, x, y, cfg.attack, rng)
         rows.append((pert.achieved_loss, float(np.max(np.abs(pert.delta))), len(y)))
     mean_obj = sum(r[0] * r[2] for r in rows) / len(dataset)
@@ -154,8 +153,8 @@ def _cmd_landscape(cfg: ExperimentConfig) -> int:
     dataset, params = _dataset_and_params(cfg)
     rows = landscape_grid(params, dataset, cfg.get("landscape.half_width"),
                           cfg.get("landscape.resolution"),
-                          np.random.default_rng(cfg.seed),
-                          batch_size=cfg.get("landscape.batch_size", 64))
+                          np.random.default_rng(cfg.get("seed")),
+                          batch_size=cfg.get("landscape.batch_size"))
     write_landscape_csv(rows, cfg.out_path("landscape.csv"))
     return 0
 
@@ -163,7 +162,7 @@ def _cmd_landscape(cfg: ExperimentConfig) -> int:
 def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
     """Dependence estimates between inputs and their encoder latents."""
     dataset, params = _dataset_and_params(cfg)
-    n = min(len(dataset), cfg.get("mi.batch_size", 64))
+    n = min(len(dataset), cfg.get("mi.batch_size"))
     if n < 2:
         raise ConfigError("mi-estimate needs at least 2 samples")
     x = dataset.images[:n]
@@ -172,7 +171,7 @@ def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
     gram_x = rbf_gram(x.reshape(n, -1))
     gram_z = rbf_gram(z.reshape(n, -1))
     estimates = [hsic_from_grams(gram_x, gram_z),
-                 renyi_mi_from_grams(gram_x, gram_z, alpha=cfg.get("mi.alpha", 2.0))]
+                 renyi_mi_from_grams(gram_x, gram_z, alpha=cfg.get("mi.alpha"))]
     write_csv(cfg.out_path("mi.csv"), "estimator,alpha,value",
               ((est.estimator, "" if est.alpha is None else f"{est.alpha:g}", f"{est.value:.10e}")
                for est in estimates))

@@ -4,10 +4,14 @@ Format: one ``key = value`` per line, ``#`` comments, section prefixes in
 the key (``train.base_lr = 1.5e-4``). Unknown keys are rejected by name and
 missing required keys for the selected command are listed together, so a
 typo can never silently change an experiment. Parsing a serialized config
-reproduces the identical structure. The ``model.*``, ``train.*`` and
-``attack.*`` keys are fields of ``ViTConfig``, ``TrainConfig`` and
-``AttackSpec``, which own their types, defaults and ranges; ``load_config``
-builds them, so a bad value fails by key and line before any command runs.
+reproduces the identical structure.
+
+Each key has one owner. ``KEYS`` holds every other key's parser, what it
+accepts in words and its default, which ``ExperimentConfig.get`` returns
+while the key is unset. The ``model.*``, ``train.*`` and ``attack.*`` keys
+are fields of the ``SECTIONS`` dataclasses, which own their types, defaults
+and ranges; ``load_config`` builds them, so a bad value fails by key and
+line before any command runs. A test renders README's key table from both.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 from .attacks import AttackSpec, adaptive_attack_spec, finetune_attack_spec, pretrain_attack_spec
 from .bounds import _check_grid_step
@@ -35,19 +39,34 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-def _at_least(low, kind: str, cast=int, odd: bool = False):
+@dataclass(frozen=True)
+class Key:
+    """A key outside the dataclass sections: its parser, what that parser accepts in words,
+    and its value while unset: the value of ``same_as`` if one is named, else ``default``."""
+
+    parse: Callable[[str], object]
+    accepts: str
+    default: object = None
+    same_as: str | None = None
+
+
+def _at_least(low, accepts: str, cast=int, odd: bool = False, **unset) -> Key:
     def parse(raw):
         value = cast(raw)
         if not value >= low or (odd and value % 2 == 0):
-            raise ValueError(f"expected {kind}, got {value}")
+            raise ValueError(f"expected {accepts}, got {value}")
         return value
-    return parse
+    return Key(parse, accepts, **unset)
 
 
-_parse_positive_int = _at_least(1, "a positive integer")
-_parse_non_negative_int = _at_least(0, "a non-negative integer")
-_parse_int_at_least_2 = _at_least(2, "an integer >= 2")
-_parse_non_negative_float = _at_least(0.0, "a non-negative number", float)
+def _one_of(*choices: str, default: str | None = None) -> Key:
+    accepts = "one of " + ", ".join(choices)
+
+    def parse(raw):
+        if raw not in choices:
+            raise ValueError(f"expected {accepts}, got {raw!r}")
+        return raw
+    return Key(parse, accepts, default)
 
 
 def _parse_eval_attacks(raw: str) -> str:
@@ -57,55 +76,75 @@ def _parse_eval_attacks(raw: str) -> str:
     return raw
 
 
-def _field_keys(section: str, cls, skip: tuple[str, ...] = ()) -> dict[str, object]:
-    """``section.<field>`` -> its parser, for each field of ``cls`` not in ``skip``."""
-    hints = get_type_hints(cls)
-    return {f"{section}.{f.name}": _parse_bool if hints[f.name] is bool else hints[f.name]
-            for f in fields(cls) if f.name not in skip}
+COMMANDS = ("pretrain", "finetune", "attack", "eval", "bounds", "landscape", "mi-estimate")
+_COUNT, _EXTENT, _WEIGHT = "a positive integer", "an integer >= 2", "a non-negative number"
 
+# every key outside SECTIONS; README's key table is rendered from this and SECTIONS
+KEYS: dict[str, Key] = {
+    "command": _one_of(*COMMANDS),
+    "seed": _at_least(0, "a non-negative integer", default=0),
+    "out_dir": Key(str, "a path"),
+    "checkpoint": Key(str, "a path"),
+    "data.source": _one_of("synth", "cifar10"),
+    "data.dir": Key(str, "a path"),
+    "data.split": _one_of("train", "test", default="train"),
+    "data.num_classes": _at_least(2, _EXTENT),
+    "data.samples_per_class": _at_least(1, _COUNT),
+    "data.image_size": _at_least(2, _EXTENT),
+    "data.channels": _at_least(1, _COUNT, default=1),
+    "data.noise": _at_least(0.0, _WEIGHT, float),
+    "train.lambda": _at_least(0.0, _WEIGHT, float, default=TrainConfig.lam),
+    "eval.attacks": Key(_parse_eval_attacks, "a comma list of ce, mi, fea", "ce,mi,fea"),
+    "eval.adaptive_iters": _at_least(1, _COUNT, default=100),
+    "eval.lambda": _at_least(0.0, _WEIGHT, float, same_as="train.lambda"),
+    "eval.batch_size": _at_least(1, _COUNT, default=64),
+    "eval.subset": _at_least(1, _COUNT),
+    "bounds.num_classes": _at_least(2, _EXTENT),
+    "bounds.step": Key(_check_grid_step, "a number in (0, 0.1]"),
+    "landscape.half_width": Key(_check_half_width, "a positive number"),
+    "landscape.resolution": _at_least(3, "an odd integer >= 3", odd=True),
+    "landscape.batch_size": _at_least(1, _COUNT, default=64),
+    "mi.alpha": Key(_check_alpha, "a positive number other than 1", 2.0),
+    "mi.batch_size": _at_least(1, _COUNT, default=64),
+}
+
+# section -> the dataclass whose scalar fields are its keys, and where an unset key's value
+# comes from: load_config sets the attack.* and betas defaults per command (_PER_COMMAND)
+SECTIONS: dict[str, tuple[type, str]] = {
+    "model": (ViTConfig, "the dataclass's"),
+    "train": (TrainConfig, "the dataclass's, but betas per command"),
+    "attack": (AttackSpec, "per command"),
+}
 
 # the name a dataclass check uses -> the train.* key named apart from its field
 _KEY_OF = {"lam": "train.lambda", "betas[0]": "train.beta1", "betas[1]": "train.beta2"}
-_ATTACK_DEFAULTS = {"pretrain": pretrain_attack_spec(), "finetune": finetune_attack_spec()}
 
-COMMANDS = ("pretrain", "finetune", "attack", "eval", "bounds", "landscape", "mi-estimate")
+
+def _field_keys(section: str, cls) -> dict[str, object]:
+    """``section.<field>`` -> its parser, for each scalar field of ``cls`` that keeps its name."""
+    hints = get_type_hints(cls)
+    return {f"{section}.{f.name}": _parse_bool if hints[f.name] is bool else hints[f.name]
+            for f in fields(cls)
+            if hints[f.name] in (bool, int, float, str) and f.name not in _KEY_OF}
+
 
 # key -> parser; every accepted key appears here
-KEY_TYPES: dict[str, type | object] = {
-    "command": str,
-    "seed": _parse_non_negative_int,
-    "out_dir": str,
-    "checkpoint": str,
-    "data.source": str,
-    "data.dir": str,
-    "data.split": str,
-    "data.num_classes": _parse_int_at_least_2,
-    "data.samples_per_class": _parse_positive_int,
-    "data.image_size": _parse_int_at_least_2,
-    "data.channels": _parse_positive_int,
-    "data.noise": _parse_non_negative_float,
-    **_field_keys("model", ViTConfig),
-    **_field_keys("train", TrainConfig, skip=("attack", "betas", "lam")),
-    "train.lambda": _parse_non_negative_float,
+KEY_TYPES: dict[str, object] = {
+    **{key: spec.parse for key, spec in KEYS.items()},
+    **{key: parse for section, (cls, _) in SECTIONS.items()
+       for key, parse in _field_keys(section, cls).items()},
     "train.beta1": float,
     "train.beta2": float,
-    **_field_keys("attack", AttackSpec, skip=("box",)),
-    "eval.attacks": _parse_eval_attacks,
-    "eval.adaptive_iters": _parse_positive_int,
-    "eval.lambda": _parse_non_negative_float,
-    "eval.batch_size": _parse_positive_int,
-    "eval.subset": _parse_positive_int,
-    "bounds.num_classes": _parse_int_at_least_2,
-    "bounds.step": _check_grid_step,
-    "landscape.half_width": _check_half_width,
-    "landscape.resolution": _at_least(3, "an odd integer >= 3", odd=True),
-    "landscape.batch_size": _parse_positive_int,
-    "mi.alpha": _check_alpha,
-    "mi.batch_size": _parse_positive_int,
 }
 
-_DATA_KEYS_SYNTH = ("data.num_classes", "data.samples_per_class", "data.image_size", "data.noise")
-_DATA_KEYS_CIFAR = ("data.dir",)
+# command -> its attack.* defaults and its train.beta1, train.beta2 defaults; every other
+# command attacks with PGD-20, the adaptive schedule cut to 20 steps
+_PER_COMMAND = {"pretrain": (pretrain_attack_spec(), TrainConfig.betas),
+                "finetune": (finetune_attack_spec(), (0.9, 0.999))}
+
+_DATA_KEYS = {"synth": ("data.num_classes", "data.samples_per_class", "data.image_size",
+                        "data.noise"),
+              "cifar10": ("data.dir",)}
 
 _MODEL_KEYS = ("model.image_size", "model.patch_size")
 _TRAIN_KEYS = ("out_dir", "data.source", "train.base_lr", "train.total_epochs", "train.batch_size")
@@ -133,12 +172,12 @@ class ExperimentConfig:
     model: ViTConfig | None = None      # built when model.image_size is set
     train: TrainConfig | None = None    # built when the required train.* keys are set
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
-    @property
-    def seed(self) -> int:
-        return int(self.values.get("seed", 0))
+    def get(self, key: str):
+        """The value of ``key`` as set, else its default; KeyError for a key outside ``KEYS``."""
+        spec = KEYS[key]
+        if key in self.values:
+            return self.values[key]
+        return self.get(spec.same_as) if spec.same_as else spec.default
 
     @property
     def out_dir(self) -> str:
@@ -204,19 +243,11 @@ def _build(lines: dict[str, int], section: str, make, *args, **kwargs):
 
 
 def _validate(values: dict[str, object], command: str) -> None:
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
     required = list(REQUIRED[command])
     if command == "finetune":
         required += ["checkpoint"] if "checkpoint" in values else _MODEL_KEYS
-    source = values.get("data.source")
-    if "data.source" in required and source is not None:
-        if source == "synth":
-            required += list(_DATA_KEYS_SYNTH)
-        elif source == "cifar10":
-            required += list(_DATA_KEYS_CIFAR)
-        else:
-            raise ConfigError(f"data.source must be 'synth' or 'cifar10', got {source!r}")
+    if "data.source" in required and "data.source" in values:
+        required += _DATA_KEYS[values["data.source"]]
     missing = [key for key in required if key not in values]
     if missing:
         raise ConfigError(f"missing required keys for {command}: {', '.join(sorted(missing))}")
@@ -233,28 +264,24 @@ def load_config(path, command: str | None = None, seed: int | None = None,
             values, lines = _parse(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if command is None:
-        command = values.get("command")
-        if command is None:
-            raise ConfigError("no command given and the config has no 'command' key")
-    if seed is not None:
-        try:
-            values["seed"] = _parse_non_negative_int(seed)
-        except ValueError as exc:
-            raise ConfigError(f"--seed override: bad value for 'seed': {exc}") from exc
-    if out_dir is not None:
-        values["out_dir"] = str(out_dir)
-    command = values["command"] = str(command)
+    if command is None and "command" not in values:
+        raise ConfigError("no command given and the config has no 'command' key")
+    for key, raw, source in (("command", command, "command"), ("seed", seed, "--seed"),
+                             ("out_dir", out_dir, "--out")):
+        if raw is not None:
+            try:
+                values[key] = KEYS[key].parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{source} override: bad value for {key!r}: {exc}") from exc
+    command = values["command"]
     _validate(values, command)
     cfg = ExperimentConfig(command=command, values=values)
-    # attack and eval default to PGD-20: the adaptive schedule cut to 20 steps
-    default = _ATTACK_DEFAULTS.get(command) or adaptive_attack_spec(iters=20)
-    cfg.attack = _build(lines, "attack", replace, default, **cfg._section("attack."))
+    attack, betas = _PER_COMMAND.get(command, (adaptive_attack_spec(iters=20), TrainConfig.betas))
+    cfg.attack = _build(lines, "attack", replace, attack, **cfg._section("attack."))
     if "model.image_size" in values:
         cfg.model = _build(lines, "model", ViTConfig, **cfg._section("model."))
     train = cfg._section("train.")
     if {"base_lr", "total_epochs", "batch_size"} <= train.keys():
-        betas = (0.9, 0.999) if command == "finetune" else TrainConfig.betas
         betas = (train.pop("beta1", betas[0]), train.pop("beta2", betas[1]))
         if "lambda" in train:
             train["lam"] = train.pop("lambda")

@@ -4,13 +4,16 @@ Images are float64 in [0, 1], shaped [N, C, H, W]. The CIFAR-10 loader reads
 the standard binary batch files; the synthetic generator produces
 class-conditional stripe patterns that a nearest-template classifier
 separates perfectly at zero noise, which keeps desk-scale experiments
-meaningful. ``write_csv`` writes every CSV artifact.
+meaningful. ``write_csv`` writes every CSV artifact, and ``_replacing`` makes
+each artifact write, CSV or checkpoint, replace its file in one step.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +116,26 @@ def synth_dataset(num_classes: int, samples_per_class: int, image_size: int, noi
                    num_classes=num_classes)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A temporary path beside ``path`` to write, moved over ``path`` when the block ends and
+    removed if it raises; ``path`` keeps the permission bits writing in place would give it."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path, header: str, rows) -> None:
     """Write ``header`` and each row's formatted fields, comma-joined; every line is
     built before the file is opened, so a row that fails to format leaves no file."""
     text = "".join(f"{line}\n" for line in [header, *(",".join(row) for row in rows)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -34,8 +34,9 @@ Each tensor table is a uint32 count followed by entries of:
     uint16 name length | UTF-8 name | uint8 dtype (0 = float64)
     | uint8 flags (bit 0: requires_grad) | uint8 rank | uint32 extents...
     | little-endian IEEE-754 payload
-Round trips are byte-exact, so saving, loading, and saving again produces
-identical files and resuming reproduces an uninterrupted run bit for bit.
+and names no tensor twice. Round trips are byte-exact, so saving, loading,
+and saving again produces identical files and resuming reproduces an
+uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import _replacing
 from .attacks import AttackSpec, attack_ce, attack_recon
 from .mi import PenaltyConfig, penalty_mi
 from .model import (AutoencoderPass, MaskPlan, ModelParams, ViTConfig, autoencoder_pass, classify,
@@ -334,9 +336,10 @@ class _Reader:
         return self.pos == self.end
 
 
-def _read_tensor_table(r: _Reader) -> list[tuple[str, Array, bool]]:
+def _read_tensor_table(r: _Reader, table: str) -> dict[str, tuple[Array, bool]]:
+    """The ``table`` tensors by name, with their requires_grad flags; a repeated name fails."""
     (count,) = r.unpack("<I")
-    entries = []
+    entries = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         try:
@@ -354,7 +357,9 @@ def _read_tensor_table(r: _Reader) -> list[tuple[str, Array, bool]]:
         size = int(np.prod(extents)) if extents else 1
         payload = r.take(size * 8)
         data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(extents)
-        entries.append((name, data, bool(flags & 1)))
+        if name in entries:
+            raise CheckpointError(f"the {table} table lists {name!r} twice")
+        entries[name] = (data, bool(flags & 1))
     return entries
 
 
@@ -373,7 +378,7 @@ def save_checkpoint(state: TrainState, path) -> None:
     chunks.append(struct.pack("<I", len(rng_json)))
     chunks.append(rng_json)
     blob = b"".join(chunks)
-    with open(path, "wb") as fh:
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(blob)
         fh.write(struct.pack("<I", zlib.crc32(blob)))
 
@@ -419,10 +424,11 @@ def load_checkpoint(path) -> TrainState:
         config = ViTConfig(**json.loads(config_blob.decode("utf-8")))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt architecture description: {exc!r}") from exc
-    tensors = {name: Tensor(data, requires_grad=rg) for name, data, rg in _read_tensor_table(r)}
+    tensors = {name: Tensor(data, requires_grad=rg)
+               for name, (data, rg) in _read_tensor_table(r, "parameter").items()}
     params = ModelParams(config=config, tensors=tensors)
-    m = {name: data for name, data, _ in _read_tensor_table(r)}
-    v = {name: data for name, data, _ in _read_tensor_table(r)}
+    m = {name: data for name, (data, _) in _read_tensor_table(r, "m").items()}
+    v = {name: data for name, (data, _) in _read_tensor_table(r, "v").items()}
     step, epoch = r.unpack("<QQ")
     (rng_len,) = r.unpack("<I")
     rng_blob = r.take(rng_len)

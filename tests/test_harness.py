@@ -1,6 +1,8 @@
 import ast
+import itertools
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -19,8 +21,9 @@ from mimir.attacks import (AttackSpec, adaptive_attack_spec, attack_ce, finetune
 from mimir import cli
 from mimir.cli import _cmd_attack, _eval_jobs, main, run_config
 from mimir.config import ConfigError, ExperimentConfig, load_config, parse_config_text, serialize_config
-from mimir.data import Dataset, class_templates, load_cifar10_binary, synth_dataset
+from mimir.data import Dataset, class_templates, load_cifar10_binary, synth_dataset, write_csv
 from mimir.evaluate import AttackJob, evaluate, landscape_grid
+from mimir import config as config_module
 from mimir import evaluate as evaluate_module
 from mimir import mi
 from mimir.model import classify, encode_full, init_params
@@ -356,6 +359,38 @@ class TestConfig:
         path.write_text("command = trainify\nout_dir = x\n")
         with pytest.raises(ConfigError, match="trainify"):
             load_config(path)
+        path.write_text("out_dir = x\n")
+        with pytest.raises(ConfigError, match="^command override: bad value for 'command': "
+                                              "expected one of pretrain, .*, got 'trainify'$"):
+            load_config(path, command="trainify")
+
+    @pytest.mark.parametrize("extra", [
+        ("data.source = synth", "data.split = tset"), ("data.source = cifar10", "data.split = tset"),
+        ("data.source = synth", "data.split = Train"), ("data.source = cifar",)])
+    def test_data_source_and_split_named_by_key_and_line(self, tmp_path, extra):
+        """A typo fails at load, also where the source never reads ``data.split``."""
+        key, value = extra[-1].split(" = ")
+        choices = "train, test" if key == "data.split" else "synth, cifar10"
+        lines = [line for line in BASE_CONFIG.format(out=tmp_path / "out").splitlines()
+                 if not line.startswith("data.source = ")] + [f"data.dir = {tmp_path}", *extra]
+        (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(tmp_path / "c.cfg")
+        assert str(err.value) == (f"line {len(lines)}: bad value for {key!r}: "
+                                  f"expected one of {choices}, got {value!r}")
+
+    def test_get_returns_the_set_value_or_the_table_default(self):
+        cfg = ExperimentConfig(command="eval", values={"eval.batch_size": 8})
+        assert (cfg.get("eval.batch_size"), cfg.get("landscape.batch_size")) == (8, 64)
+        assert [cfg.get(key) for key in ("seed", "data.split", "eval.subset")] == [0, "train", None]
+        for name in ("no.such.key", "eval.pgd_iters", "model.image_size"):
+            with pytest.raises(KeyError):
+                cfg.get(name)
+
+    @pytest.mark.parametrize("values, lam", [({}, TrainConfig.lam), ({"train.lambda": 0.5}, 0.5),
+                                             ({"train.lambda": 0.5, "eval.lambda": 0.25}, 0.25)])
+    def test_eval_lambda_falls_back_to_train_lambda(self, values, lam):
+        assert ExperimentConfig(command="eval", values=values).get("eval.lambda") == lam
 
     MINIMAL = ("out_dir = out\ndata.source = synth\ndata.num_classes = 2\ndata.samples_per_class = 1\n"
                "data.image_size = 4\ndata.noise = 0\nmodel.image_size = 4\nmodel.patch_size = 2\n"
@@ -843,7 +878,111 @@ def test_only_the_csv_and_checkpoint_writers_open_files_for_writing():
     assert offenders == []
 
 
-CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_table(header: str) -> list[str]:
+    """The lines of README's markdown table whose first row is ``header``."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(header)
+    return list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+
+
+def _key_table() -> list[str]:
+    """README's key table as the code has it: a row for each ``KEYS`` entry and each section."""
+    def unset(spec):
+        if spec.same_as:
+            return f"`{spec.same_as}`"
+        return "—" if spec.default is None else f"`{spec.default}`"
+
+    rows = {key: (spec.accepts, unset(spec)) for key, spec in config_module.KEYS.items()}
+    for section, (cls, default) in config_module.SECTIONS.items():
+        renamed = "".join(f"; `{key}` sets `{name}`" for name, key in config_module._KEY_OF.items()
+                          if key.startswith(f"{section}."))
+        rows[f"{section}.*"] = (f"a field of `{cls.__name__}`{renamed}", default)
+    return ["| key | accepts | default |", "| --- | --- | --- |",
+            *(f"| `{key}` | {accepts} | {default} |"
+              for key, (accepts, default) in sorted(rows.items()))]
+
+
+class TestReadme:
+    """README's tables and example say what the code does."""
+
+    def test_key_table_is_rendered_from_the_code(self):
+        expected = _key_table()
+        assert _readme_table(expected[0]) == expected, (
+            "README's key table differs from the code; it should read:\n" + "\n".join(expected))
+
+    def test_example_config_loads(self, tmp_path):
+        block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "exp.cfg").write_text(block)
+        cfg = load_config(tmp_path / "exp.cfg")
+        assert cfg.command == "pretrain" and cfg.model is not None and cfg.train is not None
+
+    def test_csv_schemas_are_the_headers_the_commands_write(self, tmp_path):
+        out = tmp_path / "out"
+        extra = {"pretrain": "", "finetune": "checkpoint = {out}/pretrain.ckpt\nattack.iters = 1\n",
+                 "bounds": "bounds.num_classes = 4\nbounds.step = 0.1\n"}
+        for command in ("pretrain", "finetune", "eval", "attack", "landscape", "mi-estimate",
+                        "bounds"):
+            text = extra.get(command, "checkpoint = {out}/finetune.ckpt\nattack.iters = 1\n"
+                             "eval.adaptive_iters = 1\nlandscape.half_width = 0.1\n"
+                             "landscape.resolution = 3\n")
+            (tmp_path / "c.cfg").write_text(BASE_CONFIG.format(out=out).replace(
+                "command = pretrain", f"command = {command}") + text.format(out=out))
+            assert run_config(tmp_path / "c.cfg") == 0, command
+        written = {path.name: path.read_text().splitlines()[0] for path in out.glob("*.csv")}
+        documented = {}
+        for row in _readme_table("| file | schema |")[2:]:
+            files, schema = row.strip("| ").split(" | ")
+            documented.update((name, re.findall(r"`([^`]+)`", schema)[0])
+                              for name in re.findall(r"`([^`]+)`", files))
+        assert documented == written
+
+
+def _write_checkpoint(path):
+    save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                    path)
+
+
+class TestArtifactWriters:
+    """Each writer replaces its file in one step, with the permission bits ``open`` gives."""
+
+    @pytest.mark.parametrize("name", ["a.csv", "m.ckpt"])
+    def test_writer_failing_partway_leaves_the_earlier_bytes_and_no_stray_file(self, tmp_path,
+                                                                             monkeypatch, name):
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            write_csv(path, "a,b", [("1", "2")])
+            # the text is built, then its encoding fails once the file is open
+            write = lambda: write_csv(path, "a,b", [("1", "\ud800")])
+        else:
+            _write_checkpoint(path)
+            # the payload is written, then the checksum trailer fails
+            monkeypatch.setattr(zlib, "crc32", lambda blob: 1 / 0)
+            write = lambda: _write_checkpoint(path)
+        earlier = path.read_bytes()
+        with pytest.raises((UnicodeEncodeError, ZeroDivisionError)):
+            write()
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("name", ["a.csv", "m.ckpt"])
+    def test_new_file_gets_opens_bits_and_a_rewritten_one_keeps_its_own(self, tmp_path, name):
+        path = tmp_path / name
+        write = (lambda: write_csv(path, "a", [])) if name.endswith(".csv") else (
+            lambda: _write_checkpoint(path))
+        with open(tmp_path / "by_open", "w"):
+            pass
+        write()
+        assert path.stat().st_mode == (tmp_path / "by_open").stat().st_mode
+        path.chmod(0o640)
+        write()
+        assert oct(path.stat().st_mode & 0o777) == oct(0o640)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["by_open", name])
+
+
+CORES =len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 @pytest.mark.skipif(CORES < 2, reason="one core: forward-only chunks never leave the caller")

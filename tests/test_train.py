@@ -410,6 +410,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=rf"{table}\['head.bias'\]"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("index, table", [(0, "parameter"), (1, "m"), (2, "v")])
+    def test_repeated_tensor_name_rejected_by_name(self, index, table, tmp_path, monkeypatch):
+        """A table that lists a name twice, shape and checksum valid, would load its last copy."""
+        write = train._write_tensor_table
+        tables = []
+
+        def repeat_head_bias(chunks, entries):
+            if len(tables) == index:
+                entries = entries + [("head.bias", np.full(4, 7.0), True)]
+            tables.append(entries)
+            write(chunks, entries)
+
+        monkeypatch.setattr(train, "_write_tensor_table", repeat_head_bias)
+        path = tmp_path / "twice.ckpt"
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        path)
+        with pytest.raises(CheckpointError, match=f"^the {table} table lists 'head.bias' twice$"):
+            load_checkpoint(path)
+
     @staticmethod
     def _fresh_blob(tmp_path, config=None) -> tuple[TrainState, bytes]:
         state = TrainState.create(init_params(config or tiny_vit_config(),
