@@ -4,8 +4,6 @@ import math
 import os
 import re
 import struct
-import subprocess
-import sys
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +27,7 @@ from mimir import mi
 from mimir.model import classify, encode_full, init_params
 from mimir.train import TrainConfig, TrainState, load_checkpoint, pretrain_epoch, save_checkpoint
 
+from bits_manifest import python_at
 from conftest import tiny_vit_config
 
 
@@ -990,16 +989,10 @@ class TestBlasThreadDeterminism:
     """CLI artifacts do not depend on whether image shares and weight gradients run on one
     thread or many."""
 
-    def _cli(self, tmp_path, blas_threads, *args):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
-                   PYTHONPATH=os.path.dirname(os.path.dirname(mimir.__file__)))
-        return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path, check=True,
-                              capture_output=True, text=True).stdout
-
     def test_mi_estimate_and_eval_bytes_equal_at_one_and_all_blas_threads(self, tmp_path,
                                                                           mid32_config):
         probe = "from mimir import _runtime; print(_runtime.workers())"
-        workers = {threads: int(self._cli(tmp_path, threads, "-c", probe))
+        workers = {threads: int(python_at(tmp_path, threads, "-c", probe))
                    for threads in (1, CORES)}
         if workers[1] == 1:
             pytest.skip("this BLAS does not report its thread count, so the pool never runs")
@@ -1017,7 +1010,7 @@ class TestBlasThreadDeterminism:
         for threads in (1, CORES):
             out = tmp_path / f"blas{threads}"
             for command in ("mi-estimate", "eval"):
-                self._cli(tmp_path, threads, "-m", "mimir.cli", command, "--config", "c.cfg",
+                python_at(tmp_path, threads, "-m", "mimir.cli", command, "--config", "c.cfg",
                           "--out", str(out))
             outputs[threads] = [(out / name).read_bytes() for name in ("mi.csv", "eval.csv")]
         assert outputs[1] == outputs[CORES]
@@ -1026,7 +1019,7 @@ class TestBlasThreadDeterminism:
         """A mid32-shaped pretrain whose 8-image attack pass splits in two shares at one BLAS
         thread, with the MI penalty on."""
         probe = "from mimir import _runtime; print(_runtime.workers())"
-        if int(self._cli(tmp_path, 1, "-c", probe)) == 1:
+        if int(python_at(tmp_path, 1, "-c", probe)) == 1:
             pytest.skip("this BLAS does not report its thread count, so no helper runs")
         (tmp_path / "p.cfg").write_text(
             "command = pretrain\nseed = 4\ndata.source = synth\ndata.num_classes = 4\n"
@@ -1039,7 +1032,7 @@ class TestBlasThreadDeterminism:
         outputs = {}
         for threads in (1, CORES):
             out = tmp_path / f"blas{threads}"
-            self._cli(tmp_path, threads, "-m", "mimir.cli", "pretrain", "--config", "p.cfg",
+            python_at(tmp_path, threads, "-m", "mimir.cli", "pretrain", "--config", "p.cfg",
                       "--out", str(out))
             outputs[threads] = [(out / name).read_bytes()
                                 for name in ("metrics_pretrain.csv", "pretrain.ckpt")]
