@@ -13,7 +13,8 @@ timing available from the epoch metrics at runtime.
 Derived random streams: parameter init uses (seed, 0), dataset synthesis
 (seed, 1), the per-batch attacks of ``eval`` and ``attack`` (seed, job,
 batch), ``attack`` being job 0; the training loop itself consumes the
-checkpointed generator seeded with the bare seed.
+checkpointed generator seeded with the bare seed, and ``landscape`` draws
+its directions from a generator seeded with the bare seed.
 """
 
 from __future__ import annotations
@@ -163,8 +164,6 @@ def _cmd_mi_estimate(cfg: ExperimentConfig) -> int:
     """Dependence estimates between inputs and their encoder latents."""
     dataset, params = _dataset_and_params(cfg)
     n = min(len(dataset), cfg.get("mi.batch_size"))
-    if n < 2:
-        raise ConfigError("mi-estimate needs at least 2 samples")
     x = dataset.images[:n]
     z = encode_full(params.constants(), Tensor(x)).data
     # one median-bandwidth Gram per variable, shared by both estimators

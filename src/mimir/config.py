@@ -23,7 +23,7 @@ from typing import Callable, get_type_hints
 
 from .attacks import AttackSpec, adaptive_attack_spec, finetune_attack_spec, pretrain_attack_spec
 from .bounds import _check_grid_step
-from .evaluate import _check_half_width
+from .evaluate import ATTACKS, _check_half_width
 from .mi import _check_alpha
 from .model import ViTConfig
 from .train import TrainConfig
@@ -71,8 +71,8 @@ def _one_of(*choices: str, default: str | None = None) -> Key:
 
 def _parse_eval_attacks(raw: str) -> str:
     for kind in raw.split(","):
-        if kind.strip() not in ("ce", "mi", "fea"):
-            raise ValueError(f"entries must be ce/mi/fea, got {kind.strip()!r}")
+        if kind.strip() not in ATTACKS:
+            raise ValueError(f"entries must be {'/'.join(ATTACKS)}, got {kind.strip()!r}")
     return raw
 
 
@@ -94,7 +94,8 @@ KEYS: dict[str, Key] = {
     "data.channels": _at_least(1, _COUNT, default=1),
     "data.noise": _at_least(0.0, _WEIGHT, float),
     "train.lambda": _at_least(0.0, _WEIGHT, float, default=TrainConfig.lam),
-    "eval.attacks": Key(_parse_eval_attacks, "a comma list of ce, mi, fea", "ce,mi,fea"),
+    "eval.attacks": Key(_parse_eval_attacks, "a comma list of " + ", ".join(ATTACKS),
+                        ",".join(ATTACKS)),
     "eval.adaptive_iters": _at_least(1, _COUNT, default=100),
     "eval.lambda": _at_least(0.0, _WEIGHT, float, same_as="train.lambda"),
     "eval.batch_size": _at_least(1, _COUNT, default=64),
@@ -105,7 +106,7 @@ KEYS: dict[str, Key] = {
     "landscape.resolution": _at_least(3, "an odd integer >= 3", odd=True),
     "landscape.batch_size": _at_least(1, _COUNT, default=64),
     "mi.alpha": Key(_check_alpha, "a positive number other than 1", 2.0),
-    "mi.batch_size": _at_least(1, _COUNT, default=64),
+    "mi.batch_size": _at_least(2, _EXTENT, default=64),
 }
 
 # section -> the dataclass whose scalar fields are its keys, and where an unset key's value
@@ -142,9 +143,11 @@ KEY_TYPES: dict[str, object] = {
 _PER_COMMAND = {"pretrain": (pretrain_attack_spec(), TrainConfig.betas),
                 "finetune": (finetune_attack_spec(), (0.9, 0.999))}
 
-_DATA_KEYS = {"synth": ("data.num_classes", "data.samples_per_class", "data.image_size",
-                        "data.noise"),
-              "cifar10": ("data.dir",)}
+# data.source -> the data.* keys it needs, and the optional ones it also reads; a data.* key
+# that the chosen source never reads fails at load
+_DATA_KEYS = {"synth": (("data.num_classes", "data.samples_per_class", "data.image_size",
+                         "data.noise"), ("data.channels",)),
+              "cifar10": (("data.dir",), ("data.split",))}
 
 _MODEL_KEYS = ("model.image_size", "model.patch_size")
 _TRAIN_KEYS = ("out_dir", "data.source", "train.base_lr", "train.total_epochs", "train.batch_size")
@@ -242,12 +245,18 @@ def _build(lines: dict[str, int], section: str, make, *args, **kwargs):
         raise
 
 
-def _validate(values: dict[str, object], command: str) -> None:
+def _validate(values: dict[str, object], lines: dict[str, int], command: str) -> None:
     required = list(REQUIRED[command])
     if command == "finetune":
         required += ["checkpoint"] if "checkpoint" in values else _MODEL_KEYS
-    if "data.source" in required and "data.source" in values:
-        required += _DATA_KEYS[values["data.source"]]
+    if "data.source" in values:
+        needed, optional = _DATA_KEYS[values["data.source"]]
+        for key in values:  # in line order: the overrides set no data.* key
+            if key.startswith("data.") and key not in ("data.source", *needed, *optional):
+                raise ConfigError(f"line {lines[key]}: data.source = {values['data.source']} "
+                                  f"never reads {key!r}")
+        if "data.source" in required:
+            required += needed
     missing = [key for key in required if key not in values]
     if missing:
         raise ConfigError(f"missing required keys for {command}: {', '.join(sorted(missing))}")
@@ -274,7 +283,7 @@ def load_config(path, command: str | None = None, seed: int | None = None,
             except ValueError as exc:
                 raise ConfigError(f"{source} override: bad value for {key!r}: {exc}") from exc
     command = values["command"]
-    _validate(values, command)
+    _validate(values, lines, command)
     cfg = ExperimentConfig(command=command, values=values)
     attack, betas = _PER_COMMAND.get(command, (adaptive_attack_spec(iters=20), TrainConfig.betas))
     cfg.attack = _build(lines, "attack", replace, attack, **cfg._section("attack."))

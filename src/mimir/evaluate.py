@@ -21,17 +21,23 @@ from .model import ModelParams, classify
 Array = np.ndarray
 
 
+# attack kind -> its runner: (params, job, images, labels, rng) -> the job's Perturbation
+ATTACKS = {"ce": lambda p, job, x, y, rng: attack_ce(p, x, y, job.spec, rng),
+           "mi": lambda p, job, x, y, rng: attack_mi(p, PenaltyConfig(), x, y, job.lam, job.spec, rng),
+           "fea": lambda p, job, x, y, rng: attack_fea(p, x, job.spec, rng)}
+
+
 @dataclass(frozen=True)
 class AttackJob:
-    """One robust-accuracy column: an attack kind plus its spec."""
+    """One robust-accuracy column: an attack kind of ``ATTACKS`` plus its spec."""
 
     name: str
-    kind: str                   # "ce" | "mi" | "fea"
+    kind: str
     spec: AttackSpec
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("ce", "mi", "fea"):
+        if self.kind not in ATTACKS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
 
 
@@ -48,13 +54,7 @@ def _predict(params: ModelParams, images: Array) -> Array:
 
 def _run_job(params: ModelParams, job: AttackJob, images: Array, labels: Array,
              rng: np.random.Generator) -> Array:
-    if job.kind == "ce":
-        pert = attack_ce(params, images, labels, job.spec, rng)
-    elif job.kind == "mi":
-        pert = attack_mi(params, PenaltyConfig(), images, labels, job.lam, job.spec, rng)
-    else:
-        pert = attack_fea(params, images, job.spec, rng)
-    return images + pert.delta
+    return images + ATTACKS[job.kind](params, job, images, labels, rng).delta
 
 
 def attack_batches(dataset: Dataset, batch_size: int, seed: int, jobs: int):

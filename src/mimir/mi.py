@@ -28,27 +28,14 @@ _LN2 = float(np.log(2.0))
 
 @dataclass
 class GramMatrix:
-    """Kernel matrix over a sample batch, optionally trace-normalized."""
+    """Kernel matrix over a sample batch, and its bandwidth."""
 
     K: Array
     sigma: float
-    normalized: bool = False
 
     @property
     def n(self) -> int:
         return self.K.shape[0]
-
-    def normalize(self) -> "GramMatrix":
-        if self.normalized:
-            return self
-        return GramMatrix(self.K / np.trace(self.K), self.sigma, normalized=True)
-
-
-@dataclass
-class Spectrum:
-    """Eigenvalues sorted descending, clamped to be non-negative."""
-
-    eigenvalues: Array
 
 
 @dataclass
@@ -129,7 +116,7 @@ def median_bandwidth(samples) -> float:
     return _median_of_sq_dists(_pairwise_sq_dists(x))
 
 
-def symmetric_eigenvalues(matrix, tol: float | None = None) -> Spectrum:
+def symmetric_eigenvalues(matrix, tol: float | None = None) -> Array:
     """All eigenvalues of a symmetric matrix, from LAPACK's ``eigvalsh``, descending.
 
     Eigenvalues within ``tol`` (default 1e-12 * N) of zero, negative or
@@ -145,7 +132,7 @@ def symmetric_eigenvalues(matrix, tol: float | None = None) -> Spectrum:
         tol = 1e-12 * a.shape[0]
     lam = np.maximum(np.linalg.eigvalsh(0.5 * (a + a.T))[::-1], 0.0)  # eigvalsh is ascending
     lam[lam < tol] = 0.0
-    return Spectrum(lam)
+    return lam
 
 
 def _check_alpha(alpha: float) -> float:
@@ -157,21 +144,24 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def renyi_entropy(gram: GramMatrix, alpha: float) -> float:
-    """Matrix-based Renyi entropy of order alpha, in bits."""
+def _trace_normalized_entropy(k: Array, alpha: float) -> float:
+    """Matrix-based Renyi entropy of order alpha, in bits, of ``k`` divided by its trace."""
     alpha = _check_alpha(alpha)
-    k = gram.normalize().K
-    lam = symmetric_eigenvalues(k).eigenvalues
+    lam = symmetric_eigenvalues(k / np.trace(k))
     powered = np.where(lam > 0.0, lam, 0.0) ** alpha
     return float(np.log2(powered.sum()) / (1.0 - alpha))
+
+
+def renyi_entropy(gram: GramMatrix, alpha: float) -> float:
+    """Matrix-based Renyi entropy of order alpha, in bits."""
+    return _trace_normalized_entropy(gram.K, alpha)
 
 
 def renyi_joint_entropy(gram_x: GramMatrix, gram_y: GramMatrix, alpha: float) -> float:
     """Entropy of the trace-normalized Hadamard product of the two Grams."""
     if gram_x.n != gram_y.n:
         raise ValueError(f"renyi_joint_entropy: size mismatch {gram_x.n} vs {gram_y.n}")
-    had = gram_x.K * gram_y.K
-    return renyi_entropy(GramMatrix(had / np.trace(had), 0.0, normalized=True), alpha)
+    return _trace_normalized_entropy(gram_x.K * gram_y.K, alpha)
 
 
 def renyi_mi_from_grams(gram_x: GramMatrix, gram_y: GramMatrix, alpha: float) -> MIEstimate:

@@ -15,12 +15,12 @@ images nor any parameter requires gradients: ``eval``'s and
 ``landscape``'s classifier passes, ``mi-estimate``, ``attack_fea``'s clean
 latents and ``pgd``'s last-iterate score) also runs each share's images in
 consecutive chunks whose widest activation fits ``FORWARD_CHUNK_BYTES``,
-so each layer's passes over its activations stay in cache. Every encoder
-and decoder op works per image (batched GEMMs are per-image calls, layer
-norm and softmax are per row, gathers and scatters index within a row) and
-reads nothing but its operands, which is what ``shards`` needs for every
-value and gradient to be the bits of one pass over the batch, wherever a
-share or a chunk begins.
+so it holds one chunk's activations at a time, which bounds its peak RSS.
+Every encoder and decoder op works per image (batched GEMMs are per-image
+calls, layer norm and softmax are per row, gathers and scatters index
+within a row) and reads nothing but its operands, which is what ``shards``
+needs for every value and gradient to be the bits of one pass over the
+batch, wherever a share or a chunk begins.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .autodiff import Tensor
 
 Array = np.ndarray
 
-# Working-set budget of one forward-only encoder chunk. On a 2-core VM with
-# 2 MiB of L2 per core, a 64-image mid32 forward at one BLAS thread took
-# 500-520 ms at 4-8 images per chunk (0.75-1.5 MiB of MLP hidden) against
-# 730-770 ms at 16 or 64; 1 MiB gives 5 mid32 and 64 tiny16 images.
+# Working-set budget of one forward-only encoder chunk; 1 MiB gives 5 mid32 and 64 tiny16
+# images. The chunks bound peak RSS and move no bit: on a 2-core VM at one BLAS thread,
+# mi-estimate-mid32 processes peaked at 113.8-114.1 MB with them and at 134.7-140.0 MB
+# without (8 of each, alternating).
 FORWARD_CHUNK_BYTES = 1 << 20
 
 
@@ -151,14 +151,6 @@ def sample_mask(num_patches: int, mask_ratio: float, rng: np.random.Generator,
         raise ValueError("num_patches and batch_size must be positive")
     perm = np.stack([rng.permutation(num_patches) for _ in range(batch_size)])
     return MaskPlan(perm=perm, num_visible=visible_count(num_patches, mask_ratio))
-
-
-@dataclass
-class LatentBatch:
-    """Encoder output over the visible patches only."""
-
-    z: Tensor                   # [batch, num_visible, enc_dim]
-    plan: MaskPlan
 
 
 @dataclass
@@ -363,8 +355,9 @@ def _encoder(params: ModelParams, tokens: Tensor, pos: Tensor) -> Tensor:
     return ad.layer_norm(x, params["enc_norm.gamma"], params["enc_norm.beta"])
 
 
-def encode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> LatentBatch:
-    """Embed and transform only the visible patches; mask tokens never appear here."""
+def encode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> Tensor:
+    """Tokens ``[B, num_visible, enc_dim]`` of only the visible patches; mask tokens never
+    appear here."""
     _check_patches(params.config, patches)
     if plan.num_patches != patches.shape[1]:
         raise ValueError(f"encode: plan covers {plan.num_patches} patches, input has {patches.shape[1]}")
@@ -372,13 +365,13 @@ def encode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> LatentBatch:
         raise ValueError(f"encode: plan batch {plan.batch} != input batch {patches.shape[0]}")
     vis = ad.gather_rows(patches, plan.visible)
     pos = Tensor(params["enc_pos"].data[plan.visible])
-    return LatentBatch(z=_encoder(params, vis, pos), plan=plan)
+    return _encoder(params, vis, pos)
 
 
-def decode(params: ModelParams, latent: LatentBatch) -> Tensor:
-    """Fill ``latent.plan``'s masked slots with the mask token, restore order, rebuild patches."""
+def decode(params: ModelParams, z: Tensor, plan: MaskPlan) -> Tensor:
+    """Fill ``plan``'s masked slots of the tokens ``z`` with the mask token, restore order,
+    rebuild patches."""
     cfg = params.config
-    z, plan = latent.z, latent.plan
     if z.shape[1] != plan.num_visible:
         raise ValueError(f"decode: latent has {z.shape[1]} tokens, plan expects {plan.num_visible}")
     b = z.shape[0]
@@ -400,13 +393,13 @@ class AutoencoderPass:
     """The nodes of one masked autoencoder forward that the pre-training loss reads."""
 
     patches: Tensor             # [batch, num_patches, patch_dim] input patches
-    latent: LatentBatch
+    z: Tensor                   # [batch, num_visible, enc_dim] encoder tokens
     recon: Tensor               # [batch, num_patches, patch_dim] reconstructed patches
 
 
 def _encode_decode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> tuple[Tensor, Tensor]:
-    latent = encode(params, patches, plan)
-    return latent.z, decode(params, latent)
+    z = encode(params, patches, plan)
+    return z, decode(params, z, plan)
 
 
 def autoencoder_pass(params: ModelParams, images: Tensor, plan: MaskPlan) -> AutoencoderPass:
@@ -420,7 +413,7 @@ def autoencoder_pass(params: ModelParams, images: Tensor, plan: MaskPlan) -> Aut
     patches = patchify(images, params.config.patch_size)
     z, recon = _split_pass(params, patches,
                            lambda part, rows: _encode_decode(params, part, plan.rows(rows)))
-    return AutoencoderPass(patches=patches, latent=LatentBatch(z=z, plan=plan), recon=recon)
+    return AutoencoderPass(patches=patches, z=z, recon=recon)
 
 
 def forward_autoencoder(params: ModelParams, images: Tensor, plan: MaskPlan) -> Tensor:

@@ -28,8 +28,6 @@ Checkpoint format (version 2, all integers little-endian):
     uint64 step | uint64 epoch
     uint32 rng-JSON length | bit-generator state JSON
     uint32 CRC-32 of every preceding byte
-A version-1 file is the same without the CRC-32; it loads with every check
-but the checksum.
 Each tensor table is a uint32 count followed by entries of:
     uint16 name length | UTF-8 name | uint8 dtype (0 = float64)
     | uint8 flags (bit 0: requires_grad) | uint8 rank | uint32 extents...
@@ -197,17 +195,16 @@ def _mimir_loss_parts(params: ModelParams, images: Array, plan: MaskPlan, delta:
     x = np.asarray(images, dtype=np.float64)
     if forward is None:
         forward = autoencoder_pass(params, Tensor(x + np.asarray(delta, dtype=np.float64)), plan)
-    latent, recon_patches = forward.latent, forward.recon
     target_patches = patchify(Tensor(x), cfg.patch_size)
     if config.recon_masked_only:
-        mse = ad.mse_loss(ad.gather_rows(recon_patches, plan.masked),
+        mse = ad.mse_loss(ad.gather_rows(forward.recon, plan.masked),
                           ad.gather_rows(target_patches, plan.masked))
     else:
-        mse = ad.mse_loss(recon_patches, target_patches)
+        mse = ad.mse_loss(forward.recon, target_patches)
     if config.lam == 0.0:
         return mse, mse.item(), 0.0
     x_vis = ad.gather_rows(forward.patches, plan.visible)
-    pen = penalty_mi(x_vis, latent.z, penalty or PenaltyConfig(estimator=config.estimator))
+    pen = penalty_mi(x_vis, forward.z, penalty or PenaltyConfig(estimator=config.estimator))
     loss = ad.add(mse, ad.scale(pen, config.lam))
     return loss, mse.item(), pen.item()
 
@@ -409,15 +406,14 @@ def load_checkpoint(path) -> TrainState:
     if r.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
     (version,) = r.unpack("<I")
-    if version == CHECKPOINT_VERSION:
-        r.end -= 4
-        if r.end < r.pos:
-            raise CheckpointError("truncated checkpoint")
-        (crc,) = struct.unpack("<I", r.blob[r.end:])
-        if zlib.crc32(memoryview(r.blob)[:r.end]) != crc:
-            raise CheckpointError("checksum mismatch: the checkpoint is damaged")
-    elif version != 1:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    r.end -= 4
+    if r.end < r.pos:
+        raise CheckpointError("truncated checkpoint")
+    (crc,) = struct.unpack("<I", r.blob[r.end:])
+    if zlib.crc32(memoryview(r.blob)[:r.end]) != crc:
+        raise CheckpointError("checksum mismatch: the checkpoint is damaged")
     (cfg_len,) = r.unpack("<I")
     config_blob = r.take(cfg_len)
     try:

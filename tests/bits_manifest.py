@@ -72,7 +72,7 @@ def _environment() -> dict:
     threads = _runtime._c_function(*_runtime._BLAS_THREADS)
     core = _runtime._c_function("scipy_openblas_get_corename64_", "openblas_get_corename")
     if core is not None:
-        core.restype = ctypes.c_char_p
+        core.argtypes, core.restype = [], ctypes.c_char_p
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -93,7 +93,7 @@ def _cli_digests(workdir: Path) -> dict[str, str]:
     for name in CONFIGS:
         out = workdir / name
         base = (BITS / f"{name}.cfg").read_text(encoding="utf-8")
-        for command in COMMANDS:
+        for command in COMMANDS:  # pretrain and bounds read no checkpoint
             checkpoint = out / ("pretrain.ckpt" if command == "finetune" else "finetune.ckpt")
             path = workdir / f"{name}-{command}.cfg"
             path.write_text(f"{base}checkpoint = {checkpoint}\n", encoding="utf-8")
@@ -136,15 +136,14 @@ def _one_setting() -> dict:
 
 def compute() -> dict:
     """The manifest of this checkout: one process per BLAS thread count."""
-    environment, digests = {}, {}
+    environment, reported, digests = {}, {}, {}
     for threads in BLAS_THREADS:
         with tempfile.TemporaryDirectory() as tmp:
             setting = json.loads(python_at(tmp, threads, str(Path(__file__).resolve()), "--one"))
-        reported = setting["environment"].pop("blas_threads")
-        environment = {**setting["environment"],
-                       "blas_threads": {**environment.get("blas_threads", {}), str(threads): reported}}
+        environment = setting["environment"]
+        reported[str(threads)] = environment.pop("blas_threads")
         digests.update((f"blas{threads}/{key}", value) for key, value in setting["digests"].items())
-    return {"environment": environment, "digests": digests}
+    return {"environment": {**environment, "blas_threads": reported}, "digests": digests}
 
 
 def main(argv=None) -> int:

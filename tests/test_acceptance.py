@@ -72,7 +72,7 @@ def test_criterion_2_gradient_suite():
     base_vis = ad.gather_rows(patchify(Tensor(imgs + delta), 2), plan.visible)
     pen = PenaltyConfig(estimator="hsic",
                         sigma_x=median_bandwidth(base_vis.data.reshape(3, -1)),
-                        sigma_y=median_bandwidth(base_latent.z.data.reshape(3, -1)))
+                        sigma_y=median_bandwidth(base_latent.data.reshape(3, -1)))
 
     def loss():
         return mimir_loss(params, imgs, plan, delta, train_cfg, penalty=pen)

@@ -397,13 +397,13 @@ def test_composed_loss_input_gradients():
     base_vis = ad.gather_rows(patchify(Tensor(images), 2), plan.visible)
     pen_cfg = PenaltyConfig(estimator="hsic",
                             sigma_x=median_bandwidth(base_vis.data.reshape(3, -1)),
-                            sigma_y=median_bandwidth(base_latent.z.data.reshape(3, -1)))
+                            sigma_y=median_bandwidth(base_latent.data.reshape(3, -1)))
 
     def loss_fn(t):
         latent = encode(params, patchify(t, 2), plan)
         recon = forward_autoencoder(params, t, plan)
         mse = ad.mse_loss(recon, target)
-        pen = penalty_mi(ad.gather_rows(patchify(t, 2), plan.visible), latent.z, pen_cfg)
+        pen = penalty_mi(ad.gather_rows(patchify(t, 2), plan.visible), latent, pen_cfg)
         return ad.add(mse, ad.scale(pen, 1e-3))
 
     report = ad.finite_diff_check(loss_fn, Tensor(images), 1e-4)

@@ -299,8 +299,7 @@ class TestConfig:
         ("seed", -1, "non-negative"), ("attack.iters", 0, "positive"),
         ("eval.adaptive_iters", -2, "positive"),
         ("train.total_epochs", 0, "positive"), ("train.batch_size", 0, "positive"),
-        ("data.samples_per_class", -1, "positive"), ("data.channels", 0, "positive"),
-        ("mi.batch_size", 0, "positive")])
+        ("data.samples_per_class", -1, "positive"), ("data.channels", 0, "positive")])
     def test_out_of_range_count_named_by_key_and_line(self, tmp_path, key, value, kind):
         message, lineno = self._load_error(tmp_path, key, value)
         assert message == self._bad_value(key, value, lineno, f"a {kind} integer")
@@ -311,6 +310,7 @@ class TestConfig:
             "enc_mlp_ratio", "dec_layers", "dec_dim", "dec_heads", "dec_mlp_ratio", "num_classes")),
         ("train.warmup_epochs", -1, "a non-negative integer"),
         ("bounds.num_classes", 1, "an integer >= 2"),
+        ("mi.batch_size", 0, "an integer >= 2"), ("mi.batch_size", 1, "an integer >= 2"),
         ("landscape.resolution", 1, "an odd integer >= 3"),
         ("landscape.resolution", 4, "an odd integer >= 3")])
     def test_out_of_range_extent_named_by_key_and_line(self, tmp_path, key, value, expected):
@@ -377,6 +377,26 @@ class TestConfig:
             load_config(tmp_path / "c.cfg")
         assert str(err.value) == (f"line {len(lines)}: bad value for {key!r}: "
                                   f"expected one of {choices}, got {value!r}")
+
+    @pytest.mark.parametrize("source, line", [
+        ("synth", "data.split = test"), ("synth", "data.dir = ."),
+        ("cifar10", "data.noise = 0.1"), ("cifar10", "data.channels = 3"),
+        ("cifar10", "data.num_classes = 10")])
+    def test_data_key_the_source_never_reads_named_by_key_and_line(self, tmp_path, source, line):
+        """Left to load, ``data.split = test`` ran synth on its training images and cifar10 ran
+        without the noise that ``data.noise`` asked for."""
+        own = {"synth": ["data.num_classes = 4", "data.samples_per_class = 4",
+                         "data.image_size = 16", "data.noise = 0.1", "data.channels = 1"],
+               "cifar10": [f"data.dir = {tmp_path}", "data.split = test"]}[source]
+        lines = ["command = mi-estimate", "out_dir = out", f"checkpoint = {tmp_path}",
+                 f"data.source = {source}", *own]
+        (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
+        load_config(tmp_path / "c.cfg")  # every key the source reads
+        (tmp_path / "c.cfg").write_text("\n".join([*lines, line]) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(tmp_path / "c.cfg")
+        assert str(err.value) == (f"line {len(lines) + 1}: data.source = {source} never reads "
+                                  f"{line.split(' = ')[0]!r}")
 
     def test_get_returns_the_set_value_or_the_table_default(self):
         cfg = ExperimentConfig(command="eval", values={"eval.batch_size": 8})
@@ -588,6 +608,21 @@ class TestRunConfig:
         assert capsys.readouterr().err == (f"error: {key} = 4 leaves a batch of 1 of the 9 images, "
                                            "and the MI penalty needs at least 2 per batch\n")
         assert not (tmp_path / "out").exists()
+
+    def test_mi_estimate_of_one_image_fails_in_rbf_gram_and_creates_nothing(self, tmp_path,
+                                                                           capsys, mid32_config):
+        """``mi.batch_size`` is at least 2 from load on; a one-image dataset meets the Gram's
+        own guard."""
+        save_checkpoint(TrainState.create(init_params(mid32_config, np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        write_cifar_batch(tmp_path / "data_batch_1.bin", [3], np.random.default_rng(0))
+        out = tmp_path / "out"
+        (tmp_path / "c.cfg").write_text(
+            f"command = mi-estimate\nout_dir = {out}\ncheckpoint = {tmp_path / 'm.ckpt'}\n"
+            f"data.source = cifar10\ndata.dir = {tmp_path}\n")
+        assert run_config(tmp_path / "c.cfg") == 1
+        assert capsys.readouterr().err == "error: rbf_gram: needs at least 2 samples\n"
+        assert not out.exists()
 
     def test_eval_model_key_contradicting_checkpoint_creates_nothing(self, tmp_path, capsys):
         save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),

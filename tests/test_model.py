@@ -9,7 +9,7 @@ from mimir import _runtime as rt
 from mimir import autodiff as ad
 from mimir import model
 from mimir.autodiff import Tensor
-from mimir.model import (LatentBatch, MaskPlan, ViTConfig, classify, decode, encode,
+from mimir.model import (MaskPlan, ViTConfig, classify, decode, encode,
                          forward_autoencoder, init_params, patchify,
                          sample_mask, sincos_position_table, unpatchify, visible_count,
                          _pixel_mask)
@@ -122,7 +122,7 @@ class TestEncodeDecode:
     def test_latent_shape(self, setup):
         cfg, params, imgs, plan = setup
         latent = encode(params, patchify(Tensor(imgs), cfg.patch_size), plan)
-        assert latent.z.shape == (3, 4, 32)
+        assert latent.shape == (3, 4, 32)
 
     def test_wrong_patch_count_rejected(self, setup):
         cfg, params, imgs, plan = setup
@@ -134,19 +134,19 @@ class TestEncodeDecode:
         cfg, params, imgs, _ = setup
         plan = _identity_plan(cfg.num_patches, 3)
         latent = encode(params, patchify(Tensor(imgs), cfg.patch_size), plan)
-        assert latent.z.shape == (3, 16, 32)
+        assert latent.shape == (3, 16, 32)
 
     def test_decode_shape(self, setup):
         cfg, params, imgs, plan = setup
         latent = encode(params, patchify(Tensor(imgs), cfg.patch_size), plan)
-        assert decode(params, latent).shape == (3, 16, 16)
+        assert decode(params, latent, plan).shape == (3, 16, 16)
 
     def test_decode_token_count_mismatch_rejected(self, setup):
         cfg, params, imgs, plan = setup
         latent = encode(params, patchify(Tensor(imgs), cfg.patch_size), plan)
         wider = MaskPlan(perm=plan.perm, num_visible=plan.num_visible + 1)
         with pytest.raises(ValueError, match="decode: latent has 4 tokens, plan expects 5"):
-            decode(params, LatentBatch(z=latent.z, plan=wider))
+            decode(params, latent, wider)
 
     def test_masked_order_is_irrelevant(self, setup):
         """Swapping two masked entries in the plan leaves the decode output unchanged:
@@ -158,8 +158,8 @@ class TestEncodeDecode:
             swapped[:, [plan.num_visible + 1, plan.num_visible]]
         plan_b = MaskPlan(perm=swapped, num_visible=plan.num_visible)
         patches = patchify(Tensor(imgs), cfg.patch_size)
-        out_a = decode(params, encode(params, patches, plan))
-        out_b = decode(params, encode(params, patches, plan_b))
+        out_a = decode(params, encode(params, patches, plan), plan)
+        out_b = decode(params, encode(params, patches, plan_b), plan_b)
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_visible_set_permutation_consistency(self, setup):
@@ -171,8 +171,8 @@ class TestEncodeDecode:
         perm_b[:, :plan.num_visible] = perm_b[:, :plan.num_visible][:, shuffle]
         plan_b = MaskPlan(perm=perm_b, num_visible=plan.num_visible)
         patches = patchify(Tensor(imgs), cfg.patch_size)
-        za = encode(params, patches, plan).z.data
-        zb = encode(params, patches, plan_b).z.data
+        za = encode(params, patches, plan).data
+        zb = encode(params, patches, plan_b).data
         assert np.max(np.abs(za[:, shuffle, :] - zb)) <= 1e-10
 
 
@@ -221,7 +221,7 @@ class TestClassify:
         params = init_params(tiny_config, np.random.default_rng(0))
         imgs = np.random.default_rng(1).uniform(size=(2, 1, 16, 16))
         latent = encode(params, patchify(Tensor(imgs), 4), _identity_plan(16, 2))
-        pooled = ad.reduce_mean(latent.z, axes=1)
+        pooled = ad.reduce_mean(latent, axes=1)
         manual = ad.add(ad.matmul(pooled, params["head.weight"]), params["head.bias"])
         assert np.array_equal(manual.data, classify(params, Tensor(imgs)).data)
 
@@ -235,7 +235,7 @@ class TestEncodeFull:
         weights = Tensor(rng.normal(size=(3, 16, 32)))
         results = []
         for run in (lambda x: model.encode_full(params, x),
-                    lambda x: encode(params, patchify(x, 4), _identity_plan(16, 3)).z):
+                    lambda x: encode(params, patchify(x, 4), _identity_plan(16, 3))):
             x = Tensor(imgs, requires_grad=True)
             z = run(x)
             ad.backward(ad.reduce_sum(ad.mul(z, weights)))
@@ -530,13 +530,13 @@ class TestFusedOps:
     def _run(self, params, imgs, plan):
         x = Tensor(imgs, requires_grad=True)
         latent = encode(params, patchify(x, 4), plan)
-        recon = decode(params, latent)
+        recon = decode(params, latent, plan)
         logits = classify(params, x)
         params.zero_grads()
         ad.backward(ad.add(ad.mse_loss(recon, Tensor(patchify(Tensor(imgs), 4).data)),
                            ad.cross_entropy(logits, np.arange(3))))
         grads = {name: t.grad for name, t in params.trainable()}
-        return latent.z.data, recon.data, logits.data, x.grad, grads
+        return latent.data, recon.data, logits.data, x.grad, grads
 
     def test_outputs_bit_identical_to_separate_ops(self, perturbed, monkeypatch):
         fused = self._run(*perturbed)

@@ -166,7 +166,7 @@ class TestMimirLoss:
         x_adv = Tensor(imgs + delta)
         latent = encode(params, patchify(x_adv, 4), plan)
         from mimir.model import decode
-        recon = decode(params, latent)
+        recon = decode(params, latent, plan)
         expected = ad.mse_loss(recon, patchify(Tensor(imgs), 4))
         assert loss.item() == expected.item()
 
@@ -217,7 +217,7 @@ class TestMimirLoss:
         base_vis = ad.gather_rows(patchify(Tensor(imgs + delta), 2), plan.visible)
         pen = PenaltyConfig(estimator="hsic",
                             sigma_x=median_bandwidth(base_vis.data.reshape(3, -1)),
-                            sigma_y=median_bandwidth(base_latent.z.data.reshape(3, -1)))
+                            sigma_y=median_bandwidth(base_latent.data.reshape(3, -1)))
 
         def f():
             return mimir_loss(params, imgs, plan, delta, train_cfg, penalty=pen)
@@ -542,7 +542,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
 
-    def test_version_one_file_loads_as_before(self, pretrain_setup, tmp_path):
+    def test_version_one_file_rejected_by_its_version(self, pretrain_setup, tmp_path):
+        """Version 1 was version 2 without the CRC-32 trailer; only version 2 loads."""
         _, ds = pretrain_setup
         state = self._trained_state(ds, epochs=1)
         v2 = tmp_path / "v2.ckpt"
@@ -551,10 +552,9 @@ class TestCheckpoint:
         assert struct.unpack("<I", blob[4:8]) == (2,)
         assert struct.unpack("<I", blob[-4:]) == (zlib.crc32(blob[:-4]),)
         v1 = tmp_path / "v1.ckpt"
-        v1.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-4])  # no trailer in version 1
-        again = tmp_path / "again.ckpt"
-        save_checkpoint(load_checkpoint(v1), again)
-        assert again.read_bytes() == blob
+        v1.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-4])
+        with pytest.raises(CheckpointError, match="^unsupported checkpoint version 1$"):
+            load_checkpoint(v1)
 
     def test_resume_reproduces_uninterrupted_run(self, pretrain_setup, tmp_path):
         _, ds = pretrain_setup
@@ -693,7 +693,7 @@ def _old_loss_parts(params, images, plan, delta, config):
     x = np.asarray(images, dtype=np.float64)
     x_adv = Tensor(x + np.asarray(delta, dtype=np.float64))
     latent = encode(params, patchify(x_adv, cfg.patch_size), plan)
-    recon_patches = decode(params, latent)
+    recon_patches = decode(params, latent, plan)
     target_patches = patchify(Tensor(x), cfg.patch_size)
     if config.recon_masked_only:
         mse = ad.mse_loss(ad.gather_rows(recon_patches, plan.masked),
@@ -703,7 +703,7 @@ def _old_loss_parts(params, images, plan, delta, config):
     if config.lam == 0.0:
         return mse, mse.item(), 0.0
     x_vis = ad.gather_rows(patchify(x_adv, cfg.patch_size), plan.visible)
-    pen = penalty_mi(x_vis, latent.z, PenaltyConfig(estimator=config.estimator))
+    pen = penalty_mi(x_vis, latent, PenaltyConfig(estimator=config.estimator))
     return ad.add(mse, ad.scale(pen, config.lam)), mse.item(), pen.item()
 
 
