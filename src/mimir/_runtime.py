@@ -115,7 +115,8 @@ def _pin_off(cpu: int) -> None:
 
 
 def run_shares(task: Callable[[int], object], count: int) -> list:
-    """``task(i)`` for every share i: the first on the calling thread, the others on helpers.
+    """``task(i)`` for every share i < ``count``, which is at least 2: the first on the
+    calling thread, the others on helpers.
 
     The ``count - 1`` helper threads live for this call and are pinned off
     the CPU the caller runs on. Where the kernel never moves a running
@@ -127,8 +128,6 @@ def run_shares(task: Callable[[int], object], count: int) -> list:
     Every share runs to its end before this returns or raises; the error of
     the first failing share is raised.
     """
-    if count == 1:
-        return [task(0)]
     getcpu = _c_function("sched_getcpu")
     cpu = getcpu() if getcpu is not None and hasattr(os, "sched_setaffinity") else -1
     # leaving the block joins the helpers, also when the caller's share raises

@@ -74,10 +74,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return int(self.data.size)
-
-    @property
     def is_leaf(self) -> bool:
         return not self._parents
 

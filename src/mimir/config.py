@@ -70,9 +70,12 @@ def _one_of(*choices: str, default: str | None = None) -> Key:
 
 
 def _parse_eval_attacks(raw: str) -> str:
-    for kind in raw.split(","):
-        if kind.strip() not in ATTACKS:
-            raise ValueError(f"entries must be {'/'.join(ATTACKS)}, got {kind.strip()!r}")
+    kinds = [kind.strip() for kind in raw.split(",")]
+    for i, kind in enumerate(kinds):
+        if kind not in ATTACKS:
+            raise ValueError(f"entries must be {'/'.join(ATTACKS)}, got {kind!r}")
+        if kind in kinds[:i]:
+            raise ValueError(f"{kind!r} is listed twice")
     return raw
 
 
@@ -94,8 +97,8 @@ KEYS: dict[str, Key] = {
     "data.channels": _at_least(1, _COUNT, default=1),
     "data.noise": _at_least(0.0, _WEIGHT, float),
     "train.lambda": _at_least(0.0, _WEIGHT, float, default=TrainConfig.lam),
-    "eval.attacks": Key(_parse_eval_attacks, "a comma list of " + ", ".join(ATTACKS),
-                        ",".join(ATTACKS)),
+    "eval.attacks": Key(_parse_eval_attacks, "a comma list of " + ", ".join(ATTACKS)
+                        + ", each at most once", ",".join(ATTACKS)),
     "eval.adaptive_iters": _at_least(1, _COUNT, default=100),
     "eval.lambda": _at_least(0.0, _WEIGHT, float, same_as="train.lambda"),
     "eval.batch_size": _at_least(1, _COUNT, default=64),
@@ -260,9 +263,12 @@ def _validate(values: dict[str, object], lines: dict[str, int], command: str) ->
     missing = [key for key in required if key not in values]
     if missing:
         raise ConfigError(f"missing required keys for {command}: {', '.join(sorted(missing))}")
-    for key in ("checkpoint", "data.dir"):
-        if key in values and key in required and not os.path.exists(str(values[key])):
-            raise ConfigError(f"{key} path does not exist: {values[key]}")
+    for key, kind, is_kind in (("checkpoint", "file", os.path.isfile),
+                               ("data.dir", "directory", os.path.isdir)):
+        path = str(values.get(key))
+        if key in values and key in required and not is_kind(path):
+            problem = f"is not a {kind}" if os.path.exists(path) else "does not exist"
+            raise ConfigError(f"line {lines[key]}: {key} path {problem}: {path}")
 
 
 def load_config(path, command: str | None = None, seed: int | None = None,
@@ -287,6 +293,10 @@ def load_config(path, command: str | None = None, seed: int | None = None,
     cfg = ExperimentConfig(command=command, values=values)
     attack, betas = _PER_COMMAND.get(command, (adaptive_attack_spec(iters=20), TrainConfig.betas))
     cfg.attack = _build(lines, "attack", replace, attack, **cfg._section("attack."))
+    if (command == "eval" and cfg.attack.init == "zero"
+            and "fea" in (kind.strip() for kind in cfg.get("eval.attacks").split(","))):
+        raise ConfigError(f"line {lines['attack.init']}: attack.init = zero gives the fea attack "
+                          "of eval.attacks an identically zero gradient; use random")
     if "model.image_size" in values:
         cfg.model = _build(lines, "model", ViTConfig, **cfg._section("model."))
     train = cfg._section("train.")

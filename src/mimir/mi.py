@@ -26,25 +26,6 @@ Array = np.ndarray
 _LN2 = float(np.log(2.0))
 
 
-@dataclass
-class GramMatrix:
-    """Kernel matrix over a sample batch, and its bandwidth."""
-
-    K: Array
-    sigma: float
-
-    @property
-    def n(self) -> int:
-        return self.K.shape[0]
-
-
-@dataclass
-class MIEstimate:
-    value: float
-    estimator: str
-    alpha: float | None = None
-
-
 def _as_sample_matrix(samples) -> Array:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
@@ -96,8 +77,8 @@ def _rbf_kernel(x: Array, sigma: float | None) -> tuple[Array, float]:
     return np.exp(k, out=k), float(sigma)
 
 
-def rbf_gram(samples, sigma: float | None = None) -> GramMatrix:
-    """K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), exactly symmetric.
+def rbf_gram(samples, sigma: float | None = None) -> Array:
+    """K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)) as an exactly symmetric [N, N] array.
 
     Without ``sigma`` the bandwidth is ``median_bandwidth`` of the samples,
     taken from the same distance matrix as K.
@@ -105,7 +86,7 @@ def rbf_gram(samples, sigma: float | None = None) -> GramMatrix:
     x = _as_sample_matrix(samples)
     if x.shape[0] < 2:
         raise ValueError("rbf_gram: needs at least 2 samples")
-    return GramMatrix(*_rbf_kernel(x, sigma))
+    return _rbf_kernel(x, sigma)[0]
 
 
 def median_bandwidth(samples) -> float:
@@ -144,48 +125,40 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _trace_normalized_entropy(k: Array, alpha: float) -> float:
-    """Matrix-based Renyi entropy of order alpha, in bits, of ``k`` divided by its trace."""
+def renyi_entropy(k: Array, alpha: float) -> float:
+    """Matrix-based Renyi entropy of order alpha, in bits, of the Gram ``k`` divided by its trace."""
     alpha = _check_alpha(alpha)
     lam = symmetric_eigenvalues(k / np.trace(k))
     powered = np.where(lam > 0.0, lam, 0.0) ** alpha
     return float(np.log2(powered.sum()) / (1.0 - alpha))
 
 
-def renyi_entropy(gram: GramMatrix, alpha: float) -> float:
-    """Matrix-based Renyi entropy of order alpha, in bits."""
-    return _trace_normalized_entropy(gram.K, alpha)
+def renyi_joint_entropy(k_x: Array, k_y: Array, alpha: float) -> float:
+    """Entropy of the Hadamard product of the two Grams."""
+    if len(k_x) != len(k_y):
+        raise ValueError(f"renyi_joint_entropy: size mismatch {len(k_x)} vs {len(k_y)}")
+    return renyi_entropy(k_x * k_y, alpha)
 
 
-def renyi_joint_entropy(gram_x: GramMatrix, gram_y: GramMatrix, alpha: float) -> float:
-    """Entropy of the trace-normalized Hadamard product of the two Grams."""
-    if gram_x.n != gram_y.n:
-        raise ValueError(f"renyi_joint_entropy: size mismatch {gram_x.n} vs {gram_y.n}")
-    return _trace_normalized_entropy(gram_x.K * gram_y.K, alpha)
-
-
-def renyi_mi_from_grams(gram_x: GramMatrix, gram_y: GramMatrix, alpha: float) -> MIEstimate:
+def renyi_mi_from_grams(k_x: Array, k_y: Array, alpha: float) -> float:
     """H_a(X) + H_a(Y) - H_a(X, Y) from the two paired Grams."""
-    value = (renyi_entropy(gram_x, alpha) + renyi_entropy(gram_y, alpha)
-             - renyi_joint_entropy(gram_x, gram_y, alpha))
-    return MIEstimate(value=value, estimator="renyi", alpha=float(alpha))
+    return (renyi_entropy(k_x, alpha) + renyi_entropy(k_y, alpha)
+            - renyi_joint_entropy(k_x, k_y, alpha))
 
 
-def hsic_from_grams(gram_x: GramMatrix, gram_y: GramMatrix) -> MIEstimate:
+def hsic_from_grams(k_x: Array, k_y: Array) -> float:
     """Biased empirical HSIC, (1/N^2) tr(K_x H K_y H) with H = I - (1/N) 1 1^T.
 
     H is idempotent, so the trace equals the elementwise product of the two
     doubly-centered Grams; that form makes a constant variable give exactly 0.
     """
-    n = gram_x.n
-    if gram_y.n != n:
-        raise ValueError(f"hsic: size mismatch {n} vs {gram_y.n}")
-    return MIEstimate(value=_hsic_graph(Tensor(gram_x.K), Tensor(gram_y.K)).item(),
-                      estimator="hsic")
+    if len(k_x) != len(k_y):
+        raise ValueError(f"hsic: size mismatch {len(k_x)} vs {len(k_y)}")
+    return _hsic_graph(Tensor(k_x), Tensor(k_y)).item()
 
 
 def _paired_grams(x_samples, y_samples, sigma_x: float | None, sigma_y: float | None,
-                  name: str) -> tuple[GramMatrix, GramMatrix]:
+                  name: str) -> tuple[Array, Array]:
     x = _as_sample_matrix(x_samples)
     y = _as_sample_matrix(y_samples)
     if x.shape[0] != y.shape[0]:
@@ -194,14 +167,14 @@ def _paired_grams(x_samples, y_samples, sigma_x: float | None, sigma_y: float | 
 
 
 def renyi_mi(x_samples, y_samples, alpha: float,
-             sigma_x: float | None = None, sigma_y: float | None = None) -> MIEstimate:
+             sigma_x: float | None = None, sigma_y: float | None = None) -> float:
     """H_a(X) + H_a(Y) - H_a(X, Y) with RBF Grams (median bandwidth by default)."""
     return renyi_mi_from_grams(*_paired_grams(x_samples, y_samples, sigma_x, sigma_y, "renyi_mi"),
                                alpha)
 
 
 def hsic(x_samples, y_samples,
-         sigma_x: float | None = None, sigma_y: float | None = None) -> MIEstimate:
+         sigma_x: float | None = None, sigma_y: float | None = None) -> float:
     """Biased empirical HSIC with RBF Grams (median bandwidth by default)."""
     return hsic_from_grams(*_paired_grams(x_samples, y_samples, sigma_x, sigma_y, "hsic"))
 

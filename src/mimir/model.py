@@ -88,10 +88,6 @@ class ViTConfig:
     def patch_dim(self) -> int:
         return self.channels * self.patch_size * self.patch_size
 
-    @property
-    def num_visible(self) -> int:
-        return visible_count(self.num_patches, self.mask_ratio)
-
 
 def visible_count(num_patches: int, mask_ratio: float) -> int:
     """floor(P * (1 - ratio)), never below one visible patch."""

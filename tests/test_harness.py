@@ -20,7 +20,7 @@ from mimir import cli
 from mimir.cli import _cmd_attack, _eval_jobs, main, run_config
 from mimir.config import ConfigError, ExperimentConfig, load_config, parse_config_text, serialize_config
 from mimir.data import Dataset, class_templates, load_cifar10_binary, synth_dataset, write_csv
-from mimir.evaluate import AttackJob, evaluate, landscape_grid
+from mimir.evaluate import AttackJob, evaluate, landscape_grid, write_eval_csv
 from mimir import config as config_module
 from mimir import evaluate as evaluate_module
 from mimir import mi
@@ -388,7 +388,8 @@ class TestConfig:
         own = {"synth": ["data.num_classes = 4", "data.samples_per_class = 4",
                          "data.image_size = 16", "data.noise = 0.1", "data.channels = 1"],
                "cifar10": [f"data.dir = {tmp_path}", "data.split = test"]}[source]
-        lines = ["command = mi-estimate", "out_dir = out", f"checkpoint = {tmp_path}",
+        (tmp_path / "m.ckpt").touch()  # load_config checks only that the checkpoint is a file
+        lines = ["command = mi-estimate", "out_dir = out", f"checkpoint = {tmp_path / 'm.ckpt'}",
                  f"data.source = {source}", *own]
         (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
         load_config(tmp_path / "c.cfg")  # every key the source reads
@@ -492,6 +493,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("command, key, value", [
         ("landscape", "landscape.resolution", -3), ("bounds", "bounds.num_classes", 0),
         ("pretrain", "model.enc_layers", 0), ("eval", "eval.attacks", "ce,pgd"),
+        ("eval", "eval.attacks", "ce,ce,fea,ce"),
         ("mi-estimate", "mi.alpha", 1), ("bounds", "bounds.step", 0.5),
         ("landscape", "landscape.half_width", -1), ("eval", "eval.lambda", -1),
         ("eval", "train.lambda", -1),
@@ -505,7 +507,8 @@ class TestRunConfig:
         """Each config is valid but for ``key``, so only the key's own check can stop it.
 
         The non-finite values among them, left to run, write non-finite
-        artifacts or fail mid-run, not by key.
+        artifacts or fail mid-run, not by key; ``ce,ce,fea,ce`` wrote three
+        rows all named ``pgd20``.
         """
         save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
                         tmp_path / "m.ckpt")
@@ -595,6 +598,46 @@ class TestRunConfig:
         assert capsys.readouterr().err == ("error: data.num_classes = 5 exceeds the model's "
                                            "num_classes = 4\n")
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _line_of(path, key):
+        return next(i for i, line in enumerate(path.read_text().splitlines(), start=1)
+                    if line.startswith(f"{key} = "))
+
+    @pytest.mark.parametrize("attacks", [None, "fea", "ce, fea"])
+    def test_eval_zero_init_with_a_fea_column_rejected_before_any_work(self, tmp_path, capsys,
+                                                                       monkeypatch, attacks):
+        """Left to run, eval loaded the checkpoint and ran the ``ce`` attack on the first batch
+        before ``attack_fea`` failed with a message that named no key."""
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("checkpoint loaded"))
+        extra = ["attack.init = zero"] + ([f"eval.attacks = {attacks}"] if attacks else [])
+        path = self._checkpoint_config(tmp_path, "eval", *extra)
+        assert run_config(path) == 1
+        assert capsys.readouterr().err == (
+            f"error: line {self._line_of(path, 'attack.init')}: attack.init = zero gives the fea "
+            "attack of eval.attacks an identically zero gradient; use random\n")
+        assert not (tmp_path / "out").exists()
+        # zero init is fine for the other columns
+        path = self._checkpoint_config(tmp_path, "eval", "attack.init = zero", "eval.attacks = ce,mi")
+        assert load_config(path).attack.init == "zero"
+
+    @pytest.mark.parametrize("key, kind", [("checkpoint", "file"), ("data.dir", "directory")])
+    def test_checkpoint_file_and_data_directory_rejected_by_key_and_line(self, tmp_path, capsys,
+                                                                         key, kind):
+        """Left to load, ``checkpoint = .`` failed with ``[Errno 21] Is a directory`` and a
+        ``data.dir`` that names a file failed inside the CIFAR loader."""
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        out = tmp_path / "out"
+        paths = {"checkpoint": tmp_path / "m.ckpt", "data.dir": tmp_path}
+        paths[key] = tmp_path if key == "checkpoint" else tmp_path / "m.ckpt"
+        lines = ["command = mi-estimate", f"out_dir = {out}", f"checkpoint = {paths['checkpoint']}",
+                 "data.source = cifar10", f"data.dir = {paths['data.dir']}"]
+        (tmp_path / "c.cfg").write_text("\n".join(lines) + "\n")
+        assert run_config(tmp_path / "c.cfg") == 1
+        assert capsys.readouterr().err == (f"error: line {self._line_of(tmp_path / 'c.cfg', key)}: "
+                                           f"{key} path is not a {kind}: {paths[key]}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [("pretrain", "train.batch_size"),
                                               ("eval", "eval.batch_size")])
@@ -702,6 +745,24 @@ class TestRunConfig:
         assert run_config(tmp_path / "c.cfg") == 0
         rows = (out / "eval.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows] == ["attack", "pgd3"]
+
+    def test_eval_subset_below_the_dataset_size_evaluates_the_first_images(self, tmp_path):
+        """``eval.subset = 5`` of 8 images is ``evaluate`` of the first 5, with the same seed,
+        jobs and batches."""
+        path = self._checkpoint_config(tmp_path, "eval", "data.samples_per_class = 2",
+                                       "eval.subset = 5", "eval.batch_size = 2", "attack.iters = 2",
+                                       "eval.adaptive_iters = 2", "eval.attacks = ce,fea", "seed = 3")
+        assert run_config(path) == 0
+        got = (tmp_path / "out" / "eval.csv").read_bytes()
+        assert [row.split(",")[3] for row in got.decode().splitlines()[1:]] == ["5", "5"]
+        cfg = load_config(path)
+        full = synth_dataset(4, 2, 16, 0.1, np.random.default_rng([3, 1]), channels=1)
+        first = Dataset(images=full.images[:5], labels=full.labels[:5], split=full.split,
+                        num_classes=full.num_classes)
+        report = evaluate(load_checkpoint(tmp_path / "m.ckpt").params, first, _eval_jobs(cfg),
+                          seed=3, batch_size=2)
+        write_eval_csv(report, tmp_path / "want.csv")
+        assert got == (tmp_path / "want.csv").read_bytes()
 
     def test_csv_byte_determinism(self, tmp_path):
         outputs = []
@@ -827,8 +888,8 @@ class TestRunConfig:
         x = synth_dataset(4, 4, 16, 0.1, np.random.default_rng([0, 1]), channels=1).images
         z = encode_full(params.constants(), Tensor(x)).data.reshape(16, -1)
         x = x.reshape(16, -1)
-        want = [f"hsic,,{mi.hsic(x, z).value:.10e}",
-                f"renyi,1.5,{mi.renyi_mi(x, z, alpha=1.5).value:.10e}"]
+        want = [f"hsic,,{mi.hsic(x, z):.10e}",
+                f"renyi,1.5,{mi.renyi_mi(x, z, alpha=1.5):.10e}"]
         assert (tmp_path / "mi" / "mi.csv").read_text().splitlines()[1:] == want
 
     def test_attack_batches_seeded_as_job_zero(self, tmp_path):

@@ -4,17 +4,17 @@ import pytest
 from mimir import autodiff as ad
 from mimir import mi
 from mimir.autodiff import Tensor
-from mimir.mi import GramMatrix, PenaltyConfig
+from mimir.mi import PenaltyConfig
 
 
 class TestRbfGram:
     def test_identical_samples_all_ones(self):
         g = mi.rbf_gram(np.zeros((3, 2)), 1.0)
-        assert np.array_equal(g.K, np.ones((3, 3)))
+        assert np.array_equal(g, np.ones((3, 3)))
 
     def test_distance_sqrt2_sigma(self):
         g = mi.rbf_gram(np.array([[0.0], [np.sqrt(2.0)]]), 1.0)
-        assert g.K[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
+        assert g[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -27,9 +27,9 @@ class TestRbfGram:
     def test_invariants(self):
         rng = np.random.default_rng(0)
         g = mi.rbf_gram(rng.normal(size=(6, 3)), 0.8)
-        assert np.max(np.abs(g.K - g.K.T)) <= 1e-12
-        assert np.array_equal(np.diag(g.K), np.ones(6))
-        norm = g.K / np.trace(g.K)
+        assert np.max(np.abs(g - g.T)) <= 1e-12
+        assert np.array_equal(np.diag(g), np.ones(6))
+        norm = g / np.trace(g)
         assert abs(np.trace(norm) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(norm).min() >= -1e-10
 
@@ -53,7 +53,7 @@ class TestPairwiseDistances:
         for x in random_sets_with_duplicate_rows():
             for sigma in (0.3, 1.7):
                 expected = np.exp(-cube_sq_dists(x) / (2.0 * sigma * sigma))
-                assert np.array_equal(mi.rbf_gram(x, sigma).K, expected)
+                assert np.array_equal(mi.rbf_gram(x, sigma), expected)
 
     def test_median_bandwidth_matches_difference_cube_exactly(self):
         for x in random_sets_with_duplicate_rows():
@@ -70,8 +70,7 @@ class TestSharedGrams:
         for x in random_sets_with_duplicate_rows():
             sigma = mi.median_bandwidth(x)
             gram = mi.rbf_gram(x)
-            assert gram.sigma == sigma
-            assert np.array_equal(gram.K, mi.rbf_gram(x, sigma).K)
+            assert np.array_equal(gram, mi.rbf_gram(x, sigma))
 
     def test_estimates_from_grams_match_the_sample_estimators_exactly(self):
         rng = np.random.default_rng(21)
@@ -130,31 +129,31 @@ class TestSymmetricEigenvalues:
     def test_normalized_gram_spectrum_sums_to_one(self):
         rng = np.random.default_rng(2)
         g = mi.rbf_gram(rng.normal(size=(8, 2)), 1.0)
-        spec = mi.symmetric_eigenvalues(g.K / np.trace(g.K))
+        spec = mi.symmetric_eigenvalues(g / np.trace(g))
         assert abs(spec.sum() - 1.0) <= 1e-9
 
 
 class TestRenyiEntropy:
     def test_uniform_spectrum_maximal(self):
-        g = GramMatrix(np.eye(4), 1.0)
+        g = np.eye(4)
         for alpha in (0.5, 2.0, 4.0):
             assert mi.renyi_entropy(g, alpha) == pytest.approx(2.0, abs=1e-9)
 
     def test_rank_one_zero(self):
-        g = GramMatrix(np.ones((5, 5)), 1.0)
+        g = np.ones((5, 5))
         assert mi.renyi_entropy(g, 2.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_spectrum(self):
-        g = GramMatrix(np.diag([0.75, 0.25]), 1.0)
+        g = np.diag([0.75, 0.25])
         assert mi.renyi_entropy(g, 2.0) == pytest.approx(-np.log2(0.625), abs=1e-12)
 
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError):
-            mi.renyi_entropy(GramMatrix(np.eye(2), 1.0), 1.0)
+            mi.renyi_entropy(np.eye(2), 1.0)
 
     def test_alpha_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            mi.renyi_entropy(GramMatrix(np.eye(2), 1.0), -0.5)
+            mi.renyi_entropy(np.eye(2), -0.5)
 
     def test_entropy_bounds(self):
         rng = np.random.default_rng(3)
@@ -170,24 +169,24 @@ class TestRenyiJoint:
     def test_constant_y_is_identity(self):
         rng = np.random.default_rng(4)
         gx = mi.rbf_gram(rng.normal(size=(5, 2)), 1.0)
-        gy = GramMatrix(np.ones((5, 5)), 1.0)
+        gy = np.ones((5, 5))
         assert mi.renyi_joint_entropy(gx, gy, 2.0) == pytest.approx(mi.renyi_entropy(gx, 2.0), abs=1e-12)
 
     def test_both_constant_zero(self):
-        g = GramMatrix(np.ones((4, 4)), 1.0)
+        g = np.ones((4, 4))
         assert mi.renyi_joint_entropy(g, g, 2.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_explicit_hadamard(self):
         rng = np.random.default_rng(5)
         gx = mi.rbf_gram(rng.normal(size=(4, 2)), 1.0)
         gy = mi.rbf_gram(rng.normal(size=(4, 3)), 1.2)
-        had = gx.K * gy.K
-        expected = mi.renyi_entropy(GramMatrix(had, 0.0), 3.0)
+        had = gx * gy
+        expected = mi.renyi_entropy(had, 3.0)
         assert mi.renyi_joint_entropy(gx, gy, 3.0) == pytest.approx(expected, abs=1e-12)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            mi.renyi_joint_entropy(GramMatrix(np.eye(3), 1.0), GramMatrix(np.eye(4), 1.0), 2.0)
+            mi.renyi_joint_entropy(np.eye(3), np.eye(4), 2.0)
 
     def test_monotone_under_hadamard_refinement(self):
         rng = np.random.default_rng(6)
@@ -203,26 +202,26 @@ class TestRenyiMI:
     def test_constant_y_zero(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 2))
-        assert mi.renyi_mi(x, np.zeros((6, 1)), 2.0, sigma_y=1.0).value == pytest.approx(0.0, abs=1e-9)
+        assert mi.renyi_mi(x, np.zeros((6, 1)), 2.0, sigma_y=1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_self_dependence_matches_bruteforce(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(5, 2))
         sigma = mi.median_bandwidth(x)
         est = mi.renyi_mi(x, x, 2.0)
-        k = mi.rbf_gram(x, sigma).K
+        k = mi.rbf_gram(x, sigma)
         had = k * k
         expected = (2.0 * mi.renyi_entropy(mi.rbf_gram(x, sigma), 2.0)
-                    - mi.renyi_entropy(GramMatrix(had, 0.0), 2.0))
-        assert est.value == pytest.approx(expected, abs=1e-12)
+                    - mi.renyi_entropy(had, 2.0))
+        assert est == pytest.approx(expected, abs=1e-12)
 
     def test_dependent_always_above_independent(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             x = rng.uniform(size=(64, 1))
             y_indep = rng.uniform(size=(64, 1))
-            indep = mi.renyi_mi(x, y_indep, 2.0).value
-            dep = mi.renyi_mi(x, x, 2.0).value
+            indep = mi.renyi_mi(x, y_indep, 2.0)
+            dep = mi.renyi_mi(x, x, 2.0)
             assert indep < dep
 
     def test_nonnegative_on_random_sets(self):
@@ -231,7 +230,7 @@ class TestRenyiMI:
             rng = np.random.default_rng([9, seed])
             x = rng.normal(size=(8, 2))
             y = rng.normal(size=(8, 2))
-            assert mi.renyi_mi(x, y, 2.0).value >= -1e-6
+            assert mi.renyi_mi(x, y, 2.0) >= -1e-6
             count += 1
         assert count == 100
 
@@ -240,21 +239,21 @@ class TestHsic:
     def test_constant_x_exact_zero(self):
         rng = np.random.default_rng(10)
         y = rng.normal(size=(5, 2))
-        assert mi.hsic(np.zeros((5, 1)), y, sigma_x=1.0).value == 0.0
+        assert mi.hsic(np.zeros((5, 1)), y, sigma_x=1.0) == 0.0
 
     def test_bruteforce_three_samples(self):
         x = np.array([[0.0], [1.0], [2.0]])
         k = np.array([[np.exp(-abs(i - j) ** 2 / 2.0) for j in range(3)] for i in range(3)])
         h = np.eye(3) - np.ones((3, 3)) / 3.0
         expected = np.trace(k @ h @ k @ h) / 9.0
-        assert mi.hsic(x, x, 1.0, 1.0).value == pytest.approx(expected, abs=1e-12)
+        assert mi.hsic(x, x, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_joint_permutation_invariance(self):
         rng = np.random.default_rng(11)
         x, y = rng.normal(size=(6, 2)), rng.normal(size=(6, 3))
-        base = mi.hsic(x, y, 1.0, 1.0).value
+        base = mi.hsic(x, y, 1.0, 1.0)
         perm = rng.permutation(6)
-        assert mi.hsic(x[perm], y[perm], 1.0, 1.0).value == pytest.approx(base, abs=1e-12)
+        assert mi.hsic(x[perm], y[perm], 1.0, 1.0) == pytest.approx(base, abs=1e-12)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -267,7 +266,7 @@ class TestHsic:
                 rng = np.random.default_rng([n, seed])
                 x = rng.uniform(size=(n, 1))
                 y = rng.uniform(size=(n, 1))
-                vals.append(mi.hsic(x, y, 0.5, 0.5).value)
+                vals.append(mi.hsic(x, y, 0.5, 0.5))
             return np.median(vals)
 
         assert medians(256) < medians(32)
@@ -299,9 +298,9 @@ class TestPenalty:
         z = rng.normal(size=(6, 4))
         sx, sy = mi.median_bandwidth(x), mi.median_bandwidth(z)
         graph_h = mi.penalty_mi(Tensor(x), Tensor(z), PenaltyConfig("hsic")).item()
-        assert graph_h == mi.hsic(x, z, sx, sy).value
+        assert graph_h == mi.hsic(x, z, sx, sy)
         graph_r = mi.penalty_mi(Tensor(x), Tensor(z), PenaltyConfig("renyi2")).item()
-        assert graph_r == pytest.approx(mi.renyi_mi(x, z, 2.0, sx, sy).value, abs=1e-9)
+        assert graph_r == pytest.approx(mi.renyi_mi(x, z, 2.0, sx, sy), abs=1e-9)
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
@@ -313,7 +312,7 @@ class TestPenalty:
         for x in random_sets_with_duplicate_rows():
             z = np.tanh(x @ np.linspace(-1.0, 1.0, 2 * x.shape[1]).reshape(x.shape[1], 2))
             cfg = PenaltyConfig("hsic", *sigmas)
-            assert mi.penalty_mi(Tensor(x), Tensor(z), cfg).item() == mi.hsic(x, z, *sigmas).value
+            assert mi.penalty_mi(Tensor(x), Tensor(z), cfg).item() == mi.hsic(x, z, *sigmas)
 
     @pytest.mark.parametrize("estimator", ["hsic", "renyi2"])
     def test_one_distance_matrix_per_variable(self, estimator, monkeypatch):
@@ -400,5 +399,5 @@ def test_estimators_rank_dependence_like_discrete_mi():
             return pmf / pmf.sum()
 
         assert mi.discrete_mi(joint(x, y_dep)) > mi.discrete_mi(joint(x, y_ind))
-        assert mi.hsic(x, y_dep, 0.5, 0.5).value > mi.hsic(x, y_ind, 0.5, 0.5).value
-        assert mi.renyi_mi(x, y_dep, 2.0, 0.5, 0.5).value > mi.renyi_mi(x, y_ind, 2.0, 0.5, 0.5).value
+        assert mi.hsic(x, y_dep, 0.5, 0.5) > mi.hsic(x, y_ind, 0.5, 0.5)
+        assert mi.renyi_mi(x, y_dep, 2.0, 0.5, 0.5) > mi.renyi_mi(x, y_ind, 2.0, 0.5, 0.5)
