@@ -22,8 +22,8 @@ because library users and the benchmark's workloads import ``mimir.train``
 and ``mimir.model`` and never call ``cli.main``. Applied only there, it
 would leave those processes with the faults above, and finetune-tiny16 ran
 at 230.6 img/s without it against 255.0 with it. ``autodiff`` imports this
-module after numpy and ``scipy.special``, so importing any mimir module
-that builds graphs applies the policy.
+module after numpy, so importing any mimir module that builds graphs
+applies the policy.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ def _eval_jobs(cfg: ExperimentConfig) -> list[AttackJob]:
     adaptive_iters = cfg.get("eval.adaptive_iters")
     lam = cfg.get("eval.lambda")
     jobs = []
-    for kind in (entry.strip() for entry in cfg.get("eval.attacks").split(",")):
+    for kind in cfg.get("eval.attacks"):
         if kind == "ce":
             jobs.append(AttackJob(f"pgd{cfg.attack.iters}", "ce", cfg.attack))
         else:  # "mi" or "fea"; load_config rejects any other entry

@@ -69,14 +69,14 @@ def _one_of(*choices: str, default: str | None = None) -> Key:
     return Key(parse, accepts, default)
 
 
-def _parse_eval_attacks(raw: str) -> str:
-    kinds = [kind.strip() for kind in raw.split(",")]
+def _parse_eval_attacks(raw: str) -> tuple[str, ...]:
+    kinds = tuple(kind.strip() for kind in raw.split(","))
     for i, kind in enumerate(kinds):
         if kind not in ATTACKS:
             raise ValueError(f"entries must be {'/'.join(ATTACKS)}, got {kind!r}")
         if kind in kinds[:i]:
             raise ValueError(f"{kind!r} is listed twice")
-    return raw
+    return kinds
 
 
 COMMANDS = ("pretrain", "finetune", "attack", "eval", "bounds", "landscape", "mi-estimate")
@@ -98,7 +98,7 @@ KEYS: dict[str, Key] = {
     "data.noise": _at_least(0.0, _WEIGHT, float),
     "train.lambda": _at_least(0.0, _WEIGHT, float, default=TrainConfig.lam),
     "eval.attacks": Key(_parse_eval_attacks, "a comma list of " + ", ".join(ATTACKS)
-                        + ", each at most once", ",".join(ATTACKS)),
+                        + ", each at most once", tuple(ATTACKS)),
     "eval.adaptive_iters": _at_least(1, _COUNT, default=100),
     "eval.lambda": _at_least(0.0, _WEIGHT, float, same_as="train.lambda"),
     "eval.batch_size": _at_least(1, _COUNT, default=64),
@@ -293,8 +293,7 @@ def load_config(path, command: str | None = None, seed: int | None = None,
     cfg = ExperimentConfig(command=command, values=values)
     attack, betas = _PER_COMMAND.get(command, (adaptive_attack_spec(iters=20), TrainConfig.betas))
     cfg.attack = _build(lines, "attack", replace, attack, **cfg._section("attack."))
-    if (command == "eval" and cfg.attack.init == "zero"
-            and "fea" in (kind.strip() for kind in cfg.get("eval.attacks").split(","))):
+    if command == "eval" and cfg.attack.init == "zero" and "fea" in cfg.get("eval.attacks"):
         raise ConfigError(f"line {lines['attack.init']}: attack.init = zero gives the fea attack "
                           "of eval.attacks an identically zero gradient; use random")
     if "model.image_size" in values:
@@ -308,16 +307,17 @@ def load_config(path, command: str | None = None, seed: int | None = None,
     return cfg
 
 
+def _render(value) -> str:
+    """``value`` as a config file spells it: the inverse of its key's parser."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(value)
+    return str(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it back yields an identical structure."""
-    lines = []
-    for key in sorted(cfg.values):
-        value = cfg.values[key]
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{key} = {_render(cfg.values[key])}" for key in sorted(cfg.values)) + "\n"

@@ -202,6 +202,75 @@ MODEL_SHAPES = [(16, 16, 32), (16, 16, 128), (16, 16, 16), (32, 64, 96), (32, 64
                 (32, 64, 64)]
 
 
+def _same_bits(a, b) -> bool:
+    """Equal to the last bit, telling -0 from 0 and matching nan with nan."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestErf:
+    """``_erf`` against scipy.special.erf, bit for bit, in place as gelu calls it and not.
+
+    Each branch is covered over its whole range and at its edges; the gelu
+    cases reach past |x| = 1 only with normal inputs.
+    """
+
+    @staticmethod
+    def _check(x):
+        want = erf(x)
+        assert _same_bits(ad._erf(x, np.empty_like(x)), want)
+        inplace = x.copy()
+        assert ad._erf(inplace, inplace) is inplace
+        assert _same_bits(inplace, want)
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (1.0, 8.0), (8.0, 30.0), (8.0, 1e300)])
+    def test_a_million_random_inputs(self, low, high):
+        """Each range holds 10^6 + 7 values, uniform (log-uniform up to 1e300), of random sign;
+        the size is no multiple of the block, so the last block is short."""
+        rng = np.random.default_rng([int(low), int(math.log10(high))])
+        n = 10**6 + 7
+        if high > 100.0:
+            mag = np.exp(rng.uniform(math.log(low), math.log(high), n))
+        else:
+            mag = rng.uniform(low, high, n)
+        self._check(np.where(rng.random(n) < 0.5, -mag, mag))
+
+    def test_edges(self):
+        tiny = np.finfo(float).tiny
+        edges = [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 8.0,
+                 np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 1e300, np.inf, 5e-324, 1e-310,
+                 tiny, np.nextafter(tiny, 0.0), *np.linspace(26.5, 27.5, 101)]
+        x = np.array(edges + [-e for e in edges] + [np.nan])
+        assert np.signbit(x).sum() == len(edges)  # -0.0 is among them
+        self._check(x)
+        self._check(x[:-1].reshape(2, -1))
+
+    def test_branches_mixed_across_block_boundaries(self):
+        """Values beyond 1 sit on both sides of each boundary, in a 3-d array as gelu passes."""
+        block = ad._ERF_BLOCK
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=2 * block + 9) * 1.5
+        x[[0, block - 1, block, 2 * block - 1, 2 * block, -1]] = [-1.5, 2.0, -9.0, 1.0 + 1e-9, 3.0, -27.0]
+        self._check(x)
+        self._check(x[:-9].reshape(4, -1, 8))
+
+    def test_rejects_an_out_it_cannot_write_flat(self):
+        x = np.zeros((3, 4))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ad._erf(x.T, np.empty((3, 4)).T)
+
+    def test_gelu_over_both_branches_across_a_block(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, ad._ERF_BLOCK // 2 + 5)) * 2.5
+        a[0, :4] = [-30.0, 30.0, 12.0, -12.0]
+        beyond = np.abs(a * (1.0 / math.sqrt(2.0))) > 1.0
+        assert beyond.mean() > 0.3 and (~beyond).mean() > 0.3
+        g = rng.normal(size=a.shape)
+        out = ad.gelu(Tensor(a.copy(), requires_grad=True))
+        ((_, vjp),) = out._parents
+        want_out, want_grad = _reference_gelu(a, g)
+        assert _same_bits(out.data, want_out) and _same_bits(vjp(g), want_grad)
+
+
 class TestInPlaceKernels:
     """gelu and layer_norm build their temporaries in place; the bits must not move."""
 

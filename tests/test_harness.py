@@ -353,6 +353,30 @@ class TestConfig:
         assert reparsed.values == cfg.values
         assert serialize_config(reparsed) == text
 
+    def test_eval_attacks_parse_once_into_kinds_and_serialize_joined(self, tmp_path):
+        """The kinds are parsed once; the zero-init rule and the eval jobs read the tuple."""
+        path = tmp_path / "c.cfg"
+        path.write_text(BASE_CONFIG.format(out=tmp_path / "out") + "eval.attacks = fea , ce\n")
+        cfg = load_config(path)
+        assert cfg.get("eval.attacks") == ("fea", "ce")
+        assert "eval.attacks = fea,ce\n" in serialize_config(cfg)
+        assert [job.kind for job in _eval_jobs(cfg)] == ["fea", "ce"]
+        unset = ExperimentConfig(command="eval", attack=cfg.attack)
+        assert unset.get("eval.attacks") == ("ce", "mi", "fea")
+        assert [job.kind for job in _eval_jobs(unset)] == ["ce", "mi", "fea"]
+
+    @pytest.mark.parametrize("raw, message", [
+        ("ce,ce", "'ce' is listed twice"), ("ce, mi ,fea, mi", "'mi' is listed twice"),
+        ("ce,pgd", "entries must be ce/mi/fea, got 'pgd'"), ("ce,", "entries must be ce/mi/fea, got ''")])
+    def test_eval_attacks_rules_keep_their_messages(self, tmp_path, raw, message):
+        path = tmp_path / "c.cfg"
+        text = BASE_CONFIG.format(out=tmp_path / "out") + f"eval.attacks = {raw}\n"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == (f"line {len(text.splitlines())}: bad value for 'eval.attacks': "
+                                  f"{message}")
+
     def test_unknown_command_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("command = trainify\nout_dir = x\n")
@@ -988,7 +1012,7 @@ def _key_table() -> list[str]:
     def unset(spec):
         if spec.same_as:
             return f"`{spec.same_as}`"
-        return "—" if spec.default is None else f"`{spec.default}`"
+        return "—" if spec.default is None else f"`{config_module._render(spec.default)}`"
 
     rows = {key: (spec.accepts, unset(spec)) for key, spec in config_module.KEYS.items()}
     for section, (cls, default) in config_module.SECTIONS.items():

@@ -69,6 +69,23 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak)
 """
 
 
+# Imports the CLI and then every module of the package; prints the scipy modules loaded.
+_SCIPY_MODULES = """
+import importlib, pkgutil, sys
+import mimir, mimir.cli
+for module in pkgutil.iter_modules(mimir.__path__):
+    importlib.import_module("mimir." + module.name)
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_no_mimir_module_imports_scipy():
+    """scipy is the test suite's reference only: ``scipy.special`` cost every start 0.2 s."""
+    loaded = subprocess.run([sys.executable, "-c", _SCIPY_MODULES], env=_package_env(), check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded.strip() == "[]"
+
+
 @pytest.mark.skipif(not _glibc(), reason="the heap policy applies to glibc only")
 class TestHeapPolicy:
     def _third_round_faults(self, **malloc_env) -> int:
