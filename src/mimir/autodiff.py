@@ -12,6 +12,17 @@ both ``q`` and ``k``). Their forward values are bit-identical to the same
 computation spelled out with ``matmul``, ``add``, ``reshape``, ``transpose``,
 ``scale`` and ``softmax``.
 
+Memory contract: an op result holds its values in ``data`` and its place in
+the graph in ``_node``. A node holds its edges and the arrays its VJPs read,
+not its output and not a non-leaf operand: an edge leads to a leaf
+``Tensor`` or to the ``_Node`` of a non-leaf one. So a graph keeps an intermediate's values alive
+only where a VJP reads them (``gelu``'s input, ``layer_norm``'s normalized
+input, ``softmax``'s output, ``linear``'s input when its weight requires a
+gradient), and the values of every other intermediate are freed once the
+caller drops its tensor, while the graph lives on. A VJP sees the array
+captured at forward time: rebinding an operand's ``.data`` later does not
+reach the backward; writing into that array does.
+
 Gradient accumulation contract: ``backward`` adds into ``Tensor.grad`` of
 every reachable leaf that requires gradients. Callers zero leaf gradients
 explicitly between optimization steps; running ``backward`` twice over the
@@ -48,21 +59,34 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+class _Node:
+    """The graph vertex of an op result: its edges and its op's name, not its values.
+
+    ``_parents`` holds ``(vertex, vjp)`` pairs, a vertex being a leaf
+    ``Tensor`` or the ``_Node`` of a non-leaf one.
+    """
+
+    __slots__ = ("_parents", "_op")
+    is_leaf = False
+
+    def __init__(self, parents: tuple, op: str):
+        self._parents, self._op = parents, op
+
+
 class Tensor:
     """Dense float64 array, optionally tracked in the differentiation graph.
 
     Leaves are created by the constructor or :func:`tensor_create`; non-leaf
-    tensors are produced by ops and hold edges back to their parents.
+    tensors are produced by ops and hold their graph vertex in ``_node``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self._parents: tuple = ()
-        self._op = "leaf"
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,7 +98,15 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        return not self._parents
+        return self._node is None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _op(self) -> str:
+        return "leaf" if self._node is None else self._node._op
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -98,18 +130,26 @@ def _ensure_finite(data: Array, op: str) -> None:
         raise FloatingPointError(f"{op}: non-finite values in forward result")
 
 
+Vertex = Tensor | _Node
+
+
+def _vertex(t: Tensor) -> Vertex:
+    """``t``'s vertex in the graph: ``t`` itself for a leaf, its ``_Node`` otherwise."""
+    return t if t._node is None else t._node
+
+
 def _result(data: Array, op: str, edges: Sequence[tuple[Tensor, Callable[[Array], Array]]],
             check: bool = True) -> Tensor:
-    """Build an op result; edges to parents without gradients are dropped."""
+    """Build an op result; edges to parents without gradients are dropped, the rest lead
+    to the parents' vertices."""
     if check:
         _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    kept = tuple((p, vjp) for p, vjp in edges if p.requires_grad)
-    out._parents = kept
+    kept = tuple((_vertex(p), vjp) for p, vjp in edges if p.requires_grad)
+    out._node = _Node(kept, op) if kept else None
     out.requires_grad = bool(kept)
-    out._op = op
     return out
 
 
@@ -217,25 +257,28 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
+    sa, sb = a.shape, b.shape
     return _result(a.data + b.data, "add", [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(g, sb)),
     ])
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
+    sa, sb = a.shape, b.shape
     return _result(a.data - b.data, "sub", [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(-g, b.shape)),
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(-g, sb)),
     ])
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
-    return _result(a.data * b.data, "mul", [
-        (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+    x, y, sa, sb = a.data, b.data, a.shape, b.shape
+    return _result(x * y, "mul", [
+        (a, lambda g: _unbroadcast(g * y, sa)),
+        (b, lambda g: _unbroadcast(g * x, sb)),
     ])
 
 
@@ -257,7 +300,8 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError("log: requires strictly positive values")
-    return _result(np.log(a.data), "log", [(a, lambda g: g / a.data)])
+    x = a.data
+    return _result(np.log(x), "log", [(a, lambda g: g / x)])
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -268,7 +312,8 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    return _result(a.data * a.data, "square", [(a, lambda g: g * 2.0 * a.data)])
+    x = a.data
+    return _result(x * x, "square", [(a, lambda g: g * 2.0 * x)])
 
 
 def clip(a: Tensor, lo: float | None, hi: float | None) -> Tensor:
@@ -293,13 +338,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
 
+    x, y, sa, sb = a.data, b.data, a.shape, b.shape
+
     def grad_a(g: Array) -> Array:
-        return _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
+        return _unbroadcast(np.matmul(g, y.swapaxes(-1, -2)), sa)
 
     def grad_b(g: Array) -> Array:
-        return _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
+        return _unbroadcast(np.matmul(x.swapaxes(-1, -2), g), sb)
 
-    return _result(np.matmul(a.data, b.data), "matmul", [(a, grad_a), (b, grad_b)])
+    return _result(np.matmul(x, y), "matmul", [(a, grad_a), (b, grad_b)])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -311,7 +358,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (w.shape[1],):
         raise ValueError(f"linear: bias shape {b.shape} does not match output dim {w.shape[1]}")
     out = np.matmul(x.data, w.data)
-    xt = x.data.swapaxes(-1, -2)
+    xt, wt, w_shape = x.data.swapaxes(-1, -2), w.data.T, w.shape
 
     def summed(g: Array, total: Array | None) -> Array:
         # one row's product at a time, so it stays in cache; numpy's batched
@@ -328,8 +375,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if x.ndim == 2:  # one product over the rows, not a sum of per-row terms
         w_vjp = lambda g: np.matmul(xt, g)
     else:
-        w_vjp = _RowSum(summed, lambda total: _unbroadcast(total, w.shape))
-    edges = [(x, lambda g: np.matmul(g, w.data.T)), (w, w_vjp)]
+        w_vjp = _RowSum(summed, lambda total: _unbroadcast(total, w_shape))
+    edges = [(x, lambda g: np.matmul(g, wt)), (w, w_vjp)]
     if b is not None:
         out += b.data
         edges.append((b, _summed_to(b.shape)))
@@ -350,6 +397,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     if heads < 1 or dim % heads != 0:
         raise ValueError(f"attention: dim {dim} is not divisible by {heads} heads")
     hd = dim // heads
+    q_grad, k_grad, v_grad = q.requires_grad, k.requires_grad, v.requires_grad
 
     def split(a: Array, axes: tuple[int, ...]) -> Array:
         return np.ascontiguousarray(a.reshape(bsz, n, heads, hd).transpose(axes))
@@ -370,16 +418,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def grads(g: Array) -> dict[int, Array]:
         gh = g.reshape(bsz, n, heads, hd).transpose(0, 2, 1, 3)
         found: dict[int, Array] = {}
-        if q.requires_grad or k.requires_grad:
+        if q_grad or k_grad:
             ds = np.matmul(gh, vh.swapaxes(-1, -2))
             ds -= (ds * p).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= scl
-            if q.requires_grad:
+            if q_grad:
                 found[0] = merge(np.matmul(ds, kt.swapaxes(-1, -2)), (0, 2, 1, 3))
-            if k.requires_grad:
+            if k_grad:
                 found[1] = merge(np.matmul(qh.swapaxes(-1, -2), ds), (0, 3, 1, 2))
-        if v.requires_grad:
+        if v_grad:
             found[2] = merge(np.matmul(p.swapaxes(-1, -2), gh), (0, 2, 1, 3))
         return found
 
@@ -387,9 +435,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    out = a.data.reshape(tuple(shape))
+    out, before = a.data.reshape(tuple(shape)), a.shape
     return _result(np.ascontiguousarray(out), "reshape",
-                   [(a, lambda g: g.reshape(a.shape))], check=False)
+                   [(a, lambda g: g.reshape(before))], check=False)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -410,10 +458,10 @@ def gather_rows(a: Tensor, indices: Array) -> Tensor:
         raise ValueError("gather_rows: index out of range")
     expanded = idx.reshape(idx.shape + (1,) * (a.ndim - 2))
     out = np.take_along_axis(a.data, expanded, axis=1)
-    batch_sel = np.arange(a.shape[0])[:, None]
+    batch_sel, shape = np.arange(a.shape[0])[:, None], a.shape
 
     def grad_a(g: Array) -> Array:
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(shape)
         np.add.at(buf, (batch_sel, idx), g)
         return buf
 
@@ -438,8 +486,8 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 def expand(a: Tensor, shape: Sequence[int]) -> Tensor:
     """Broadcast (copying) to a larger shape; gradients sum back."""
     target = tuple(int(s) for s in shape)
-    out = np.ascontiguousarray(np.broadcast_to(a.data, target))
-    vjp = _summed_to(a.shape) if len(target) > a.ndim else lambda g: _unbroadcast(g, a.shape)
+    out, before = np.ascontiguousarray(np.broadcast_to(a.data, target)), a.shape
+    vjp = _summed_to(before) if len(target) > a.ndim else lambda g: _unbroadcast(g, before)
     return _result(out, "expand", [(a, vjp)], check=False)
 
 
@@ -463,12 +511,12 @@ def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
 
 def reduce_sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axes, a.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
+    out, shape = a.data.sum(axis=axes, keepdims=keepdims), a.shape
 
     def grad_a(g: Array) -> Array:
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape).copy()
+        return np.broadcast_to(g, shape).copy()
 
     return _result(np.asarray(out), "reduce_sum", [(a, grad_a)])
 
@@ -476,12 +524,12 @@ def reduce_sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 def reduce_mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axes, a.ndim)
     count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
-    out = a.data.mean(axis=axes, keepdims=keepdims)
+    out, shape = a.data.mean(axis=axes, keepdims=keepdims), a.shape
 
     def grad_a(g: Array) -> Array:
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape).copy() / count
+        return np.broadcast_to(g, shape).copy() / count
 
     return _result(np.asarray(out), "reduce_mean", [(a, grad_a)])
 
@@ -515,12 +563,13 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, gamma.data, out=out)
+    gamma_data = gamma.data
+    np.multiply(xhat, gamma_data, out=out)
     out += beta.data
 
     def grad_a(g: Array) -> Array:
         # (dim * gh - sum(gh) - xhat * sum(gh * xhat)) * inv / dim with gh = g * gamma
-        gh = g * gamma.data
+        gh = g * gamma_data
         gh_sum = np.add.reduce(gh, axis=-1, keepdims=True)
         proj = gh * xhat
         np.multiply(xhat, np.add.reduce(proj, axis=-1, keepdims=True), out=proj)
@@ -633,23 +682,24 @@ def gelu(a: Tensor) -> Tensor:
     erf once a tenth of its inputs lie past 1, as do those of one of the two
     encoder layers after 300 steps of the benchmark's tiny16 fine-tuning.
     """
-    cdf = np.multiply(a.data, _INV_SQRT2, out=np.empty(a.shape))
+    x = a.data
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty(a.shape))
     _erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5  # 0.5 * (1 + erf(a / sqrt 2))
 
     def grad_a(g: Array) -> Array:
         # g * (cdf + a * pdf) with pdf = exp(-0.5 * a * a) / sqrt(2 pi), in one buffer
-        d = np.multiply(a.data, -0.5, out=np.empty_like(a.data))
-        d *= a.data
+        d = np.multiply(x, -0.5, out=np.empty_like(x))
+        d *= x
         np.exp(d, out=d)
         d *= _INV_SQRT_2PI
-        d *= a.data
+        d *= x
         d += cdf
         d *= g
         return d
 
-    return _result(a.data * cdf, "gelu", [(a, grad_a)])
+    return _result(x * cdf, "gelu", [(a, grad_a)])
 
 
 # ---------------------------------------------------------------------------
@@ -689,11 +739,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse pass
 
-def _topo(roots: Sequence[Tensor], stop: Tensor | None = None) -> list[Tensor]:
-    """Every node reachable from ``roots`` but not through ``stop``, each after all of its parents."""
-    topo: list[Tensor] = []
+def _topo(roots: Sequence[Vertex], stop: Vertex | None = None) -> list[Vertex]:
+    """Every vertex reachable from ``roots`` but not through ``stop``, each after all of its parents."""
+    topo: list[Vertex] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False) for root in reversed(roots)]
+    stack: list[tuple[Vertex, bool]] = [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -711,11 +761,11 @@ def _topo(roots: Sequence[Tensor], stop: Tensor | None = None) -> list[Tensor]:
     return topo
 
 
-def _walk(topo: list[Tensor], flowing: dict[int, object],
+def _walk(topo: list[Vertex], flowing: dict[int, object],
           take: Callable[[Tensor, Callable, Array], bool] | None = None) -> list[tuple[Tensor, list]]:
     """Send the gradients in ``flowing`` back through ``topo``; the leaves reached, in walk order.
 
-    ``flowing`` maps the ids of the nodes the walk starts from to their
+    ``flowing`` maps the ids of the vertices the walk starts from to their
     gradients (to a list of them for a leaf). Each leaf reached comes back
     with the gradients its edges sent it, in walk order; a VJP that returns
     None sends nothing. ``take(leaf, vjp, g)``, if given, may claim an edge
@@ -753,8 +803,8 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return {}
-    seed = np.ones_like(loss.data)
-    reached = _walk(_topo([loss]), {id(loss): [seed] if loss.is_leaf else seed})
+    seed, root = np.ones_like(loss.data), _vertex(loss)
+    reached = _walk(_topo([root]), {id(root): [seed] if loss.is_leaf else seed})
     totals = [(leaf, functools.reduce(operator.add, parts)) for leaf, parts in reached]
     leaf_grads: dict[Tensor, Array] = {}
     for leaf, total in totals:
@@ -783,13 +833,16 @@ class _EdgeSum:
         self.done = 0
 
 
-def _share_topo(outs: tuple[Tensor, ...], part: Tensor) -> list[Tensor]:
-    """The graph of a share's outputs down to ``part``, checked to reach every other
-    gradient leaf through a ``_RowSum`` edge."""
-    topo = _topo([out for out in outs if out.requires_grad], stop=part)
+def _share_topo(outs: tuple[Tensor, ...], part: Tensor) -> list[Vertex]:
+    """The graph of a share's outputs down to ``part``'s vertex, checked to reach every
+    other gradient leaf through a ``_RowSum`` edge."""
+    stop = _vertex(part)
+    topo = _topo([_vertex(out) for out in outs if out.requires_grad], stop=stop)
     for node in topo:
+        if node is stop:  # a non-leaf input's own edges lie outside the share
+            continue
         for parent, vjp in node._parents:
-            if parent.is_leaf and parent is not part and type(vjp) is not _RowSum:
+            if parent.is_leaf and parent is not stop and type(vjp) is not _RowSum:
                 raise ValueError(f"shards: a share reaches a leaf that requires gradients through "
                                  f"{node._op!r}, whose gradient is not a sum over rows")
     return topo
@@ -827,14 +880,17 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
         outs = fn(x, rows[0])
         _share_topo(outs, x)
         return outs
-    parts = [Tensor(x.data[r], requires_grad=x.requires_grad) for r in rows]
+    x_grad = x.requires_grad
+    parts = [Tensor(x.data[r], requires_grad=x_grad) for r in rows]
 
-    def build(i: int) -> tuple[tuple[Tensor, ...], list[Tensor]]:
+    def build(i: int) -> tuple[tuple[Tensor, ...], list[Vertex]]:
         outs = fn(parts[i], rows[i])
         return outs, _share_topo(outs, parts[i])
 
     built = _runtime.run_shares(build, len(rows))
-    params = list({id(p): p for node in reversed(built[0][1]) for p, _ in node._parents
+    # the backward keeps each share's graph, not its outputs' values
+    graphs = [([_vertex(out) for out in outs], topo) for outs, topo in built]
+    params = list({id(p): p for node in reversed(graphs[0][1]) for p, _ in node._parents
                    if p.is_leaf and p is not parts[0]}.values())
 
     def backprop(seeds: _Seeds) -> dict[int, Array | None]:
@@ -843,7 +899,7 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
         failed = [len(rows)]  # the first share that raised
 
         def back(i: int) -> list | None:
-            (outs, topo), part = built[i], parts[i]
+            (heads, topo), part = graphs[i], parts[i]
             uses: dict[int, int] = {}
 
             def take(leaf: Tensor, vjp: _RowSum, g: Array) -> bool:
@@ -863,7 +919,7 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
                     turn.notify_all()
                 return True
 
-            flowing = {id(outs[k]): [g[rows[i]]] if outs[k] is part else g[rows[i]]
+            flowing = {id(heads[k]): [g[rows[i]]] if heads[k] is part else g[rows[i]]
                        for k, g in seeds.items()}
             try:
                 reached = _walk(topo, flowing, take)
@@ -882,7 +938,7 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
                 edge, vjp = sums[id(p), len(edges)]
                 edges.append(vjp.finished(edge.total))
             grads[j] = functools.reduce(operator.add, edges) if edges else None
-        if x.requires_grad:
+        if x_grad:
             grads[0] = np.concatenate([
                 np.zeros_like(part.data) if g is None else functools.reduce(operator.add, g)
                 for g, part in zip(found, parts)])
@@ -891,10 +947,7 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
     joint = _result(np.empty(0), "shards", _joint([x] + params, backprop), check=False)
     results = []
     for k in range(len(built[0][0])):
-        outs = [share_outs[k] for share_outs, _ in built]
-        data = np.concatenate([out.data for out in outs])
-        for out, share in zip(outs, rows):
-            out.data = data[share]  # the same values, so the batch is held once
+        data = np.concatenate([share_outs[k].data for share_outs, _ in built])
         results.append(_result(data, "shards", [(joint, lambda g, k=k: _Seeds({k: g}))],
                                check=False))
     return tuple(results)

@@ -209,13 +209,14 @@ def _gram_graph(x: Tensor, sigma: float | None) -> Tensor:
     The bandwidth is a constant. With S = (G + G^T) * K for the upstream G,
     the gradient of row i is sum_j S_ij (x_j - x_i) / sigma^2.
     """
-    k, sigma = _rbf_kernel(x.data, sigma)
+    rows = x.data
+    k, sigma = _rbf_kernel(rows, sigma)
 
     def grad_x(g: Array) -> Array:
         s = g + g.T
         s *= k
-        out = s @ x.data
-        out -= s.sum(axis=1, keepdims=True) * x.data
+        out = s @ rows
+        out -= s.sum(axis=1, keepdims=True) * rows
         out /= sigma * sigma
         return out
 

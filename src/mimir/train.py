@@ -230,6 +230,19 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
+def _batch_grads(state: TrainState, step_loss, idx) -> tuple[dict[str, Array], tuple[float, ...]]:
+    """Gradients of batch ``idx``'s loss and its (mse, mi, adv) values.
+
+    The batch's graph (its loss and the attack's ``last_forward``) dies on
+    return, before the optimizer step and the next batch's attack.
+    """
+    loss, mse_value, mi_value, pert = step_loss(idx)
+    state.params.zero_grads()
+    ad.backward(loss)
+    grads = {name: t.grad for name, t in state.params.trainable() if t.grad is not None}
+    return grads, (mse_value, mi_value, pert.achieved_loss)
+
+
 def _epoch(state: TrainState, dataset, config: TrainConfig, step_loss,
            lr_scales: dict[str, float] | None = None) -> EpochMetrics:
     """Shuffled batches, one AdamW step each on the warmup-cosine schedule.
@@ -248,13 +261,10 @@ def _epoch(state: TrainState, dataset, config: TrainConfig, step_loss,
     lr = 0.0
     batches = 0
     for idx in _batches(n, config.batch_size, state.rng):
-        loss, mse_value, mi_value, pert = step_loss(idx)
-        state.params.zero_grads()
-        ad.backward(loss)
-        grads = {name: t.grad for name, t in state.params.trainable() if t.grad is not None}
+        grads, values = _batch_grads(state, step_loss, idx)
         lr = cosine_lr(state.step, warmup, total, config.base_lr)
         adamw_step(state, grads, lr, config, lr_scales=lr_scales)
-        sums += (mse_value, mi_value, pert.achieved_loss)
+        sums += values
         batches += 1
     state.epoch += 1
     mse_mean, mi_mean, adv_mean = sums / batches

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -425,6 +426,83 @@ class TestBackward:
         assert np.array_equal(x.grad, [6.0])
 
 
+def _operand(shape, seed):
+    """A leaf that requires a gradient, and a non-leaf copy of it whose values only it holds."""
+    leaf = Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=True)
+    return leaf, ad.scale(leaf, 1.0)
+
+
+class TestRetention:
+    """A graph keeps the arrays its VJPs read; any other operand's values die with its tensor."""
+
+    @pytest.mark.parametrize("op, sign", [(ad.add, 1.0), (ad.sub, -1.0)])
+    def test_add_and_sub_keep_no_operand(self, op, sign):
+        (leaf_a, a), (leaf_b, b) = _operand((3, 4), 0), _operand((4,), 1)
+        refs = [weakref.ref(a.data), weakref.ref(b.data)]
+        loss = ad.reduce_sum(op(a, b))
+        del a, b
+        assert [r() for r in refs] == [None, None]
+        ad.backward(loss)
+        assert np.array_equal(leaf_a.grad, np.ones((3, 4)))
+        assert np.array_equal(leaf_b.grad, np.full(4, 3.0 * sign))
+
+    def test_attention_keeps_no_projection(self):
+        leaves = [_operand((2, 5, 8), seed)[0] for seed in range(3)]
+        g = Tensor(np.random.default_rng(3).normal(size=(2, 5, 8)))
+        held = [ad.scale(leaf, 1.0) for leaf in leaves]
+        ad.backward(ad.reduce_sum(ad.mul(ad.attention(*held, heads=2), g)))
+        want = [leaf.grad for leaf in leaves]
+        ad.zero_grads(leaves)
+        q, k, v = (ad.scale(leaf, 1.0) for leaf in leaves)
+        refs = [weakref.ref(t.data) for t in (q, k, v)]
+        loss = ad.reduce_sum(ad.mul(ad.attention(q, k, v, heads=2), g))
+        del q, k, v
+        assert [r() for r in refs] == [None, None, None]
+        ad.backward(loss)
+        for leaf, bits in zip(leaves, want):
+            assert _same_bits(leaf.grad, bits)
+
+    def test_linear_keeps_its_input_only_for_a_live_weight(self):
+        for live_weight in (False, True):
+            w = Tensor(np.random.default_rng(1).normal(size=(8, 3)), requires_grad=live_weight)
+            leaf, x = _operand((2, 5, 8), 0)
+            ref = weakref.ref(x.data)
+            loss = ad.reduce_sum(ad.linear(x, w, Tensor(np.zeros(3))))
+            del x
+            assert (ref() is not None) == live_weight  # the weight's VJP reads the input
+            ad.backward(loss)
+            assert _same_bits(leaf.grad, np.matmul(np.ones((2, 5, 3)), w.data.T))
+
+    def test_gelu_keeps_its_input_not_its_output(self):
+        leaf, a = _operand((3, 7), 0)
+        h = ad.gelu(a)
+        refs = [weakref.ref(a.data), weakref.ref(h.data)]
+        loss = ad.reduce_sum(h)
+        del a, h
+        assert refs[0]() is not None and refs[1]() is None
+        ad.backward(loss)
+        assert _same_bits(leaf.grad, _reference_gelu(leaf.data, np.ones((3, 7)))[1])
+
+    def test_layer_norm_keeps_xhat_not_its_input_or_output(self):
+        rng = np.random.default_rng(4)
+        leaf, a = _operand((3, 8), 0)
+        gamma = Tensor(rng.normal(size=8), requires_grad=True)
+        beta = Tensor(rng.normal(size=8), requires_grad=True)
+        g = rng.normal(size=(3, 8))
+        out = ad.layer_norm(a, gamma, beta)
+        (_, grad_a), _, _ = out._parents
+        (xhat,) = [cell.cell_contents for cell in grad_a.__closure__
+                   if getattr(cell.cell_contents, "shape", None) == (3, 8)]
+        refs = [weakref.ref(arr) for arr in (a.data, out.data, xhat)]
+        loss = ad.reduce_sum(ad.mul(out, Tensor(g)))
+        del a, out, grad_a, xhat
+        assert [r() is None for r in refs] == [True, True, False]
+        ad.backward(loss)
+        _, want = _reference_layer_norm(leaf.data, gamma.data, beta.data, g)
+        for got, bits in zip((leaf.grad, gamma.grad, beta.grad), want):
+            assert _same_bits(got, bits)
+
+
 class TestFiniteDiff:
     def test_square_at_three(self):
         report = ad.finite_diff_check(lambda t: ad.reduce_sum(ad.square(t)),
@@ -588,6 +666,15 @@ class TestShards:
         assert np.array_equal(x.grad, np.full((9, 2), 2.0))
         assert names == ({"MainThread"} if workers == 1 else {"MainThread", "mimir-shard"})
         assert _mimir_threads() == []
+
+
+def test_one_share_stops_at_a_non_leaf_input(monkeypatch):
+    """With one share the pass runs on ``x`` itself; the edges behind ``x`` are not the share's."""
+    monkeypatch.setattr(rt, "workers", lambda: 1)
+    leaf = Tensor(np.ones((3, 2)), requires_grad=True)
+    (out,) = ad.shards(lambda part, _: (ad.square(part),), ad.scale(leaf, 2.0))
+    ad.backward(ad.reduce_sum(out))
+    assert np.array_equal(leaf.grad, np.full((3, 2), 8.0))
 
 
 @pytest.mark.parametrize("workers", [2, 3])

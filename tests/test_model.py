@@ -1,6 +1,7 @@
 import os
 import signal
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -505,8 +506,8 @@ def _reference_attention(q, k, v, heads):
 
 
 def _graph_nodes(out, stop):
-    """Distinct non-leaf nodes between ``out`` and the tensor ``stop``."""
-    seen, stack = set(), [out]
+    """Distinct non-leaf graph vertices between ``out`` and the tensor ``stop``."""
+    stop, seen, stack = ad._vertex(stop), set(), [ad._vertex(out)]
     while stack:
         node = stack.pop()
         if id(node) in seen or node is stop or node.is_leaf:
@@ -514,6 +515,48 @@ def _graph_nodes(out, stop):
         seen.add(id(node))
         stack.extend(parent for parent, _ in node._parents)
     return len(seen)
+
+
+class TestGraphMemory:
+    """An attack graph on constants keeps no q/k/v projection, and no gradient bit moves."""
+
+    @pytest.mark.parametrize("shares", [1, 2])
+    def test_attack_graph_keeps_no_projection(self, tiny_config, monkeypatch, shares):
+        if shares > 1:  # one image per chunk, so the pass runs in two image shares
+            monkeypatch.setattr(model, "_forward_chunk", lambda config: 1)
+            monkeypatch.setattr(rt, "workers", lambda: shares)
+        params = init_params(tiny_config, np.random.default_rng(0)).constants()
+        rng = np.random.default_rng(1)
+        imgs = rng.uniform(size=(3, 1, 16, 16))
+        plan = sample_mask(tiny_config.num_patches, tiny_config.mask_ratio, rng, batch_size=3)
+        attention, result = ad.attention, ad._result
+
+        def run(hold_all):
+            """(projections alive after the forward, projections made, the input gradient)."""
+            projections, held = [], []
+
+            def spy_attention(q, k, v, heads):
+                projections.extend(weakref.ref(t.data) for t in (q, k, v))
+                return attention(q, k, v, heads)
+
+            def holding(*args, **kwargs):
+                held.append(result(*args, **kwargs))
+                return held[-1]
+
+            monkeypatch.setattr(ad, "attention", spy_attention)
+            monkeypatch.setattr(ad, "_result", holding if hold_all else result)
+            x = Tensor(imgs, requires_grad=True)
+            out = forward_autoencoder(params, x, plan)
+            alive = sum(ref() is not None for ref in projections)
+            ad.backward(ad.mse_loss(out, Tensor(imgs)))
+            return alive, len(projections), x.grad
+
+        alive, made, grad = run(hold_all=False)
+        held_alive, held_made, held_grad = run(hold_all=True)
+        layers = tiny_config.enc_layers + tiny_config.dec_layers
+        assert made == held_made == 3 * layers * shares
+        assert alive == 0 and held_alive == held_made
+        assert np.array_equal(grad.view(np.int64), held_grad.view(np.int64))
 
 
 class TestFusedOps:

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 import zlib
 
 import numpy as np
@@ -682,6 +683,24 @@ class TestEpochLoop:
         reference = _two_loop_finetune_epoch(old, ds, config)
         self._assert_same(finetune_epoch(new, ds, config), reference, new, old)
         assert new.step == 3
+
+    def test_a_batch_graph_dies_before_the_next_attack(self, pretrain_setup, monkeypatch):
+        """The first batch's live forward is freed by the time the second batch's attack starts."""
+        _, ds = pretrain_setup
+        recons, alive = [], []
+        attack = train.attack_recon
+
+        def spy(*args):
+            alive.append([ref() is not None for ref in recons])
+            pert = attack(*args)
+            assert pert.last_forward is not None
+            recons.append(weakref.ref(pert.last_forward.recon.data))
+            return pert
+
+        monkeypatch.setattr(train, "attack_recon", spy)
+        state = self._states()[0]
+        pretrain_epoch(state, ds, small_train_config(batch_size=len(ds) // 2))
+        assert state.step == 2 and alive == [[], [False]]
 
 
 # ---------------------------------------------------------------------------
