@@ -13,8 +13,8 @@ couple the batch, the cross-entropy and MSE means and the MI penalty, run
 once on the joined batch.
 
 The one exception is the last iterate of ``attack_recon``: it is scored by
-a forward on the live parameters, in shares as well, and when that iterate
-is the returned point, the forward is handed back in
+a forward on the live parameters, in shares as well, and when the returned
+point has that iterate's bits, the forward is handed back in
 ``Perturbation.last_forward`` so that pre-training builds its loss on it
 instead of running the autoencoder again. The attack runs no backward
 through that forward, so it still writes no ``.grad``.
@@ -89,9 +89,10 @@ class Perturbation:
     """``x + delta`` is the best point visited; ``achieved_loss`` its objective.
 
     ``last_forward`` is what ``pgd``'s ``score_last`` built at the last
-    iterate. It is kept only when that iterate is the returned point and
-    ``x + delta`` reproduces it bit for bit, so a graph built on it is the
-    graph a fresh forward at ``x + delta`` would build; otherwise it is None.
+    iterate. It is kept only when ``x + delta`` has that iterate's bits
+    (whether the iterate won or tied an earlier visit of its point), so a
+    graph built on it is the graph a fresh forward at ``x + delta`` would
+    build; otherwise it is None.
     """
 
     delta: Array
@@ -136,8 +137,9 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
     ``extra_project`` runs after initialization and after every projection
     (used to pin masked pixels to their natural values). ``score_last``
     scores the last iterate in place of ``objective``, to the same value,
-    and returns that score with whatever it built on the way; see
-    :class:`Perturbation` for when the latter is kept.
+    and returns that score with whatever it built on the way, which is
+    kept whenever ``x + delta`` has the last iterate's bits; see
+    :class:`Perturbation`.
     """
     x = np.asarray(x, dtype=np.float64)
     if spec.init == "random":
@@ -180,13 +182,11 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
     final = score.item()
     if not np.isfinite(final):
         raise FloatingPointError("pgd: non-finite objective")
-    kept = None
     if final > best_loss:
-        best_loss, best_point, kept = final, x_adv, built
+        best_loss, best_point = final, x_adv
     delta = best_point - x
     _check_invariants(delta, x, spec)
-    if kept is not None and not _same_bits(x + delta, best_point):
-        kept = None
+    kept = built if _same_bits(x + delta, x_adv) else None
     return Perturbation(delta=delta, achieved_loss=float(best_loss), last_forward=kept)
 
 

@@ -23,8 +23,10 @@ caller drops its tensor, while the graph lives on. A VJP sees the array
 captured at forward time: rebinding an operand's ``.data`` later does not
 reach the backward; writing into that array does.
 
-Gradient accumulation contract: ``backward`` adds into ``Tensor.grad`` of
-every reachable leaf that requires gradients. Callers zero leaf gradients
+Gradient accumulation contract: every vertex, leaf or node, sums the
+gradients its edges send it in the order the reverse walk sends them, and
+``backward`` adds that sum into ``Tensor.grad`` of every reachable leaf
+that requires gradients. Callers zero leaf gradients
 explicitly between optimization steps; running ``backward`` twice over the
 same graph doubles the accumulated leaf gradients. Attacks and forward-only
 passes run on ``ModelParams.constants()``, so they never touch parameter
@@ -42,9 +44,7 @@ whole batch.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -63,7 +63,8 @@ class _Node:
     """The graph vertex of an op result: its edges and its op's name, not its values.
 
     ``_parents`` holds ``(vertex, vjp)`` pairs, a vertex being a leaf
-    ``Tensor`` or the ``_Node`` of a non-leaf one.
+    ``Tensor`` or the ``_Node`` of a non-leaf one. Only nodes have edges:
+    the graph walks stop at a vertex whose ``is_leaf`` is True.
     """
 
     __slots__ = ("_parents", "_op")
@@ -100,14 +101,6 @@ class Tensor:
     def is_leaf(self) -> bool:
         return self._node is None
 
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
-
-    @property
-    def _op(self) -> str:
-        return "leaf" if self._node is None else self._node._op
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
@@ -122,7 +115,8 @@ class Tensor:
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, op={self._op}{flag})"
+        op = "leaf" if self._node is None else self._node._op
+        return f"Tensor(shape={self.shape}, op={op}{flag})"
 
 
 def _ensure_finite(data: Array, op: str) -> None:
@@ -753,7 +747,7 @@ def _topo(roots: Sequence[Vertex], stop: Vertex | None = None) -> list[Vertex]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        if node is stop:
+        if node is stop or node.is_leaf:
             continue
         for parent, _ in node._parents:
             if id(parent) not in seen:
@@ -762,16 +756,17 @@ def _topo(roots: Sequence[Vertex], stop: Vertex | None = None) -> list[Vertex]:
 
 
 def _walk(topo: list[Vertex], flowing: dict[int, object],
-          take: Callable[[Tensor, Callable, Array], bool] | None = None) -> list[tuple[Tensor, list]]:
+          send: Callable[[Tensor, Callable, Array], Array | None] | None = None
+          ) -> list[tuple[Tensor, Array]]:
     """Send the gradients in ``flowing`` back through ``topo``; the leaves reached, in walk order.
 
     ``flowing`` maps the ids of the vertices the walk starts from to their
-    gradients (to a list of them for a leaf). Each leaf reached comes back
-    with the gradients its edges sent it, in walk order; a VJP that returns
-    None sends nothing. ``take(leaf, vjp, g)``, if given, may claim an edge
-    into a leaf by returning True; the walk then leaves that edge to it.
+    gradients. Every vertex, leaf or node, sums the gradients its edges send
+    it as ``held + pg``, in walk order; a VJP that returns None sends
+    nothing. Each leaf reached comes back with that sum. ``send(leaf, vjp,
+    g)``, if given, stands in for ``vjp(g)`` on every edge into a leaf.
     """
-    reached: list[tuple[Tensor, list]] = []
+    reached: list[tuple[Tensor, Array]] = []
     for node in reversed(topo):
         g = flowing.pop(id(node), None)
         if g is None:
@@ -780,14 +775,10 @@ def _walk(topo: list[Vertex], flowing: dict[int, object],
             reached.append((node, g))
             continue
         for parent, vjp in node._parents:
-            if not parent.is_leaf:
-                pg = vjp(g)
+            pg = send(parent, vjp, g) if send is not None and parent.is_leaf else vjp(g)
+            if pg is not None:
                 held = flowing.get(id(parent))
                 flowing[id(parent)] = pg if held is None else held + pg
-            elif take is None or not take(parent, vjp, g):
-                pg = vjp(g)
-                if pg is not None:
-                    flowing.setdefault(id(parent), []).append(pg)
     return reached
 
 
@@ -796,18 +787,16 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
 
     Returns a map from each requires-grad leaf to its (accumulated) gradient
     array. A loss with no gradient-tracked inputs yields an empty map. A
-    leaf's contributions are added in walk order; an error leaves every
-    ``.grad`` as it was.
+    leaf's contributions are added in walk order (see ``_walk``); an error
+    leaves every ``.grad`` as it was.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return {}
-    seed, root = np.ones_like(loss.data), _vertex(loss)
-    reached = _walk(_topo([root]), {id(root): [seed] if loss.is_leaf else seed})
-    totals = [(leaf, functools.reduce(operator.add, parts)) for leaf, parts in reached]
+    root = _vertex(loss)
     leaf_grads: dict[Tensor, Array] = {}
-    for leaf, total in totals:
+    for leaf, total in _walk(_topo([root]), {id(root): np.ones_like(loss.data)}):
         leaf.grad = total.copy() if leaf.grad is None else leaf.grad + total
         leaf_grads[leaf] = leaf.grad
     return leaf_grads
@@ -839,7 +828,7 @@ def _share_topo(outs: tuple[Tensor, ...], part: Tensor) -> list[Vertex]:
     stop = _vertex(part)
     topo = _topo([_vertex(out) for out in outs if out.requires_grad], stop=stop)
     for node in topo:
-        if node is stop:  # a non-leaf input's own edges lie outside the share
+        if node is stop or node.is_leaf:  # a non-leaf input's own edges lie outside the share
             continue
         for parent, vjp in node._parents:
             if parent.is_leaf and parent is not stop and type(vjp) is not _RowSum:
@@ -866,12 +855,13 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
     A share may reach a leaf that requires gradients, other than its
     ``part``, only through a ``_RowSum`` edge; this raises ``ValueError``
     otherwise. Share i sums each such edge on over its rows from the total
-    of shares 0 to i-1, waiting for share i-1 to have summed it if need be,
-    and each parameter gets its gradient through one edge of the node. So
-    when ``fn`` computes each row from that row alone and keeps the rows on
-    the leading axis of every tensor it builds, the values and gradients
-    are the same bits as ``fn(x, slice(None))``, whatever the split and
-    whichever thread ran a share. With one share ``fn`` runs on ``x``
+    of shares 0 to i-1, waiting for share i-1 to have summed it if need be;
+    the last share's walk sums a parameter's finished edges as ``_walk``
+    sums any leaf's, and the parameter gets that sum through one edge of the
+    node. So when ``fn`` computes each row from that row alone and keeps the
+    rows on the leading axis of every tensor it builds, the values and
+    gradients are the same bits as ``fn(x, slice(None))``, whatever the
+    split and whichever thread ran a share. With one share ``fn`` runs on ``x``
     itself and no node is added.
     """
     shares = np.array_split(np.arange(x.shape[0]), min(_runtime.workers(), x.shape[0]))
@@ -890,58 +880,56 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
     built = _runtime.run_shares(build, len(rows))
     # the backward keeps each share's graph, not its outputs' values
     graphs = [([_vertex(out) for out in outs], topo) for outs, topo in built]
-    params = list({id(p): p for node in reversed(graphs[0][1]) for p, _ in node._parents
-                   if p.is_leaf and p is not parts[0]}.values())
+    params = list({id(p): p for node in reversed(graphs[0][1]) if not node.is_leaf
+                   for p, _ in node._parents if p.is_leaf and p is not parts[0]}.values())
+    last = len(rows) - 1
 
     def backprop(seeds: _Seeds) -> dict[int, Array | None]:
-        sums: dict[tuple[int, int], tuple[_EdgeSum, _RowSum]] = {}
+        sums: dict[tuple[int, int], _EdgeSum] = {}
         turn = threading.Condition()
         failed = [len(rows)]  # the first share that raised
 
-        def back(i: int) -> list | None:
+        def back(i: int) -> dict[int, Array]:
             (heads, topo), part = graphs[i], parts[i]
             uses: dict[int, int] = {}
 
-            def take(leaf: Tensor, vjp: _RowSum, g: Array) -> bool:
-                """Sum the edge on over this share's rows once share i-1 has (share 0 never waits)."""
+            def send(leaf: Tensor, vjp: _RowSum, g: Array) -> Array | None:
+                """Sum the edge on over this share's rows once share i-1 has (share 0 never
+                waits); the last share sends the sum over all rows, the others nothing."""
                 if leaf is part:
-                    return False
+                    return vjp(g)
                 key = (id(leaf), uses.get(id(leaf), 0))  # the leaf's n-th edge in walk order
                 uses[id(leaf)] = key[1] + 1
                 with turn:
-                    edge, _ = sums.setdefault(key, (_EdgeSum(), vjp))
+                    edge = sums.setdefault(key, _EdgeSum())
                     turn.wait_for(lambda: edge.done == i or failed[0] < i)
                     if failed[0] < i:
                         raise RuntimeError(f"shards: share {failed[0]} failed")
                 total = vjp.sum_on(g, edge.total)
+                if i == last:
+                    return vjp.finished(total)
                 with turn:
                     edge.total, edge.done = total, i + 1
                     turn.notify_all()
-                return True
+                return None
 
-            flowing = {id(heads[k]): [g[rows[i]]] if heads[k] is part else g[rows[i]]
-                       for k, g in seeds.items()}
+            flowing = {id(heads[k]): g[rows[i]] for k, g in seeds.items()}
             try:
-                reached = _walk(topo, flowing, take)
+                reached = _walk(topo, flowing, send)
             except BaseException:
                 with turn:
                     failed[0] = min(failed[0], i)
                     turn.notify_all()
                 raise
-            return next((g for leaf, g in reached if leaf is part), None)
+            return {id(leaf): g for leaf, g in reached}
 
         found = _runtime.run_shares(back, len(rows))
-        grads: dict[int, Array | None] = {}  # by index in [x] + params
-        for j, p in enumerate(params, start=1):
-            edges = []  # the parameter's edges in walk order
-            while (id(p), len(edges)) in sums:
-                edge, vjp = sums[id(p), len(edges)]
-                edges.append(vjp.finished(edge.total))
-            grads[j] = functools.reduce(operator.add, edges) if edges else None
+        # by index in [x] + params; the last share's walk summed each parameter's edges
+        grads = {j: found[last].get(id(p)) for j, p in enumerate(params, start=1)}
         if x_grad:
-            grads[0] = np.concatenate([
-                np.zeros_like(part.data) if g is None else functools.reduce(operator.add, g)
-                for g, part in zip(found, parts)])
+            grads[0] = np.concatenate([got[id(part)] if id(part) in got
+                                       else np.zeros_like(part.data)
+                                       for got, part in zip(found, parts)])
         return grads
 
     joint = _result(np.empty(0), "shards", _joint([x] + params, backprop), check=False)

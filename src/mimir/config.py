@@ -25,7 +25,7 @@ from .attacks import AttackSpec, adaptive_attack_spec, finetune_attack_spec, pre
 from .bounds import _check_grid_step
 from .evaluate import ATTACKS, _check_half_width
 from .mi import _check_alpha
-from .model import ViTConfig
+from .model import ViTConfig, visible_count
 from .train import TrainConfig
 
 
@@ -304,6 +304,12 @@ def load_config(path, command: str | None = None, seed: int | None = None,
         if "lambda" in train:
             train["lam"] = train.pop("lambda")
         cfg.train = _build(lines, "train", TrainConfig, attack=cfg.attack, betas=betas, **train)
+    model = cfg.model
+    if (command == "pretrain" and cfg.train.recon_masked_only
+            and visible_count(model.num_patches, model.mask_ratio) == model.num_patches):
+        raise ConfigError(f"line {lines['train.recon_masked_only']}: train.recon_masked_only = "
+                          f"true scores only masked patches, and model.mask_ratio = "
+                          f"{model.mask_ratio} masks none of the {model.num_patches}")
     return cfg
 
 

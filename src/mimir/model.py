@@ -37,8 +37,8 @@ Array = np.ndarray
 
 # Working-set budget of one forward-only encoder chunk; 1 MiB gives 5 mid32 and 64 tiny16
 # images. The chunks bound peak RSS and move no bit: on a 2-core VM at one BLAS thread,
-# mi-estimate-mid32 processes peaked at 113.8-114.1 MB with them and at 134.7-140.0 MB
-# without (8 of each, alternating).
+# 6-s mi-estimate-mid32 processes peaked at 96.7-97.2 MB with them and at 118.4-129.0 MB
+# without (4 of each, alternating, seeds 1-4).
 FORWARD_CHUNK_BYTES = 1 << 20
 
 

@@ -9,15 +9,15 @@ unchanged there because nothing in ``classify`` reaches them, so their
 ``.grad`` stays None and AdamW skips them. Both stages run ``_epoch``.
 
 Pre-training trains on the attack's last forward: the reconstruction
-attack scores its last iterate on the live parameters, and when that
-iterate is the returned point, its graph (``Perturbation.last_forward``)
-is the forward of the loss. Otherwise the loop runs a fresh forward at
-``x + delta``. Either way the loss is computed by the same ops on the same
-bits, so the results do not depend on which path ran. The attacks' own
-backward passes stay on constant parameters and write no ``.grad``.
-Fine-tuning runs a fresh forward at ``x + delta`` after its attack. The
-training forward and backward run in image shares like the attacks' passes
-(see ``model._split_pass``).
+attack scores its last iterate on the live parameters, and when the
+returned point has that iterate's bits, its graph
+(``Perturbation.last_forward``) is the forward of the loss. Otherwise the
+loop runs a fresh forward at ``x + delta``. Either way the loss is
+computed by the same ops on the same bits, so the results do not depend on
+which path ran. The attacks' own backward passes stay on constant
+parameters and write no ``.grad``. Fine-tuning runs a fresh forward at
+``x + delta`` after its attack. The training forward and backward run in
+image shares like the attacks' passes (see ``model._split_pass``).
 
 Checkpoint format (version 2, all integers little-endian):
     magic 'MIMR' | uint32 version

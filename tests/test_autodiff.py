@@ -267,7 +267,7 @@ class TestErf:
         assert beyond.mean() > 0.3 and (~beyond).mean() > 0.3
         g = rng.normal(size=a.shape)
         out = ad.gelu(Tensor(a.copy(), requires_grad=True))
-        ((_, vjp),) = out._parents
+        ((_, vjp),) = out._node._parents
         want_out, want_grad = _reference_gelu(a, g)
         assert _same_bits(out.data, want_out) and _same_bits(vjp(g), want_grad)
 
@@ -278,8 +278,8 @@ class TestInPlaceKernels:
     @staticmethod
     def _vjps_twice(out, g):
         """Each parent's VJP run twice: a clobbered saved tensor would change the second."""
-        first = [vjp(g) for _, vjp in out._parents]
-        second = [vjp(g) for _, vjp in out._parents]
+        first = [vjp(g) for _, vjp in out._node._parents]
+        second = [vjp(g) for _, vjp in out._node._parents]
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
         return first
@@ -426,6 +426,36 @@ class TestBackward:
         assert np.array_equal(x.grad, [6.0])
 
 
+def _three_edges(make) -> Tensor:
+    """Three paths into one vertex, each through an edge of its own from ``make()``, whose
+    gradients the walk sends in the order x 1e16, x -1e16, x 1: summed in that order they give
+    the one path's gradient, and 0 in any order that does not start with the first two."""
+    return ad.add(ad.add(ad.scale(make(), 1e16), ad.scale(make(), -1e16)), ad.scale(make(), 1.0))
+
+
+class TestWalkOrder:
+    """A leaf sums the gradients its edges send it in walk order, directly and in shares."""
+
+    def test_leaf(self):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        ad.backward(ad.reduce_sum(_three_edges(lambda: x)))
+        assert (1e16 + -1e16) + 1.0 == 1.0 and 1e16 + (-1e16 + 1.0) == 0.0
+        assert np.array_equal(x.grad, np.ones((4, 3)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_share_input_and_parameter(self, monkeypatch, workers):
+        """The input's three edges, and a parameter's three ``expand`` edges summed over 4 rows."""
+        monkeypatch.setattr(rt, "workers", lambda: workers)
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        fn = lambda part, _: (ad.add(_three_edges(lambda: part),
+                                     _three_edges(lambda: ad.expand(b, part.shape))),)
+        (out,) = ad.shards(fn, x)
+        ad.backward(ad.reduce_sum(out))
+        assert np.array_equal(x.grad, np.ones((4, 3)))
+        assert np.array_equal(b.grad, np.full(3, 4.0))
+
+
 def _operand(shape, seed):
     """A leaf that requires a gradient, and a non-leaf copy of it whose values only it holds."""
     leaf = Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=True)
@@ -490,7 +520,7 @@ class TestRetention:
         beta = Tensor(rng.normal(size=8), requires_grad=True)
         g = rng.normal(size=(3, 8))
         out = ad.layer_norm(a, gamma, beta)
-        (_, grad_a), _, _ = out._parents
+        (_, grad_a), _, _ = out._node._parents
         (xhat,) = [cell.cell_contents for cell in grad_a.__closure__
                    if getattr(cell.cell_contents, "shape", None) == (3, 8)]
         refs = [weakref.ref(arr) for arr in (a.data, out.data, xhat)]

@@ -645,6 +645,34 @@ class TestRunConfig:
         path = self._checkpoint_config(tmp_path, "eval", "attack.init = zero", "eval.attacks = ce,mi")
         assert load_config(path).attack.init == "zero"
 
+    @pytest.mark.parametrize("line, ratio, patches", [("model.mask_ratio = 0", 0.0, 16),
+                                                       ("model.mask_ratio = 1e-17", 1e-17, 16),
+                                                       ("model.patch_size = 16", 0.75, 1)])
+    def test_masked_only_loss_with_no_masked_patch_rejected_by_key_and_line(
+            self, tmp_path, capsys, monkeypatch, line, ratio, patches):
+        """1 - 1e-17 rounds to 1, and one patch always stays visible. Left to run, pretrain built
+        its data and model, warned of a mean of an empty slice and failed with ``reduce_mean:
+        non-finite values in forward result``, which named no key."""
+        monkeypatch.setattr(cli, "synth_dataset", lambda *a, **k: pytest.fail("data built"))
+        path = tmp_path / "c.cfg"
+
+        def write(*extra):
+            keys = {entry.split(" = ")[0] for entry in extra}
+            lines = [entry for entry in BASE_CONFIG.format(out=tmp_path / "out").splitlines()
+                     if entry.split(" = ")[0] not in keys]
+            path.write_text("\n".join(lines + list(extra)) + "\n")
+
+        write(line, "train.recon_masked_only = true")
+        assert run_config(path) == 1
+        assert capsys.readouterr().err == (
+            f"error: line {self._line_of(path, 'train.recon_masked_only')}: "
+            f"train.recon_masked_only = true scores only masked patches, and model.mask_ratio = "
+            f"{ratio} masks none of the {patches}\n")
+        assert not (tmp_path / "out").exists()
+        for extra in (line, "train.recon_masked_only = true"):  # either alone is fine
+            write(extra)
+            assert load_config(path).train is not None
+
     @pytest.mark.parametrize("key, kind", [("checkpoint", "file"), ("data.dir", "directory")])
     def test_checkpoint_file_and_data_directory_rejected_by_key_and_line(self, tmp_path, capsys,
                                                                          key, kind):

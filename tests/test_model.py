@@ -248,10 +248,10 @@ class TestEncodeFull:
     def test_no_gather_in_graph(self, tiny_config):
         params = init_params(tiny_config, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).uniform(size=(2, 1, 16, 16)), requires_grad=True)
-        ops, stack, seen = set(), [model.encode_full(params, x)], set()
+        ops, stack, seen = set(), [ad._vertex(model.encode_full(params, x))], set()
         while stack:
             node = stack.pop()
-            if id(node) not in seen:
+            if id(node) not in seen and not node.is_leaf:
                 seen.add(id(node))
                 ops.add(node._op)
                 stack.extend(parent for parent, _ in node._parents)

@@ -783,9 +783,12 @@ def _assert_same_state(a: TrainState, b: TrainState):
 
 class TestTrainOnAttackForward:
     @staticmethod
-    def _compare(ds, config, trainer_attacks):
+    def _compare(ds, config, trainer_attacks, gain=1.0):
         def make_state():
-            return TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0)
+            params = init_params(tiny_vit_config(), np.random.default_rng(0))
+            for _, t in params.trainable():
+                t.data = t.data * gain
+            return TrainState.create(params, 0)
 
         new, old = make_state(), make_state()
         old_metrics = _old_pretrain_epoch(old, ds, config)
@@ -794,8 +797,12 @@ class TestTrainOnAttackForward:
         assert (m.loss_mse, m.loss_mi, m.loss_adv) == old_metrics
         _assert_same_state(new, old)
 
-    def test_pretrain_step_runs_two_autoencoder_forwards(self, pretrain_setup, monkeypatch):
+    @pytest.mark.parametrize("epsilon", [8 / 255, 0.0], ids=["eps-8/255", "eps-0"])
+    def test_pretrain_step_runs_two_autoencoder_forwards(self, pretrain_setup, monkeypatch,
+                                                         epsilon):
+        """At epsilon = 0 the last iterate ties the start, and its forward is kept as well."""
         _, ds = pretrain_setup
+        spec = AttackSpec(epsilon=epsilon, step_size=10 / 255, iters=1, init="random")
         counts = {"encode": 0, "decode": 0, "patchify": 0}
         for name in counts:
             original = getattr(model, name)
@@ -808,7 +815,7 @@ class TestTrainOnAttackForward:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         state = TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0)
-        pretrain_epoch(state, ds, small_train_config(batch_size=len(ds)))  # one step
+        pretrain_epoch(state, ds, small_train_config(batch_size=len(ds), attack=spec))  # one step
         # attack iterate + last iterate (kept); patchify also builds the MSE target
         assert counts == {"encode": 2, "decode": 2, "patchify": 3}
 
@@ -823,14 +830,25 @@ class TestTrainOnAttackForward:
         assert len(trainer_attacks) == 3
         assert any(pert.last_forward is not None for pert, _ in trainer_attacks)
 
-    def test_last_iterate_that_does_not_win_rebuilds(self, pretrain_setup, trainer_attacks):
+    def test_last_iterate_that_ties_the_start_is_kept(self, pretrain_setup, trainer_attacks):
         """With epsilon = 0 every iterate is x itself: the last one ties the start."""
         _, ds = pretrain_setup
         spec = AttackSpec(epsilon=0.0, step_size=10 / 255, iters=1, init="random")
         self._compare(ds, small_train_config(batch_size=len(ds), attack=spec), trainer_attacks)
         ((pert, last_score),) = trainer_attacks
-        assert pert.last_forward is None
+        assert pert.last_forward is not None
         assert last_score == pert.achieved_loss and not np.any(pert.delta)
+
+    def test_last_iterate_that_loses_rebuilds(self, pretrain_setup, trainer_attacks):
+        """Weights 30 times their init bend the objective within a 0.9 ball, so that the third
+        step of 0.9 lands below an earlier iterate."""
+        _, ds = pretrain_setup
+        spec = AttackSpec(epsilon=0.9, step_size=0.9, iters=3, init="random")
+        self._compare(ds, small_train_config(batch_size=len(ds), attack=spec), trainer_attacks,
+                      gain=30.0)
+        ((pert, last_score),) = trainer_attacks
+        assert last_score < pert.achieved_loss
+        assert pert.last_forward is None
 
     def test_point_that_fails_the_round_trip_rebuilds(self, pretrain_setup, trainer_attacks):
         """x + (p - x) != p: the box pins pixels to p = 1e-10 next to x = 0.02."""
