@@ -39,13 +39,14 @@ whose gradient sums row-local terms over the rows (``linear``'s weight and
 bias, ``layer_norm``'s affine, ``expand`` over new leading axes): numpy
 adds such a sum row by row, so the shares' terms, summed on from share to
 share in row order, give every gradient the bits of one pass over the
-whole batch.
+whole batch. Each share hands its running sums to the next through a
+queue and closes it with an end marker, so no share waits for good.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import queue
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -812,16 +813,6 @@ class _Seeds(dict):
         return _Seeds({**self, **other})
 
 
-class _EdgeSum:
-    """One parameter edge's sum over the shares' terms so far: ``total`` holds shares ``< done``."""
-
-    __slots__ = ("total", "done")
-
-    def __init__(self):
-        self.total: Array | None = None
-        self.done = 0
-
-
 def _share_topo(outs: tuple[Tensor, ...], part: Tensor) -> list[Vertex]:
     """The graph of a share's outputs down to ``part``'s vertex, checked to reach every
     other gradient leaf through a ``_RowSum`` edge."""
@@ -849,20 +840,24 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
     threads (see ``_runtime.run_shares``) the others. Every share finishes
     before the call returns, and the first failing share's error is raised.
     The backward walks each share's graph once, from its rows of the
-    gradients of all outputs, over the same threads, and joins the input
-    gradients.
+    gradients of all outputs (summed for an output returned twice), over the
+    same threads, and joins the input gradients.
 
     A share may reach a leaf that requires gradients, other than its
     ``part``, only through a ``_RowSum`` edge; this raises ``ValueError``
-    otherwise. Share i sums each such edge on over its rows from the total
-    of shares 0 to i-1, waiting for share i-1 to have summed it if need be;
-    the last share's walk sums a parameter's finished edges as ``_walk``
-    sums any leaf's, and the parameter gets that sum through one edge of the
-    node. So when ``fn`` computes each row from that row alone and keeps the
-    rows on the leading axis of every tensor it builds, the values and
-    gradients are the same bits as ``fn(x, slice(None))``, whatever the
-    split and whichever thread ran a share. With one share ``fn`` runs on ``x``
-    itself and no node is added.
+    otherwise. The shares run one ``fn``, so their walks meet such edges in
+    one order, and they form a chain: share i takes the total of shares 0 to
+    i-1 for its next edge from share i-1's queue, sums the edge on over its
+    rows and puts the total on its own queue, which it closes with an end
+    marker, also when it fails. Reading the marker or another parameter's
+    total there, or a total left after its walk, raises ``RuntimeError``
+    naming share i-1. The last share's walk sums a parameter's finished
+    edges as ``_walk`` sums any leaf's, and the parameter gets that sum
+    through one edge of the node. So when ``fn`` computes each row from that
+    row alone and keeps the rows on the leading axis of every tensor it
+    builds, the values and gradients are the same bits as ``fn(x,
+    slice(None))``, whatever the split and whichever thread ran a share.
+    With one share ``fn`` runs on ``x`` itself and no node is added.
     """
     shares = np.array_split(np.arange(x.shape[0]), min(_runtime.workers(), x.shape[0]))
     rows = [slice(int(share[0]), int(share[-1]) + 1) for share in shares]
@@ -878,67 +873,61 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
         return outs, _share_topo(outs, parts[i])
 
     built = _runtime.run_shares(build, len(rows))
-    # the backward keeps each share's graph, not its outputs' values
-    graphs = [([_vertex(out) for out in outs], topo) for outs, topo in built]
+    # the backward keeps each share's graph, not its outputs' values; None marks a constant
+    graphs = [([_vertex(out) if out.requires_grad else None for out in outs], topo)
+              for outs, topo in built]
     params = list({id(p): p for node in reversed(graphs[0][1]) if not node.is_leaf
                    for p, _ in node._parents if p.is_leaf and p is not parts[0]}.values())
     last = len(rows) - 1
 
     def backprop(seeds: _Seeds) -> dict[int, Array | None]:
-        sums: dict[tuple[int, int], _EdgeSum] = {}
-        turn = threading.Condition()
-        failed = [len(rows)]  # the first share that raised
+        links = [queue.SimpleQueue() for _ in range(last)]  # share i's sums go to share i+1
 
-        def back(i: int) -> dict[int, Array]:
+        def back(i: int) -> dict[Tensor, Array]:
             (heads, topo), part = graphs[i], parts[i]
-            uses: dict[int, int] = {}
+
+            def take(leaf: Tensor | None) -> Array | None:
+                """Share i-1's total for ``leaf``'s next edge; ``take(None)`` reads its end."""
+                sent, total = links[i - 1].get()
+                if sent is not leaf:
+                    raise RuntimeError(f"shards: share {i - 1} failed or summed other "
+                                       f"parameter edges than share {i}")
+                return total
 
             def send(leaf: Tensor, vjp: _RowSum, g: Array) -> Array | None:
-                """Sum the edge on over this share's rows once share i-1 has (share 0 never
-                waits); the last share sends the sum over all rows, the others nothing."""
+                """Sum the edge on from share i-1's total; the last share sends the whole sum."""
                 if leaf is part:
                     return vjp(g)
-                key = (id(leaf), uses.get(id(leaf), 0))  # the leaf's n-th edge in walk order
-                uses[id(leaf)] = key[1] + 1
-                with turn:
-                    edge = sums.setdefault(key, _EdgeSum())
-                    turn.wait_for(lambda: edge.done == i or failed[0] < i)
-                    if failed[0] < i:
-                        raise RuntimeError(f"shards: share {failed[0]} failed")
-                total = vjp.sum_on(g, edge.total)
+                total = vjp.sum_on(g, take(leaf) if i else None)
                 if i == last:
                     return vjp.finished(total)
-                with turn:
-                    edge.total, edge.done = total, i + 1
-                    turn.notify_all()
+                links[i].put((leaf, total))
                 return None
 
-            flowing = {id(heads[k]): g[rows[i]] for k, g in seeds.items()}
+            # one vertex with an edge to each output: the walk sums an output returned twice
+            seed = _Node(tuple((heads[k], lambda s, k=k: s[k][rows[i]]) for k in seeds
+                               if heads[k] is not None), "seeds")
             try:
-                reached = _walk(topo, flowing, send)
-            except BaseException:
-                with turn:
-                    failed[0] = min(failed[0], i)
-                    turn.notify_all()
-                raise
-            return {id(leaf): g for leaf, g in reached}
+                reached = _walk(topo + [seed], {id(seed): seeds}, send)
+                if i:
+                    take(None)  # share i-1 summed no edge that this share did not
+            finally:
+                if i < last:
+                    links[i].put((None, None))  # the end marker
+            return dict(reached)
 
         found = _runtime.run_shares(back, len(rows))
         # by index in [x] + params; the last share's walk summed each parameter's edges
-        grads = {j: found[last].get(id(p)) for j, p in enumerate(params, start=1)}
+        grads = {j: found[last].get(p) for j, p in enumerate(params, start=1)}
         if x_grad:
-            grads[0] = np.concatenate([got[id(part)] if id(part) in got
-                                       else np.zeros_like(part.data)
+            grads[0] = np.concatenate([got[part] if part in got else np.zeros_like(part.data)
                                        for got, part in zip(found, parts)])
         return grads
 
     joint = _result(np.empty(0), "shards", _joint([x] + params, backprop), check=False)
-    results = []
-    for k in range(len(built[0][0])):
-        data = np.concatenate([share_outs[k].data for share_outs, _ in built])
-        results.append(_result(data, "shards", [(joint, lambda g, k=k: _Seeds({k: g}))],
-                               check=False))
-    return tuple(results)
+    return tuple(_result(np.concatenate([outs[k].data for outs, _ in built]), "shards",
+                         [(joint, lambda g, k=k: _Seeds({k: g}))], check=False)
+                 for k in range(len(built[0][0])))
 
 
 # ---------------------------------------------------------------------------

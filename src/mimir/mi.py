@@ -26,13 +26,27 @@ Array = np.ndarray
 _LN2 = float(np.log(2.0))
 
 
-def _as_sample_matrix(samples) -> Array:
+def _as_sample_matrix(samples, name: str) -> Array:
+    """``samples`` as finite rows of features, at least 2; a sample's axes are flattened."""
     x = np.asarray(samples, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        x = x.reshape(x.shape[0], -1)
-    return x
+    if x.ndim == 0 or len(x) < 2:
+        raise ValueError(f"{name}: needs at least 2 samples")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name}: samples must be finite")
+    return x if x.ndim == 2 else x.reshape(len(x), -1)
+
+
+def _as_grams(name: str, *grams) -> list[Array]:
+    """Each of ``grams`` as a finite, non-empty square array; all of one size."""
+    arrays = [np.asarray(k, dtype=np.float64) for k in grams]
+    for a in arrays:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"{name}: expected a non-empty square matrix, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name}: matrix must be finite")
+        if len(a) != len(arrays[0]):
+            raise ValueError(f"{name}: size mismatch {len(arrays[0])} vs {len(a)}")
+    return arrays
 
 
 def _pairwise_sq_dists(x: Array) -> Array:
@@ -83,17 +97,13 @@ def rbf_gram(samples, sigma: float | None = None) -> Array:
     Without ``sigma`` the bandwidth is ``median_bandwidth`` of the samples,
     taken from the same distance matrix as K.
     """
-    x = _as_sample_matrix(samples)
-    if x.shape[0] < 2:
-        raise ValueError("rbf_gram: needs at least 2 samples")
+    x = _as_sample_matrix(samples, "rbf_gram")
     return _rbf_kernel(x, sigma)[0]
 
 
 def median_bandwidth(samples) -> float:
     """Median of the nonzero pairwise distances; 1.0 if all points coincide."""
-    x = _as_sample_matrix(samples)
-    if x.shape[0] < 2:
-        raise ValueError("median_bandwidth: needs at least 2 samples")
+    x = _as_sample_matrix(samples, "median_bandwidth")
     return _median_of_sq_dists(_pairwise_sq_dists(x))
 
 
@@ -104,9 +114,7 @@ def symmetric_eigenvalues(matrix, tol: float | None = None) -> Array:
     positive, are numerical noise on PSD Gram matrices and are snapped to
     exactly zero; fractional orders would otherwise amplify them.
     """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"symmetric_eigenvalues: expected a square matrix, got {a.shape}")
+    (a,) = _as_grams("symmetric_eigenvalues", matrix)
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise ValueError("symmetric_eigenvalues: matrix is not symmetric within 1e-10")
     if tol is None:
@@ -128,20 +136,24 @@ def _check_alpha(alpha: float) -> float:
 def renyi_entropy(k: Array, alpha: float) -> float:
     """Matrix-based Renyi entropy of order alpha, in bits, of the Gram ``k`` divided by its trace."""
     alpha = _check_alpha(alpha)
-    lam = symmetric_eigenvalues(k / np.trace(k))
+    (k,) = _as_grams("renyi_entropy", k)
+    trace = np.trace(k)
+    if not trace > 0.0:
+        raise ValueError(f"renyi_entropy: Gram trace must be positive, got {trace}")
+    lam = symmetric_eigenvalues(k / trace)
     powered = np.where(lam > 0.0, lam, 0.0) ** alpha
     return float(np.log2(powered.sum()) / (1.0 - alpha))
 
 
 def renyi_joint_entropy(k_x: Array, k_y: Array, alpha: float) -> float:
     """Entropy of the Hadamard product of the two Grams."""
-    if len(k_x) != len(k_y):
-        raise ValueError(f"renyi_joint_entropy: size mismatch {len(k_x)} vs {len(k_y)}")
+    k_x, k_y = _as_grams("renyi_joint_entropy", k_x, k_y)
     return renyi_entropy(k_x * k_y, alpha)
 
 
 def renyi_mi_from_grams(k_x: Array, k_y: Array, alpha: float) -> float:
     """H_a(X) + H_a(Y) - H_a(X, Y) from the two paired Grams."""
+    k_x, k_y = _as_grams("renyi_mi_from_grams", k_x, k_y)
     return (renyi_entropy(k_x, alpha) + renyi_entropy(k_y, alpha)
             - renyi_joint_entropy(k_x, k_y, alpha))
 
@@ -152,15 +164,13 @@ def hsic_from_grams(k_x: Array, k_y: Array) -> float:
     H is idempotent, so the trace equals the elementwise product of the two
     doubly-centered Grams; that form makes a constant variable give exactly 0.
     """
-    if len(k_x) != len(k_y):
-        raise ValueError(f"hsic: size mismatch {len(k_x)} vs {len(k_y)}")
+    k_x, k_y = _as_grams("hsic_from_grams", k_x, k_y)
     return _hsic_graph(Tensor(k_x), Tensor(k_y)).item()
 
 
 def _paired_grams(x_samples, y_samples, sigma_x: float | None, sigma_y: float | None,
                   name: str) -> tuple[Array, Array]:
-    x = _as_sample_matrix(x_samples)
-    y = _as_sample_matrix(y_samples)
+    x, y = _as_sample_matrix(x_samples, name), _as_sample_matrix(y_samples, name)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"{name}: sample sets must be paired")
     return rbf_gram(x, sigma_x), rbf_gram(y, sigma_y)

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -697,6 +699,12 @@ class TestShards:
         assert names == ({"MainThread"} if workers == 1 else {"MainThread", "mimir-shard"})
         assert _mimir_threads() == []
 
+    def test_an_output_returned_twice_gets_both_gradients(self, workers):
+        x = Tensor(np.ones((5, 2)), requires_grad=True)
+        a, b = ad.shards(lambda part, _: (lambda y: (y, y))(ad.scale(part, 3.0)), x)
+        ad.backward(ad.add(ad.reduce_sum(a), ad.reduce_sum(b)))
+        assert np.array_equal(x.grad, np.full((5, 2), 6.0))
+
 
 def test_one_share_stops_at_a_non_leaf_input(monkeypatch):
     """With one share the pass runs on ``x`` itself; the edges behind ``x`` are not the share's."""
@@ -705,6 +713,45 @@ def test_one_share_stops_at_a_non_leaf_input(monkeypatch):
     (out,) = ad.shards(lambda part, _: (ad.square(part),), ad.scale(leaf, 2.0))
     ad.backward(ad.reduce_sum(out))
     assert np.array_equal(leaf.grad, np.full((3, 2), 8.0))
+
+
+# Two shares whose graphs differ: only the second reaches the bias. The first share ends without
+# summing the bias edge, so the second must not wait for it. Prints the error raised.
+_UNEVEN_SHARES = """
+import numpy as np
+from mimir import _runtime as rt, autodiff as ad
+rt.workers = lambda: 2
+w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+b = ad.Tensor(np.ones(2), requires_grad=True)
+x = ad.Tensor(np.ones((4, 1, 3)))
+(out,) = ad.shards(lambda part, rows: (ad.linear(part, w, b if rows.start else None),), x)
+try:
+    ad.backward(ad.reduce_sum(out))
+except RuntimeError as err:
+    print(f"{err} {w.grad} {b.grad}")
+"""
+
+
+def test_a_share_never_waits_for_an_edge_the_share_before_it_never_summed():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ad.__file__)))
+    run = subprocess.run([sys.executable, "-c", _UNEVEN_SHARES], env=env, timeout=60,
+                         check=True, capture_output=True, text=True)
+    assert run.stdout == ("shards: share 0 failed or summed other parameter edges than share 1 "
+                          "None None\n")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_parameter_edge_no_later_share_sums_is_rejected(monkeypatch, workers):
+    """Only the first share reaches the bias: its rows' bias terms would otherwise be dropped."""
+    monkeypatch.setattr(rt, "workers", lambda: workers)
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    b = Tensor(np.ones(2), requires_grad=True)
+    (out,) = ad.shards(lambda part, rows: (ad.linear(part, w, None if rows.start else b),),
+                       Tensor(np.ones((6, 1, 3))))
+    with pytest.raises(RuntimeError, match="share 0 failed or summed other parameter edges "
+                                           "than share 1$"):
+        ad.backward(ad.reduce_sum(out))
+    assert w.grad is None and b.grad is None and _mimir_threads() == []
 
 
 @pytest.mark.parametrize("workers", [2, 3])

@@ -272,6 +272,59 @@ class TestHsic:
         assert medians(256) < medians(32)
 
 
+class TestMalformedInput:
+    """The numpy estimators reject malformed samples and Grams with a ValueError that names
+    the function called, not a numpy error or a NaN result."""
+
+    def test_rbf_gram_rejects_a_nan_sample(self):
+        with pytest.raises(ValueError, match="^rbf_gram: samples must be finite$"):
+            mi.rbf_gram([[np.nan], [1.0]])
+
+    def test_median_bandwidth_rejects_an_infinite_sample(self):
+        with pytest.raises(ValueError, match="^median_bandwidth: samples must be finite$"):
+            mi.median_bandwidth([[np.inf], [1.0]])
+
+    @pytest.mark.parametrize("name", ["hsic", "renyi_mi"])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_sample_estimators_reject_a_nan_sample(self, name, side):
+        good = np.random.default_rng(0).normal(size=(5, 3))
+        bad = good.copy()
+        bad[2, 1] = np.nan
+        x, y = (bad, good) if side == "x" else (good, bad)
+        estimate = mi.hsic if name == "hsic" else lambda x, y: mi.renyi_mi(x, y, 2.0)
+        with pytest.raises(ValueError, match=f"^{name}: samples must be finite$"):
+            estimate(x, y)
+
+    def test_renyi_entropy_rejects_a_zero_trace(self):
+        with pytest.raises(ValueError, match="^renyi_entropy: Gram trace must be positive"):
+            mi.renyi_entropy(np.zeros((3, 3)), 2.0)
+
+    def test_hsic_from_grams_rejects_non_square_grams(self):
+        with pytest.raises(ValueError, match=r"^hsic_from_grams: expected a non-empty square "
+                                             r"matrix, got \(3, 4\)$"):
+            mi.hsic_from_grams(np.ones((3, 4)), np.ones((3, 4)))
+
+    def test_symmetric_eigenvalues_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match=r"^symmetric_eigenvalues: expected a non-empty "
+                                             r"square matrix, got \(0, 0\)$"):
+            mi.symmetric_eigenvalues(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("name", ["symmetric_eigenvalues", "renyi_entropy",
+                                      "renyi_joint_entropy", "renyi_mi_from_grams",
+                                      "hsic_from_grams"])
+    def test_gram_functions_reject_a_non_finite_gram(self, name):
+        good = mi.rbf_gram(np.random.default_rng(1).normal(size=(4, 2)))
+        bad = good.copy()
+        bad[0, 1] = bad[1, 0] = np.nan
+        call = {"symmetric_eigenvalues": lambda: mi.symmetric_eigenvalues(bad),
+                "renyi_entropy": lambda: mi.renyi_entropy(bad, 2.0),
+                "renyi_joint_entropy": lambda: mi.renyi_joint_entropy(good, bad, 2.0),
+                "renyi_mi_from_grams": lambda: mi.renyi_mi_from_grams(good, bad, 2.0),
+                "hsic_from_grams": lambda: mi.hsic_from_grams(bad, good)}[name]
+        with pytest.raises(ValueError, match=f"^{name}: matrix must be finite$"):
+            call()
+
+
 class TestPenalty:
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError):

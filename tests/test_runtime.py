@@ -189,8 +189,8 @@ def test_helpers_start_unpinned_where_the_callers_cpu_is_unknown(monkeypatch):
     assert ran == [(0, "MainThread"), (1, "mimir-shard"), (2, "mimir-shard")]
 
 
-# Imports that start threads through an executor or call into C: only ``_runtime`` may use them.
-_PROCESS_MODULES = ("ctypes", "concurrent.futures")
+# Imports that start threads or call into C: only ``_runtime`` may use them.
+_PROCESS_MODULES = ("ctypes", "concurrent.futures", "threading")
 
 
 def _imported(tree: ast.Module) -> set[str]:
