@@ -6,11 +6,12 @@ every step, and returns the best iterate visited (including the starting
 point). The four concrete objectives follow: classification cross-entropy,
 reconstruction error for pre-training, the MI-aware adaptive attack, and
 the feature-distance adaptive attack. Each objective is built on
-``ModelParams.constants()``, so the reverse pass walks only the input path
-and never writes a parameter's ``.grad``. The encoder and autoencoder
-passes run in image shares (see ``model._split_pass``); the heads that
-couple the batch, the cross-entropy and MSE means and the MI penalty, run
-once on the joined batch.
+``ModelParams.constants()``, read-only views of the parameters' arrays with
+no copy, so the reverse pass walks only the input path and never writes a
+parameter's ``.grad``, and an in-place write into a parameter raises. The
+encoder and autoencoder passes run in image shares (see
+``model._split_pass``); the heads that couple the batch, the cross-entropy
+and MSE means and the MI penalty, run once on the joined batch.
 
 The one exception is the last iterate of ``attack_recon``: it is scored by
 a forward on the live parameters, in shares as well, and when the returned

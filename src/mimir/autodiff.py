@@ -15,13 +15,15 @@ computation spelled out with ``matmul``, ``add``, ``reshape``, ``transpose``,
 Memory contract: an op result holds its values in ``data`` and its place in
 the graph in ``_node``. A node holds its edges and the arrays its VJPs read,
 not its output and not a non-leaf operand: an edge leads to a leaf
-``Tensor`` or to the ``_Node`` of a non-leaf one. So a graph keeps an intermediate's values alive
-only where a VJP reads them (``gelu``'s input, ``layer_norm``'s normalized
-input, ``softmax``'s output, ``linear``'s input when its weight requires a
-gradient), and the values of every other intermediate are freed once the
-caller drops its tensor, while the graph lives on. A VJP sees the array
-captured at forward time: rebinding an operand's ``.data`` later does not
-reach the backward; writing into that array does.
+``Tensor`` or to the ``_Node`` of a non-leaf one. So a graph keeps an
+intermediate's values alive only where a VJP reads them (``layer_norm``'s
+normalized input, ``softmax``'s output, ``linear``'s input when its weight
+requires a gradient; ``gelu`` keeps not its input but its derivative
+``cdf + a·pdf(a)``, formed at forward time), and the values of every other
+intermediate are freed once the caller drops its tensor, while the graph
+lives on. A VJP sees the array captured at forward time: rebinding an
+operand's ``.data`` later does not reach the backward; writing into that
+array does.
 
 Gradient accumulation contract: every vertex, leaf or node, sums the
 gradients its edges send it in the order the reverse walk sends them, and
@@ -29,8 +31,8 @@ gradients its edges send it in the order the reverse walk sends them, and
 that requires gradients. Callers zero leaf gradients
 explicitly between optimization steps; running ``backward`` twice over the
 same graph doubles the accumulated leaf gradients. Attacks and forward-only
-passes run on ``ModelParams.constants()``, so they never touch parameter
-``.grad``.
+passes run on ``ModelParams.constants()``, read-only views of the
+parameters, so they never touch parameter ``.grad`` or values.
 
 Passes over row shares: ``shards`` runs a pass over row shares of its
 input, on helper threads (see :mod:`mimir._runtime`), and differentiates
@@ -676,25 +678,27 @@ def gelu(a: Tensor) -> Tensor:
     element against 9 ns on a 2-core Xeon VM) cost more than the rest of the
     erf once a tenth of its inputs lie past 1, as do those of one of the two
     encoder layers after 300 steps of the benchmark's tiny16 fine-tuning.
+
+    The graph keeps neither the input nor the output: when the input requires
+    a gradient, the forward forms the derivative ``cdf + a·pdf(a)`` once, and
+    the node keeps only that; on a constant input it forms none.
     """
     x = a.data
     cdf = np.multiply(x, _INV_SQRT2, out=np.empty(a.shape))
     _erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5  # 0.5 * (1 + erf(a / sqrt 2))
-
-    def grad_a(g: Array) -> Array:
-        # g * (cdf + a * pdf) with pdf = exp(-0.5 * a * a) / sqrt(2 pi), in one buffer
-        d = np.multiply(x, -0.5, out=np.empty_like(x))
-        d *= x
-        np.exp(d, out=d)
-        d *= _INV_SQRT_2PI
-        d *= x
-        d += cdf
-        d *= g
-        return d
-
-    return _result(x * cdf, "gelu", [(a, grad_a)])
+    out = x * cdf
+    if not a.requires_grad:
+        return _result(out, "gelu", ())
+    # the derivative cdf + a * pdf, pdf = exp(-0.5 * a * a) / sqrt(2 pi), in one buffer
+    d = np.multiply(x, -0.5, out=np.empty_like(x))
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x
+    d += cdf
+    return _result(out, "gelu", [(a, lambda g: d * g)])
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +820,10 @@ class _Seeds(dict):
 def _share_topo(outs: tuple[Tensor, ...], part: Tensor) -> list[Vertex]:
     """The graph of a share's outputs down to ``part``'s vertex, checked to reach every
     other gradient leaf through a ``_RowSum`` edge."""
+    for k, out in enumerate(outs):
+        if out.requires_grad and out.is_leaf and out is not part:
+            raise ValueError(f"shards: output {k} is a leaf that requires gradients other than "
+                             "the share's input")
     stop = _vertex(part)
     topo = _topo([_vertex(out) for out in outs if out.requires_grad], stop=stop)
     for node in topo:
@@ -844,14 +852,15 @@ def shards(fn: Callable[[Tensor, slice], tuple[Tensor, ...]], x: Tensor) -> tupl
     same threads, and joins the input gradients.
 
     A share may reach a leaf that requires gradients, other than its
-    ``part``, only through a ``_RowSum`` edge; this raises ``ValueError``
-    otherwise. The shares run one ``fn``, so their walks meet such edges in
-    one order, and they form a chain: share i takes the total of shares 0 to
-    i-1 for its next edge from share i-1's queue, sums the edge on over its
-    rows and puts the total on its own queue, which it closes with an end
-    marker, also when it fails. Reading the marker or another parameter's
-    total there, or a total left after its walk, raises ``RuntimeError``
-    naming share i-1. The last share's walk sums a parameter's finished
+    ``part``, only through a ``_RowSum`` edge, and may not return one as an
+    output; this raises ``ValueError`` otherwise, naming the op or the
+    output's index. The shares run one ``fn``, so their walks meet such
+    edges in one order, and they form a chain: share i takes the total of
+    shares 0 to i-1 for its next edge from share i-1's queue, sums the edge
+    on over its rows and puts the total on its own queue, which it closes
+    with an end marker, also when it fails. Reading the marker or another
+    parameter's total there, or a total left after its walk, raises
+    ``RuntimeError`` naming share i-1. The last share's walk sums a parameter's finished
     edges as ``_walk`` sums any leaf's, and the parameter gets that sum
     through one edge of the node. So when ``fn`` computes each row from that
     row alone and keeps the rows on the leading axis of every tensor it

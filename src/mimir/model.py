@@ -171,9 +171,20 @@ class ModelParams:
             t.zero_grad()
 
     def constants(self) -> "ModelParams":
-        """Constant copy of every tensor; a graph built on the copy never reaches a parameter."""
+        """Every tensor as a constant leaf over a read-only view of its array, with no copy.
+
+        A graph built on the views never reaches a parameter, and an in-place
+        write into one raises ``ValueError``.
+        """
         return ModelParams(config=self.config,
-                           tensors={name: Tensor(t.data) for name, t in self.tensors.items()})
+                           tensors={name: ad._result(_read_only(t.data), "constant", (), check=False)
+                                    for name, t in self.tensors.items()})
+
+
+def _read_only(data: Array) -> Array:
+    view = data.view()
+    view.flags.writeable = False
+    return view
 
 
 def sincos_position_table(dim: int, grid: int) -> Array:

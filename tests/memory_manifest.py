@@ -1,0 +1,117 @@
+"""The memory record: the tracemalloc peak of one pre-training step, kept beside the bits manifest.
+
+    PYTHONPATH=src python tests/memory_manifest.py            # print the record it measures
+    PYTHONPATH=src python tests/memory_manifest.py --write    # rewrite tests/bits/memory.json
+
+Run it from the repository root. It starts one Python process with
+``OPENBLAS_NUM_THREADS=1``, which builds pre-training on each of perfbench's
+tiny16 and mid32 shapes with perfbench's seed-1 images and parameters and
+the recipe of its ``Pretrain`` workload (one batch of the whole image
+slice, the reconstruction attack and the HSIC penalty), runs one warm-up
+step, and then reports in MB the least tracemalloc peak of ``STEPS`` more
+steps: the most memory that a step's own allocations held at once. numpy
+reports its arrays to tracemalloc, so the peak is that of the step's arrays
+and graphs.
+
+Next to the peaks the record keeps the environment that produced them (see
+``bits_manifest._environment``), which sets the BLAS and the number of image
+shares a pass runs in, and so how many shares' arrays are alive at once.
+``tests/test_memory.py`` measures again. A peak at most ``SLACK`` above its
+record passes. A higher one fails in the recorded environment and skips, naming
+the difference, in any other.
+
+A change that raises a peak on purpose rewrites the record with ``--write``
+and gives the figures in CHANGES.md; so does one that lowers a peak.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from bits_manifest import BITS, ROOT, _environment, python_at
+
+RECORD = BITS / "memory.json"
+SLACK = 0.02
+STEPS = 3
+WORKLOADS = ("pretrain-tiny16", "pretrain-mid32")
+
+
+def _pretrain_step(name: str, seed: int) -> Callable[[], object]:
+    """One pre-training step of perfbench's ``Pretrain`` recipe on the shape of ``name``,
+    over one batch of the whole image slice."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    from mimir import attacks, model, train
+
+    shape, dataset = {
+        "pretrain-tiny16": (workloads.TINY16, workloads._dataset(4, 4, 16, 1, seed)),
+        "pretrain-mid32": (workloads.MID32, workloads._dataset(10, 4, 32, 3, seed, keep=32)),
+    }[name]
+    params = model.init_params(model.ViTConfig(**shape), np.random.default_rng([seed, 0]))
+    state = train.TrainState.create(params, seed)
+    config = train.TrainConfig(base_lr=1e-3, total_epochs=workloads.HORIZON_EPOCHS,
+                               batch_size=len(dataset), attack=attacks.pretrain_attack_spec(),
+                               lam=1e-5, estimator="hsic")
+    return lambda: train.pretrain_epoch(state, dataset, config)
+
+
+def _peak_mb(name: str) -> float:
+    """The least tracemalloc peak of ``STEPS`` steps of ``name`` after a warm-up step, in MB.
+
+    Each step is traced on its own, so its peak counts only its own
+    allocations. The shares of a pass run on threads, and where their
+    allocations overlap moves the peak of a step now and then, by up to 2%
+    on mid32; the least of a few steps is the one that repeats.
+    """
+    step = _pretrain_step(name, 1)
+    step()
+    peaks = []
+    for _ in range(STEPS):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return round(min(peaks) / 2**20, 3)
+
+
+def _one_setting() -> dict:
+    """The environment and every peak, in this process (the caller sets its BLAS threads)."""
+    return {"environment": _environment(), "peaks_mb": {name: _peak_mb(name) for name in WORKLOADS}}
+
+
+def compute() -> dict:
+    """The record of this checkout, measured in a fresh process at one BLAS thread."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return json.loads(python_at(tmp, 1, str(Path(__file__).resolve()), "--one"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help=f"rewrite {RECORD.relative_to(ROOT)}")
+    parser.add_argument("--one", action="store_true",
+                        help="measure in this process only (what the child runs)")
+    args = parser.parse_args(argv)
+    record = _one_setting() if args.one else compute()
+    text = json.dumps(record, indent=1, sort_keys=True) + "\n"
+    if args.write:
+        RECORD.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -505,15 +505,18 @@ class TestRetention:
             ad.backward(loss)
             assert _same_bits(leaf.grad, np.matmul(np.ones((2, 5, 3)), w.data.T))
 
-    def test_gelu_keeps_its_input_not_its_output(self):
+    def test_gelu_keeps_its_derivative_not_its_input_or_output(self):
         leaf, a = _operand((3, 7), 0)
         h = ad.gelu(a)
         refs = [weakref.ref(a.data), weakref.ref(h.data)]
         loss = ad.reduce_sum(h)
         del a, h
-        assert refs[0]() is not None and refs[1]() is None
+        assert [r() for r in refs] == [None, None]
         ad.backward(loss)
         assert _same_bits(leaf.grad, _reference_gelu(leaf.data, np.ones((3, 7)))[1])
+        constant = ad.gelu(Tensor(leaf.data))  # no edge, so no derivative to keep
+        assert constant.is_leaf and not constant.requires_grad
+        assert _same_bits(constant.data, _reference_gelu(leaf.data, np.ones((3, 7)))[0])
 
     def test_layer_norm_keeps_xhat_not_its_input_or_output(self):
         rng = np.random.default_rng(4)
@@ -698,6 +701,16 @@ class TestShards:
         assert np.array_equal(x.grad, np.full((9, 2), 2.0))
         assert names == ({"MainThread"} if workers == 1 else {"MainThread", "mimir-shard"})
         assert _mimir_threads() == []
+
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    def test_a_live_leaf_returned_as_an_output_is_rejected_by_index(self, workers, requires_grad):
+        """Its gradient would have no share's walk to reach it, so the pass is refused."""
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        x = Tensor(np.ones((4, 3)), requires_grad=requires_grad)
+        with pytest.raises(ValueError, match="output 1 is a leaf that requires gradients other "
+                                             "than the share's input$"):
+            ad.shards(lambda part, _: (ad.scale(part, 2.0), b), x)
+        assert b.grad is None and _mimir_threads() == []
 
     def test_an_output_returned_twice_gets_both_gradients(self, workers):
         x = Tensor(np.ones((5, 2)), requires_grad=True)

@@ -468,15 +468,21 @@ class TestInit:
 
 
 class TestConstants:
-    def test_equal_independent_and_constant(self, tiny_config):
+    def test_equal_shared_read_only_and_constant(self, tiny_config):
         params = init_params(tiny_config, np.random.default_rng(0))
         const = params.constants()
         assert const.config == params.config
         assert list(const.tensors) == list(params.tensors)
         for name, t in params.tensors.items():
+            saved = t.data.tobytes()
             assert np.array_equal(const[name].data, t.data), name
-            assert not np.shares_memory(const[name].data, t.data), name
-            assert not const[name].requires_grad, name
+            assert np.shares_memory(const[name].data, t.data), name
+            assert not const[name].requires_grad and const[name].is_leaf, name
+            with pytest.raises(ValueError, match="read-only"):
+                const[name].data += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                const[name].data.reshape(-1)[0] = 0.0
+            assert t.data.tobytes() == saved and t.data.flags.writeable, name
 
     def test_forward_on_constants_builds_no_graph(self, tiny_config):
         params = init_params(tiny_config, np.random.default_rng(0))

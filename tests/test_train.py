@@ -118,6 +118,20 @@ class TestAdamW:
         adamw_step(state, {}, 0.01, small_train_config())
         assert state.step == 1
 
+    def test_writes_into_no_parameter(self):
+        """The step rebinds each ``.data``, so attacks may read the parameters through views."""
+        state = self._state()
+        old = {name: t.data for name, t in state.params.tensors.items()}
+        saved = {name: data.tobytes() for name, data in old.items()}
+        for data in old.values():
+            data.flags.writeable = False
+        rng = np.random.default_rng(1)
+        grads = {name: rng.normal(size=t.shape) for name, t in state.params.trainable()}
+        adamw_step(state, grads, 0.01, small_train_config())
+        for name, data in old.items():
+            assert data.tobytes() == saved[name], name
+            assert (state.params[name].data is data) == (name not in grads), name
+
 
 class TestCosine:
     def test_warmup_start_zero(self):
