@@ -15,7 +15,7 @@ and MSE means and the MI penalty, run once on the joined batch.
 
 The one exception is the last iterate of ``attack_recon``: it is scored by
 a forward on the live parameters, in shares as well, and when the returned
-point has that iterate's bits, the forward is handed back in
+point has that iterate's bits, its ``(z, recon)`` pair is handed back in
 ``Perturbation.last_forward`` so that pre-training builds its loss on it
 instead of running the autoencoder again. The attack runs no backward
 through that forward, so it still writes no ``.grad``.
@@ -31,8 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .mi import PenaltyConfig, penalty_mi
-from .model import (AutoencoderPass, MaskPlan, ModelParams, _pixel_mask, _pooled_logits,
-                    autoencoder_pass, encode_full, forward_autoencoder, unpatchify)
+from .model import (MaskPlan, ModelParams, _pixel_mask, _pooled_logits, autoencoder_pass,
+                    encode_full, patchify)
 
 Array = np.ndarray
 
@@ -256,14 +256,14 @@ def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: Attac
     their natural values after initialization and every step (their
     gradients are zero anyway, but random init would otherwise touch them).
     The autoencoder pass of the ascent runs on constant parameters; the MSE
-    couples the whole batch and runs once on the joined reconstruction. The
-    last iterate runs through the live parameters and, when kept, its
-    :class:`mimir.model.AutoencoderPass` is ``last_forward``.
+    against the natural patches, as in the pre-training loss, couples the
+    whole batch and runs once on the joined reconstruction. The last iterate
+    runs through the live parameters and, when kept, its ``(z, recon)`` pair
+    from :func:`mimir.model.autoencoder_pass` is ``last_forward``.
     """
     x = np.asarray(images, dtype=np.float64)
-    cfg = params.config
-    masked_pixels = _pixel_mask(plan, cfg)
-    target = Tensor(x)
+    masked_pixels = _pixel_mask(plan, params.config)
+    target = patchify(Tensor(x), params.config.patch_size)
 
     def pin_masked(x_adv: Array) -> Array:
         out = x_adv.copy()
@@ -273,11 +273,10 @@ def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: Attac
     constants = params.constants()
 
     def objective(x_adv: Tensor) -> Tensor:
-        return ad.mse_loss(forward_autoencoder(constants, x_adv, plan), target)
+        return ad.mse_loss(autoencoder_pass(constants, x_adv, plan)[1], target)
 
-    def score_last(x_adv: Tensor) -> tuple[Tensor, AutoencoderPass]:
+    def score_last(x_adv: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         forward = autoencoder_pass(params, x_adv, plan)
-        recon = unpatchify(forward.recon, cfg.patch_size, cfg.channels)
-        return ad.mse_loss(recon, target), forward
+        return ad.mse_loss(forward[1], target), forward
 
     return pgd(objective, x, spec, rng, extra_project=pin_masked, score_last=score_last)

@@ -67,12 +67,16 @@ def _check_grid_step(grid_step: float) -> float:
 
 
 def bound_curves(num_classes: int, grid_step: float) -> BoundCurve:
-    """Evaluate both bounds over p_e in {0, step, ..., 1} with h_pred = log2 M."""
+    """Evaluate both bounds over p_e in {0, step, 2 step, ...} with h_pred = log2 M.
+
+    The grid is closed: its last row is p_e = 1 exactly, also when ``step``
+    does not divide 1 (step 0.07 ends ..., 0.91, 0.98, 1).
+    """
     grid_step = _check_grid_step(grid_step)
     if num_classes < 2:
         raise ValueError(f"num_classes must be at least 2, got {num_classes}")
     h_pred = math.log2(num_classes)
-    steps = int(round(1.0 / grid_step))
+    steps = math.ceil(1.0 / grid_step - 1e-9)
     rows = []
     for i in range(steps + 1):
         p = min(i * grid_step, 1.0)

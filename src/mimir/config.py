@@ -275,10 +275,17 @@ def load_config(path, command: str | None = None, seed: int | None = None,
                 out_dir: str | None = None) -> ExperimentConfig:
     """Parse, apply CLI overrides, validate, and build the command's dataclasses."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            values, lines = _parse(fh.read())
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"config {path} line {line}: "
+                          f"byte 0x{blob[exc.start]:02x} is not UTF-8") from exc
+    values, lines = _parse(text)
     if command is None and "command" not in values:
         raise ConfigError("no command given and the config has no 'command' key")
     for key, raw, source in (("command", command, "command"), ("seed", seed, "--seed"),

@@ -141,8 +141,14 @@ def renyi_entropy(k: Array, alpha: float) -> float:
     if not trace > 0.0:
         raise ValueError(f"renyi_entropy: Gram trace must be positive, got {trace}")
     lam = symmetric_eigenvalues(k / trace)
-    powered = np.where(lam > 0.0, lam, 0.0) ** alpha
-    return float(np.log2(powered.sum()) / (1.0 - alpha))
+    lam = np.where(lam > 0.0, lam, 0.0)
+    total = (lam ** alpha).sum()
+    if total >= np.finfo(np.float64).tiny:
+        log_total = np.log2(total)
+    else:  # the powers underflow at a large alpha: factor out the largest eigenvalue
+        top = lam.max()
+        log_total = alpha * np.log2(top) + np.log2(((lam / top) ** alpha).sum())
+    return float(log_total / (1.0 - alpha))
 
 
 def renyi_joint_entropy(k_x: Array, k_y: Array, alpha: float) -> float:

@@ -395,38 +395,27 @@ def decode(params: ModelParams, z: Tensor, plan: MaskPlan) -> Tensor:
     return ad.linear(x, params["dec_out.weight"], params["dec_out.bias"])
 
 
-@dataclass
-class AutoencoderPass:
-    """The nodes of one masked autoencoder forward that the pre-training loss reads."""
-
-    patches: Tensor             # [batch, num_patches, patch_dim] input patches
-    z: Tensor                   # [batch, num_visible, enc_dim] encoder tokens
-    recon: Tensor               # [batch, num_patches, patch_dim] reconstructed patches
-
-
 def _encode_decode(params: ModelParams, patches: Tensor, plan: MaskPlan) -> tuple[Tensor, Tensor]:
     z = encode(params, patches, plan)
     return z, decode(params, z, plan)
 
 
-def autoencoder_pass(params: ModelParams, images: Tensor, plan: MaskPlan) -> AutoencoderPass:
-    """patchify -> encode -> decode, keeping every intermediate the loss needs.
+def autoencoder_pass(params: ModelParams, images: Tensor, plan: MaskPlan) -> tuple[Tensor, Tensor]:
+    """patchify -> encode -> decode: encoder tokens ``z`` and reconstructed patches ``recon``.
 
     Encode and decode run in image shares (see ``_split_pass``), each share
-    with its rows of ``plan``; the latent tokens and the reconstruction are
-    then two outputs of one ``shards`` node, so a loss on both walks each
-    share once.
+    with its rows of ``plan``; ``z`` and ``recon`` are two outputs of one
+    ``shards`` node, so a loss on both walks each share once.
     """
     patches = patchify(images, params.config.patch_size)
-    z, recon = _split_pass(params, patches,
-                           lambda part, rows: _encode_decode(params, part, plan.rows(rows)))
-    return AutoencoderPass(patches=patches, z=z, recon=recon)
+    return _split_pass(params, patches,
+                       lambda part, rows: _encode_decode(params, part, plan.rows(rows)))
 
 
 def forward_autoencoder(params: ModelParams, images: Tensor, plan: MaskPlan) -> Tensor:
     """Full reconstruction path: patchify -> encode -> decode -> unpatchify."""
     cfg = params.config
-    return unpatchify(autoencoder_pass(params, images, plan).recon, cfg.patch_size, cfg.channels)
+    return unpatchify(autoencoder_pass(params, images, plan)[1], cfg.patch_size, cfg.channels)
 
 
 def _forward_chunk(config: ViTConfig) -> int:

@@ -10,7 +10,7 @@ unchanged there because nothing in ``classify`` reaches them, so their
 
 Pre-training trains on the attack's last forward: the reconstruction
 attack scores its last iterate on the live parameters, and when the
-returned point has that iterate's bits, its graph
+returned point has that iterate's bits, its ``(z, recon)`` pair
 (``Perturbation.last_forward``) is the forward of the loss. Otherwise the
 loop runs a fresh forward at ``x + delta``. Either way the loss is
 computed by the same ops on the same bits, so the results do not depend on
@@ -53,8 +53,8 @@ from .autodiff import Tensor
 from .data import _replacing
 from .attacks import AttackSpec, attack_ce, attack_recon
 from .mi import PenaltyConfig, penalty_mi
-from .model import (AutoencoderPass, MaskPlan, ModelParams, ViTConfig, autoencoder_pass, classify,
-                    param_specs, patchify, sample_mask)
+from .model import (MaskPlan, ModelParams, ViTConfig, autoencoder_pass, classify, param_specs,
+                    patchify, sample_mask)
 
 Array = np.ndarray
 
@@ -185,26 +185,26 @@ def layer_lr_scales(params: ModelParams, layer_decay: float) -> dict[str, float]
 
 def _mimir_loss_parts(params: ModelParams, images: Array, plan: MaskPlan, delta: Array,
                       config: TrainConfig, penalty: PenaltyConfig | None = None,
-                      forward: AutoencoderPass | None = None) -> tuple[Tensor, float, float]:
+                      forward: tuple[Tensor, Tensor] | None = None) -> tuple[Tensor, float, float]:
     """Loss tensor plus the raw (mse, penalty) values for metrics.
 
-    ``forward`` is the autoencoder pass of ``params`` at ``images + delta``
+    ``forward`` is the ``(z, recon)`` pair of ``autoencoder_pass`` at ``images + delta``
     (the attack's ``last_forward``); without it a fresh one is run.
     """
     cfg = params.config
     x = np.asarray(images, dtype=np.float64)
-    if forward is None:
-        forward = autoencoder_pass(params, Tensor(x + np.asarray(delta, dtype=np.float64)), plan)
+    x_adv = Tensor(x + np.asarray(delta, dtype=np.float64))
+    z, recon = autoencoder_pass(params, x_adv, plan) if forward is None else forward
     target_patches = patchify(Tensor(x), cfg.patch_size)
     if config.recon_masked_only:
-        mse = ad.mse_loss(ad.gather_rows(forward.recon, plan.masked),
+        mse = ad.mse_loss(ad.gather_rows(recon, plan.masked),
                           ad.gather_rows(target_patches, plan.masked))
     else:
-        mse = ad.mse_loss(forward.recon, target_patches)
+        mse = ad.mse_loss(recon, target_patches)
     if config.lam == 0.0:
         return mse, mse.item(), 0.0
-    x_vis = ad.gather_rows(forward.patches, plan.visible)
-    pen = penalty_mi(x_vis, forward.z, penalty or PenaltyConfig(estimator=config.estimator))
+    x_vis = ad.gather_rows(patchify(x_adv, cfg.patch_size), plan.visible)
+    pen = penalty_mi(x_vis, z, penalty or PenaltyConfig(estimator=config.estimator))
     loss = ad.add(mse, ad.scale(pen, config.lam))
     return loss, mse.item(), pen.item()
 

@@ -45,12 +45,15 @@ BLAS_THREADS = (1, 2)
 COMMANDS = ("pretrain", "finetune", "eval", "attack", "landscape", "mi-estimate", "bounds")
 PRETRAIN_STEPS = 4
 FINETUNE_STEPS = 6
+# a numpy RuntimeWarning fails a child process, as pyproject's filterwarnings fails a test
+CHILD_WARNINGS = "error::RuntimeWarning"
 
 
 def python_at(cwd, blas_threads: int, *args: str) -> str:
     """Standard output of ``python *args`` run in ``cwd`` with ``OPENBLAS_NUM_THREADS`` set
     and this checkout's ``src`` on the path; a failing run raises."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=str(ROOT / "src"),
+               PYTHONWARNINGS=CHILD_WARNINGS)
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, check=True,
                           capture_output=True, text=True).stdout
 

@@ -8,8 +8,8 @@ from mimir.autodiff import Tensor
 from mimir.attacks import (AttackSpec, EPS_8_255, attack_ce, attack_fea, attack_mi,
                            attack_recon, linf_project, pgd, pretrain_attack_spec)
 from mimir.mi import PenaltyConfig, penalty_mi
-from mimir.model import (classify, encode_full, forward_autoencoder, init_params, sample_mask,
-                         _pixel_mask, _pooled_logits)
+from mimir.model import (autoencoder_pass, classify, encode_full, init_params, patchify,
+                         sample_mask, _pixel_mask, _pooled_logits)
 
 from conftest import tiny_vit_config
 
@@ -211,8 +211,10 @@ def _live_reference(kind, params, imgs, labels, plan, rng):
             out[masked] = x[masked]
             return out
 
+        target = patchify(Tensor(x), params.config.patch_size)
+
         def objective(x_adv):
-            return ad.mse_loss(forward_autoencoder(params, x_adv, plan), Tensor(x))
+            return ad.mse_loss(autoencoder_pass(params, x_adv, plan)[1], target)
     return pgd(objective, x, SPEC_3, rng, extra_project=extra)
 
 
@@ -242,7 +244,8 @@ class TestInputOnlyGradients:
         got = attack_recon(params, imgs, plan, SPEC_3, np.random.default_rng(2))
         assert [name for name, t in params.tensors.items() if t.grad is not None] == []
         assert got.last_forward is not None
-        ad.backward(ad.mse_loss(got.last_forward.recon, got.last_forward.patches))
+        _, recon = got.last_forward
+        ad.backward(ad.mse_loss(recon, patchify(Tensor(imgs + got.delta), cfg.patch_size)))
         assert params["dec_out.weight"].grad is not None
 
 
@@ -420,5 +423,5 @@ class TestAttacksInShares:
             assert np.array_equal(_bits(pert.delta), _bits(serial.delta))
             assert _bits(pert.achieved_loss) == _bits(serial.achieved_loss)
             if kind == "recon":
-                assert np.array_equal(_bits(pert.last_forward.recon.data),
-                                      _bits(serial.last_forward.recon.data))
+                assert np.array_equal(_bits(pert.last_forward[1].data),
+                                      _bits(serial.last_forward[1].data))

@@ -14,6 +14,7 @@ from mimir import _runtime as rt
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor, tensor_create
 
+from bits_manifest import CHILD_WARNINGS
 from gradcheck_cases import run_gradient_suite
 
 
@@ -746,7 +747,8 @@ except RuntimeError as err:
 
 
 def test_a_share_never_waits_for_an_edge_the_share_before_it_never_summed():
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ad.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ad.__file__)),
+               PYTHONWARNINGS=CHILD_WARNINGS)
     run = subprocess.run([sys.executable, "-c", _UNEVEN_SHARES], env=env, timeout=60,
                          check=True, capture_output=True, text=True)
     assert run.stdout == ("shards: share 0 failed or summed other parameter edges than share 1 "

@@ -99,6 +99,14 @@ class TestCurves:
         p_min, _ = curve.argmin_lower()
         assert p_min == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("step, rows", [(0.07, 16), (0.045, 24), (0.09, 13), (0.1, 11),
+                                            (0.05, 21), (0.01, 101)])
+    def test_grid_ends_at_one(self, step, rows):
+        """A step that does not divide 1 still ends the grid at p_e = 1, after a shorter last gap."""
+        ps = [p for p, _, _ in bound_curves(10, step).rows]
+        assert len(ps) == rows and ps[-1] == 1.0
+        assert ps[:-1] == [i * step for i in range(rows - 1)]
+
     def test_invalid_step(self):
         with pytest.raises(ValueError):
             bound_curves(10, 0.5)

@@ -269,6 +269,15 @@ class TestConfig:
         message, lineno = self._load_error(tmp_path, "eval.pgd_iters", 20)
         assert message == f"line {lineno}: unknown key 'eval.pgd_iters'"
 
+    def test_a_byte_that_is_not_utf8_is_named_with_its_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_bytes("command = bounds\nout_dir = x\n\n\n# caf\u00e9 du coin\n".encode("latin-1"))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"config {path} line 5: byte 0xe9 is not UTF-8"
+        assert run_config(path) == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("seed = 1\nseed = 2")
@@ -943,6 +952,16 @@ class TestRunConfig:
         want = [f"hsic,,{mi.hsic(x, z):.10e}",
                 f"renyi,1.5,{mi.renyi_mi(x, z, alpha=1.5):.10e}"]
         assert (tmp_path / "mi" / "mi.csv").read_text().splitlines()[1:] == want
+
+    def test_mi_estimate_at_a_large_alpha_writes_a_finite_row(self, tmp_path):
+        """At alpha = 1e6 every power of the Grams' eigenvalues underflows to 0."""
+        save_checkpoint(TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0),
+                        tmp_path / "m.ckpt")
+        cfg = self._mi_estimate_config(tmp_path, tmp_path / "m.ckpt")
+        cfg.write_text(cfg.read_text().replace("mi.alpha = 1.5", "mi.alpha = 1e6"))
+        assert run_config(cfg) == 0
+        name, alpha, value = (tmp_path / "mi" / "mi.csv").read_text().splitlines()[2].split(",")
+        assert (name, alpha) == ("renyi", "1e+06") and math.isfinite(float(value))
 
     def test_attack_batches_seeded_as_job_zero(self, tmp_path):
         """``attack`` seeds batch b with (seed, 0, b), like ``eval``'s first job."""

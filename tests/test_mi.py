@@ -164,6 +164,26 @@ class TestRenyiEntropy:
                 h = mi.renyi_entropy(g, alpha)
                 assert -1e-9 <= h <= np.log2(6) + 1e-9
 
+    @staticmethod
+    def _grams():
+        """A seeded pair of dependent 64-sample Grams."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(64, 3))
+        y = x[:, :2] + 0.5 * rng.normal(size=(64, 2))
+        return mi.rbf_gram(x), mi.rbf_gram(y)
+
+    def test_large_alpha_tends_to_the_min_entropy(self):
+        """At alpha = 1e6 every eigenvalue's power underflows; the entropy is -log2 lambda_max."""
+        k, _ = self._grams()
+        top = mi.symmetric_eigenvalues(k / np.trace(k)).max()
+        h = mi.renyi_entropy(k, 1e6)
+        assert np.isfinite(h) and h == pytest.approx(-np.log2(top), rel=1e-5)
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e6])
+    def test_large_alpha_mi_is_finite(self, alpha):
+        """At alpha = 1e3 the joint Gram's sum underflows, at 1e6 all three do."""
+        assert np.isfinite(mi.renyi_mi_from_grams(*self._grams(), alpha))
+
 
 class TestRenyiJoint:
     def test_constant_y_is_identity(self):

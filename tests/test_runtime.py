@@ -12,6 +12,8 @@ from mimir import _runtime as rt
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 
+from bits_manifest import CHILD_WARNINGS
+
 
 def _glibc() -> bool:
     try:
@@ -25,6 +27,7 @@ def _package_env() -> dict:
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rt.__file__))
+    env["PYTHONWARNINGS"] = CHILD_WARNINGS
     return env
 
 

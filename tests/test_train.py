@@ -24,6 +24,7 @@ from mimir.train import (CheckpointError, TrainConfig, TrainState, adamw_step, c
                          finetune_epoch, layer_lr_scales, load_checkpoint, mimir_loss,
                          pretrain_epoch, save_checkpoint, _mimir_loss_parts)
 
+from bits_manifest import CHILD_WARNINGS
 from conftest import tiny_vit_config
 
 
@@ -708,7 +709,7 @@ class TestEpochLoop:
             alive.append([ref() is not None for ref in recons])
             pert = attack(*args)
             assert pert.last_forward is not None
-            recons.append(weakref.ref(pert.last_forward.recon.data))
+            recons.append(weakref.ref(pert.last_forward[1].data))
             return pert
 
         monkeypatch.setattr(train, "attack_recon", spy)
@@ -830,8 +831,9 @@ class TestTrainOnAttackForward:
                     monkeypatch.setattr(module, name, counted)
         state = TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0)
         pretrain_epoch(state, ds, small_train_config(batch_size=len(ds), attack=spec))  # one step
-        # attack iterate + last iterate (kept); patchify also builds the MSE target
-        assert counts == {"encode": 2, "decode": 2, "patchify": 3}
+        # attack iterate + last iterate (kept); patchify also builds the attack's and the loss's
+        # MSE targets and the penalty's patches of x + delta
+        assert counts == {"encode": 2, "decode": 2, "patchify": 5}
 
     @pytest.mark.parametrize("overrides", [dict(lam=1e-5), dict(lam=0.0),
                                            dict(lam=1e-5, recon_masked_only=True)],
@@ -1047,6 +1049,7 @@ def test_live_shares_keep_the_peak_rss_of_one_thread():
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ad.__file__))
+    env["PYTHONWARNINGS"] = CHILD_WARNINGS
 
     def peak_mib(workers):
         return int(subprocess.run([sys.executable, "-c", _PRETRAIN_PEAK, str(workers)], env=env,
