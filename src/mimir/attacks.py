@@ -164,12 +164,11 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
             raise FloatingPointError("pgd: non-finite gradient")
         return val, grad
 
-    best_point = x_adv.copy()
     best_loss = -np.inf
     for _ in range(int(spec.iters)):
         loss, grad = value_and_grad(x_adv)
         if loss > best_loss:
-            best_loss, best_point = loss, x_adv.copy()
+            best_loss, best_point = loss, x_adv
         previous = x_adv
         x_adv = linf_project(x_adv + spec.step_size * np.sign(grad), x, spec)
         if extra_project is not None:
@@ -265,18 +264,11 @@ def attack_recon(params: ModelParams, images: Array, plan: MaskPlan, spec: Attac
     masked_pixels = _pixel_mask(plan, params.config)
     target = patchify(Tensor(x), params.config.patch_size)
 
-    def pin_masked(x_adv: Array) -> Array:
-        out = x_adv.copy()
-        out[masked_pixels] = x[masked_pixels]
-        return out
-
-    constants = params.constants()
-
-    def objective(x_adv: Tensor) -> Tensor:
-        return ad.mse_loss(autoencoder_pass(constants, x_adv, plan)[1], target)
-
-    def score_last(x_adv: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        forward = autoencoder_pass(params, x_adv, plan)
+    def score(on: ModelParams, x_adv: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        forward = autoencoder_pass(on, x_adv, plan)
         return ad.mse_loss(forward[1], target), forward
 
-    return pgd(objective, x, spec, rng, extra_project=pin_masked, score_last=score_last)
+    constants = params.constants()
+    return pgd(lambda x_adv: score(constants, x_adv)[0], x, spec, rng,
+               extra_project=lambda x_adv: np.where(masked_pixels, x, x_adv),
+               score_last=lambda x_adv: score(params, x_adv))

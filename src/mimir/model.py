@@ -61,7 +61,7 @@ class ViTConfig:
     def __post_init__(self):
         for extent in fields(self):
             value = getattr(self, extent.name)
-            if extent.name != "mask_ratio" and value < 1:
+            if extent.name != "mask_ratio" and (type(value) is not int or value < 1):
                 raise ValueError(f"{extent.name} must be a positive integer, got {value}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
@@ -317,11 +317,11 @@ def unpatchify(patches: Tensor, patch_size: int, channels: int) -> Tensor:
 
 def _pixel_mask(plan: MaskPlan, config: ViTConfig) -> Array:
     """Boolean [B, C, H, W] mask that is True on pixels of masked patches."""
-    flags = np.zeros((plan.batch, plan.num_patches, config.patch_dim))
-    rows = np.arange(plan.batch)[:, None]
-    flags[rows, plan.masked] = 1.0
-    as_pixels = unpatchify(Tensor(flags), config.patch_size, config.channels)
-    return as_pixels.data > 0.5
+    b, c, g, p = plan.batch, config.channels, config.grid, config.patch_size
+    flags = np.zeros((b, plan.num_patches), dtype=bool)
+    flags[np.arange(b)[:, None], plan.masked] = True
+    as_pixels = np.broadcast_to(flags.reshape(b, 1, g, 1, g, 1), (b, c, g, p, g, p))
+    return as_pixels.reshape(b, c, g * p, g * p)
 
 
 # ---------------------------------------------------------------------------

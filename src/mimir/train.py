@@ -361,8 +361,7 @@ def _read_tensor_table(r: _Reader, table: str) -> dict[str, tuple[Array, bool]]:
         extents = r.unpack(f"<{rank}I") if rank else ()
         if any(e < 1 for e in extents):
             raise CheckpointError("corrupt shape table")
-        size = int(np.prod(extents)) if extents else 1
-        payload = r.take(size * 8)
+        payload = r.take(math.prod(extents) * 8)
         data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(extents)
         if name in entries:
             raise CheckpointError(f"the {table} table lists {name!r} twice")
@@ -391,15 +390,19 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def _check_shapes(params: ModelParams, m: dict[str, Array], v: dict[str, Array]) -> None:
-    """Tensors must match ``param_specs`` of the stored config; moments must match their params."""
-    expected = {name: shape for name, (shape, _) in param_specs(params.config).items()}
-    stray = sorted(set(expected) ^ set(params.tensors))
+    """Tensors must match ``param_specs`` of the stored config in shape and in trainable flag;
+    moments must match their params."""
+    specs = param_specs(params.config)
+    stray = sorted(set(specs) ^ set(params.tensors))
     if stray:
         raise CheckpointError(f"tensors {stray} are missing or unexpected for the stored config")
     for name, t in params.tensors.items():
-        if t.shape != expected[name]:
-            raise CheckpointError(f"tensor {name!r} has shape {t.shape}, "
-                                  f"its config needs {expected[name]}")
+        shape, init = specs[name]
+        if t.shape != shape:
+            raise CheckpointError(f"tensor {name!r} has shape {t.shape}, its config needs {shape}")
+        if t.requires_grad != (init != "sincos"):
+            raise CheckpointError(f"tensor {name!r} has requires_grad={t.requires_grad}, "
+                                  f"its config needs {not t.requires_grad}")
     trainable = {name for name, _ in params.trainable()}
     if set(m) != trainable or set(v) != trainable:
         raise CheckpointError("optimizer tables do not match the trainable parameters")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimir import attacks
+from mimir import attacks, model
 from mimir import _runtime as rt
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
@@ -322,6 +322,16 @@ class TestAttackRecon:
         visible_delta = pert.delta[~mask]
         allowed = np.array([-EPS_8_255, 0.0, EPS_8_255])
         assert np.all(np.min(np.abs(visible_delta[:, None] - allowed[None, :]), axis=1) <= 1e-15)
+
+    def test_runs_no_unpatchify(self, small_model, monkeypatch):
+        """The pixel mask of the pin is built in numpy, not through the autodiff unpatchify."""
+        cfg, params, imgs, _ = small_model
+        calls = []
+        original = model.unpatchify
+        monkeypatch.setattr(model, "unpatchify", lambda *a, **k: calls.append(1) or original(*a, **k))
+        plan = sample_mask(cfg.num_patches, 0.5, np.random.default_rng(1), batch_size=4)
+        attack_recon(params, imgs, plan, SPEC_3, np.random.default_rng(2))
+        assert calls == []
 
 
 class TestAttackMI:

@@ -76,6 +76,22 @@ class TestPatchify:
         report = ad.finite_diff_check(f, Tensor(rng.uniform(size=(1, 1, 8, 8))), 1e-4)
         assert report.max_rel_error < 1e-6
 
+    @pytest.mark.parametrize("shape, batch, mask_ratio", [("tiny16", 16, 0.75), ("mid32", 32, 0.75),
+                                                          ("tiny16", 16, 0.0)],
+                             ids=["tiny16", "mid32", "mask-ratio-0"])
+    def test_pixel_mask_is_the_unpatchified_patch_flags(self, shape, batch, mask_ratio, tiny_config,
+                                                        mid32_config):
+        """``_pixel_mask`` builds in numpy the mask that unpatchifying per-patch flags gives."""
+        cfg = {"tiny16": tiny_config, "mid32": mid32_config}[shape]
+        for seed in range(3):
+            plan = sample_mask(cfg.num_patches, mask_ratio, np.random.default_rng(seed), batch)
+            flags = np.zeros((batch, cfg.num_patches, cfg.patch_dim))
+            flags[np.arange(batch)[:, None], plan.masked] = 1.0
+            expected = unpatchify(Tensor(flags), cfg.patch_size, cfg.channels).data > 0.5
+            got = _pixel_mask(plan, cfg)
+            assert got.dtype == bool and np.array_equal(got, expected)
+            assert got.sum() == batch * (cfg.num_patches - plan.num_visible) * cfg.patch_dim
+
 
 class TestSampleMask:
     def test_75_percent_of_16(self):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from mimir import _runtime as rt
 from mimir import autodiff as ad
 from mimir.autodiff import Tensor
 from mimir.attacks import AttackSpec, attack_recon, finetune_attack_spec, pretrain_attack_spec
+from mimir.cli import run_config
 from mimir.data import Dataset, synth_dataset
 from mimir.mi import PenaltyConfig, hsic, median_bandwidth, penalty_mi
 from mimir.model import (ModelParams, ViTConfig, classify, decode, encode, init_params, patchify,
@@ -390,14 +392,14 @@ class TestCheckpoint:
 
     def test_corrupt_shape_table_rejected(self, tmp_path):
         cfg_json = b'{"image_size":16}'
-        blob = b"MIMR" + struct.pack("<I", 1)
+        blob = b"MIMR" + struct.pack("<I", train.CHECKPOINT_VERSION)
         blob += struct.pack("<I", len(cfg_json)) + cfg_json
         blob += struct.pack("<I", 1)                       # one tensor
         blob += struct.pack("<H", 1) + b"w"
         blob += struct.pack("<BBB", 0, 1, 9)               # rank 9: implausible
         path = tmp_path / "corrupt.ckpt"
-        path.write_bytes(blob)
-        with pytest.raises(CheckpointError):
+        path.write_bytes(_sealed(blob))
+        with pytest.raises(CheckpointError, match="^implausible tensor rank 9$"):
             load_checkpoint(path)
 
     def test_tensor_shape_disagreeing_with_config_rejected(self, tmp_path):
@@ -488,7 +490,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [("image_size", 0), ("patch_size", 0),
-                                           ("mask_ratio", 1.5)])
+                                           ("mask_ratio", 1.5), ("channels", True)])
     def test_invalid_architecture_block_rejected(self, key, value, tmp_path):
         _, blob = self._fresh_blob(tmp_path)
         config = json.loads(blob[12:12 + struct.unpack("<I", blob[8:12])[0]])
@@ -497,6 +499,53 @@ class TestCheckpoint:
         path.write_bytes(self._with_config_block(blob, json.dumps(config).encode("utf-8")))
         with pytest.raises(CheckpointError, match="architecture"):
             load_checkpoint(path)
+
+    # kind -> what its load must fail with; each file is sealed with a valid CRC-32
+    MALFORMED = {
+        "float-extent": "^corrupt architecture description: .*image_size must be a positive integer",
+        "overflowing-extents": "^truncated checkpoint$",
+        "contradicted-flags": "^tensor 'enc_pos' has requires_grad=True, its config needs False$",
+    }
+
+    def _malformed_blob(self, kind: str, tmp_path) -> bytes:
+        if kind == "contradicted-flags":
+            # head.weight frozen and enc_pos trainable, with m and v built to match the flags
+            params = init_params(tiny_vit_config(), np.random.default_rng(0))
+            params["head.weight"].requires_grad = False
+            params["enc_pos"].requires_grad = True
+            save_checkpoint(TrainState.create(params, 0), tmp_path / "flags.ckpt")
+            return (tmp_path / "flags.ckpt").read_bytes()
+        _, blob = self._fresh_blob(tmp_path)
+        config_end = 12 + struct.unpack("<I", blob[8:12])[0]
+        if kind == "float-extent":
+            config = json.loads(blob[12:config_end])
+            return self._with_config_block(blob, json.dumps({**config, "image_size": 16.0}).encode())
+        # one tensor of extents 65536^4: 2^64 elements, which an int64 product wraps to 0
+        table = (struct.pack("<I", 1) + struct.pack("<H", 1) + b"w" + struct.pack("<BBB", 0, 1, 4)
+                 + struct.pack("<4I", *(65536,) * 4))
+        return _sealed(blob[:config_end] + table)
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_malformed_checkpoint_rejected(self, kind, tmp_path):
+        path = tmp_path / "malformed.ckpt"
+        path.write_bytes(self._malformed_blob(kind, tmp_path))
+        with pytest.raises(CheckpointError, match=self.MALFORMED[kind]):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_malformed_checkpoint_exits_1_from_the_cli(self, kind, tmp_path, capsys):
+        path = tmp_path / "malformed.ckpt"
+        path.write_bytes(self._malformed_blob(kind, tmp_path))
+        out = tmp_path / "out"
+        (tmp_path / "c.cfg").write_text(
+            f"command = mi-estimate\nout_dir = {out}\ncheckpoint = {path}\ndata.source = synth\n"
+            "data.num_classes = 4\ndata.samples_per_class = 2\ndata.image_size = 16\n"
+            "data.noise = 0.1\n")
+        assert run_config(tmp_path / "c.cfg") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(self.MALFORMED[kind], err[len("error: "):-1])
+        assert not out.exists()
 
     def test_byte_flips_raise_only_checkpoint_error(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
@@ -818,7 +867,7 @@ class TestTrainOnAttackForward:
         """At epsilon = 0 the last iterate ties the start, and its forward is kept as well."""
         _, ds = pretrain_setup
         spec = AttackSpec(epsilon=epsilon, step_size=10 / 255, iters=1, init="random")
-        counts = {"encode": 0, "decode": 0, "patchify": 0}
+        counts = {"encode": 0, "decode": 0, "patchify": 0, "unpatchify": 0}
         for name in counts:
             original = getattr(model, name)
 
@@ -832,8 +881,8 @@ class TestTrainOnAttackForward:
         state = TrainState.create(init_params(tiny_vit_config(), np.random.default_rng(0)), 0)
         pretrain_epoch(state, ds, small_train_config(batch_size=len(ds), attack=spec))  # one step
         # attack iterate + last iterate (kept); patchify also builds the attack's and the loss's
-        # MSE targets and the penalty's patches of x + delta
-        assert counts == {"encode": 2, "decode": 2, "patchify": 5}
+        # MSE targets and the penalty's patches of x + delta; the pin's pixel mask is numpy
+        assert counts == {"encode": 2, "decode": 2, "patchify": 5, "unpatchify": 0}
 
     @pytest.mark.parametrize("overrides", [dict(lam=1e-5), dict(lam=0.0),
                                            dict(lam=1e-5, recon_masked_only=True)],
