@@ -46,17 +46,18 @@ class Dataset:
         return self.images.shape[0]
 
 
-def _parse_cifar_file(path: str) -> tuple[Array, Array]:
+def _parse_cifar_file(path: str, images: Array) -> Array:
+    """Fill ``images`` with the records' pixels scaled to [0, 1]; return their labels."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) == 0 or len(blob) % CIFAR_RECORD_BYTES != 0:
-        raise ValueError(f"{path}: length {len(blob)} is not a multiple of {CIFAR_RECORD_BYTES}")
+    if len(blob) != len(images) * CIFAR_RECORD_BYTES:
+        raise ValueError(f"{path}: length {len(blob)} changed while it was read")
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
     labels = raw[:, 0].astype(np.int64)
     if labels.max(initial=0) > 9:
         raise ValueError(f"{path}: label byte exceeds 9")
-    images = raw[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
-    return images, labels
+    np.divide(raw[:, 1:].reshape(-1, 3, 32, 32), 255.0, out=images)
+    return labels
 
 
 def load_cifar10_binary(directory, split: str = "train") -> Dataset:
@@ -71,9 +72,15 @@ def load_cifar10_binary(directory, split: str = "train") -> Dataset:
         raise ValueError(f"unknown split {split!r}")
     if not paths:
         raise FileNotFoundError(f"no CIFAR-10 {split} batch files under {directory}")
-    parts = [_parse_cifar_file(p) for p in paths]
-    images = np.concatenate([p[0] for p in parts])
-    labels = np.concatenate([p[1] for p in parts])
+    sizes = [os.path.getsize(p) for p in paths]
+    for path, size in zip(paths, sizes):
+        if size == 0 or size % CIFAR_RECORD_BYTES != 0:
+            raise ValueError(f"{path}: length {size} is not a multiple of {CIFAR_RECORD_BYTES}")
+    # one float64 array for every file's records, each file's rows divided into place
+    bounds = np.cumsum([0] + [size // CIFAR_RECORD_BYTES for size in sizes])
+    images = np.empty((bounds[-1], 3, 32, 32))
+    labels = np.concatenate([_parse_cifar_file(p, images[lo:hi])
+                             for p, lo, hi in zip(paths, bounds[:-1], bounds[1:])])
     return Dataset(images=images, labels=labels, split=split, num_classes=10)
 
 

@@ -35,12 +35,21 @@ Each tensor table is a uint32 count followed by entries of:
 and names no tensor twice. Round trips are byte-exact, so saving, loading,
 and saving again produces identical files and resuming reproduces an
 uninterrupted run bit for bit.
+
+Both directions stream through the CRC: a save writes each block and each
+tensor's buffer straight to the file, and a load reads front to back, each
+tensor into the array it returns, so neither holds a copy of the payload.
+A load whose parse stops at an error still reads the rest of the file and
+reports a CRC mismatch first, so a damaged file is reported as damaged
+whatever its damage broke. Every length is checked against the bytes left
+before anything is allocated for it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import time
 import zlib
@@ -310,7 +319,19 @@ def finetune_epoch(state: TrainState, dataset, config: TrainConfig) -> EpochMetr
 # ---------------------------------------------------------------------------
 # persistence
 
-def _write_tensor_table(chunks: list[bytes], entries: list[tuple[str, Array, bool]]) -> None:
+class _CrcWriter:
+    """An open file as a sink of blocks: ``append`` writes one and folds it into ``crc``."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.crc = 0
+
+    def append(self, block) -> None:
+        self.fh.write(block)
+        self.crc = zlib.crc32(block, self.crc)
+
+
+def _write_tensor_table(chunks: _CrcWriter, entries: list[tuple[str, Array, bool]]) -> None:
     chunks.append(struct.pack("<I", len(entries)))
     for name, data, requires_grad in entries:
         encoded = name.encode("utf-8")
@@ -319,28 +340,57 @@ def _write_tensor_table(chunks: list[bytes], entries: list[tuple[str, Array, boo
         chunks.append(encoded)
         chunks.append(struct.pack("<BBB", 0, 1 if requires_grad else 0, arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
+        chunks.append(memoryview(arr))
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-        self.end = len(blob)
+    """Front-to-back reads of an open checkpoint that fold every byte read into ``crc``.
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > self.end:
+    ``left`` counts the unread bytes before the CRC-32 trailer once ``seal`` has
+    set it aside. A read of more than that fails as a truncated file before
+    anything is allocated for it.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
+        self.crc = 0
+
+    def _need(self, n: int) -> None:
+        if n > self.left:
             raise CheckpointError("truncated checkpoint")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
+
+    def _into(self, buf):
+        n = memoryview(buf).nbytes
+        if self.fh.readinto(buf) != n:
+            raise CheckpointError("truncated checkpoint")
+        self.crc = zlib.crc32(buf, self.crc)
+        self.left -= n
+        return buf
+
+    def take(self, n: int) -> bytearray:
+        self._need(n)
+        return self._into(bytearray(n))
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == self.end
+    def array(self, extents: tuple[int, ...]) -> Array:
+        self._need(math.prod(extents) * 8)
+        return self._into(np.empty(extents, dtype="<f8"))
+
+    def seal(self) -> None:
+        """Set the CRC-32 trailer aside from the bytes left to read."""
+        self._need(4)
+        self.left -= 4
+
+    def verify(self) -> None:
+        """Fold the unread bytes into the CRC in blocks of 1 MiB and compare it to the trailer."""
+        block = memoryview(bytearray(min(self.left, 2**20)))
+        while self.left:
+            self._into(block[:min(self.left, len(block))])
+        if self.fh.read(4) != struct.pack("<I", self.crc):
+            raise CheckpointError("checksum mismatch: the checkpoint is damaged")
 
 
 def _read_tensor_table(r: _Reader, table: str) -> dict[str, tuple[Array, bool]]:
@@ -361,8 +411,7 @@ def _read_tensor_table(r: _Reader, table: str) -> dict[str, tuple[Array, bool]]:
         extents = r.unpack(f"<{rank}I") if rank else ()
         if any(e < 1 for e in extents):
             raise CheckpointError("corrupt shape table")
-        payload = r.take(math.prod(extents) * 8)
-        data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(extents)
+        data = r.array(extents)
         if name in entries:
             raise CheckpointError(f"the {table} table lists {name!r} twice")
         entries[name] = (data, bool(flags & 1))
@@ -370,23 +419,23 @@ def _read_tensor_table(r: _Reader, table: str) -> dict[str, tuple[Array, bool]]:
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    chunks: list[bytes] = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     config_json = json.dumps(asdict(state.params.config), sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
-    chunks.append(struct.pack("<I", len(config_json)))
-    chunks.append(config_json)
-    _write_tensor_table(chunks, [(n, t.data, t.requires_grad) for n, t in state.params.tensors.items()])
-    _write_tensor_table(chunks, [(n, a, True) for n, a in state.m.items()])
-    _write_tensor_table(chunks, [(n, a, True) for n, a in state.v.items()])
-    chunks.append(struct.pack("<QQ", state.step, state.epoch))
     rng_json = json.dumps(state.rng.bit_generator.state, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-    chunks.append(struct.pack("<I", len(rng_json)))
-    chunks.append(rng_json)
-    blob = b"".join(chunks)
     with _replacing(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob)))
+        chunks = _CrcWriter(fh)
+        chunks.append(CHECKPOINT_MAGIC)
+        chunks.append(struct.pack("<II", CHECKPOINT_VERSION, len(config_json)))
+        chunks.append(config_json)
+        _write_tensor_table(chunks, [(n, t.data, t.requires_grad)
+                                     for n, t in state.params.tensors.items()])
+        _write_tensor_table(chunks, [(n, a, True) for n, a in state.m.items()])
+        _write_tensor_table(chunks, [(n, a, True) for n, a in state.v.items()])
+        chunks.append(struct.pack("<QQ", state.step, state.epoch))
+        chunks.append(struct.pack("<I", len(rng_json)))
+        chunks.append(rng_json)
+        fh.write(struct.pack("<I", chunks.crc))
 
 
 def _check_shapes(params: ModelParams, m: dict[str, Array], v: dict[str, Array]) -> None:
@@ -413,35 +462,23 @@ def _check_shapes(params: ModelParams, m: dict[str, Array], v: dict[str, Array])
                                       f"its parameter has {params[name].shape}")
 
 
-def load_checkpoint(path) -> TrainState:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    if r.take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad magic: not a checkpoint file")
-    (version,) = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    r.end -= 4
-    if r.end < r.pos:
-        raise CheckpointError("truncated checkpoint")
-    (crc,) = struct.unpack("<I", r.blob[r.end:])
-    if zlib.crc32(memoryview(r.blob)[:r.end]) != crc:
-        raise CheckpointError("checksum mismatch: the checkpoint is damaged")
+def _read_state(r: _Reader) -> TrainState:
     (cfg_len,) = r.unpack("<I")
     config_blob = r.take(cfg_len)
     try:
         config = ViTConfig(**json.loads(config_blob.decode("utf-8")))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt architecture description: {exc!r}") from exc
-    tensors = {name: Tensor(data, requires_grad=rg)
-               for name, (data, rg) in _read_tensor_table(r, "parameter").items()}
+    table = _read_tensor_table(r, "parameter")
+    # Tensor copies its array, so each array leaves the table as its copy is made
+    tensors = {name: Tensor(*table.pop(name)) for name in list(table)}
     params = ModelParams(config=config, tensors=tensors)
     m = {name: data for name, (data, _) in _read_tensor_table(r, "m").items()}
     v = {name: data for name, (data, _) in _read_tensor_table(r, "v").items()}
     step, epoch = r.unpack("<QQ")
     (rng_len,) = r.unpack("<I")
     rng_blob = r.take(rng_len)
-    if not r.exhausted:
+    if r.left:
         raise CheckpointError("trailing bytes after checkpoint payload")
     rng = np.random.default_rng(0)
     try:
@@ -450,3 +487,19 @@ def load_checkpoint(path) -> TrainState:
         raise CheckpointError(f"corrupt rng state: {exc!r}") from exc
     _check_shapes(params, m, v)
     return TrainState(params=params, m=m, v=v, step=int(step), epoch=int(epoch), rng=rng)
+
+
+def load_checkpoint(path) -> TrainState:
+    with open(path, "rb") as fh:
+        r = _Reader(fh)
+        if r.take(4) != CHECKPOINT_MAGIC:
+            raise CheckpointError("bad magic: not a checkpoint file")
+        (version,) = r.unpack("<I")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        r.seal()
+        try:
+            return _read_state(r)
+        finally:
+            # read to the end whatever stopped the parse: a CRC mismatch wins over its error
+            r.verify()

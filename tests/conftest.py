@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,16 @@ def tiny_vit_config(**overrides) -> ViTConfig:
                 dec_mlp_ratio=4, num_classes=4, mask_ratio=0.75)
     base.update(overrides)
     return ViTConfig(**base)
+
+
+def traced_peak(fn):
+    """``fn()`` and the most bytes its allocations held at once, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,24 @@
-"""The memory record: the tracemalloc peak of one pre-training step, kept beside the bits manifest.
+"""The memory record: tracemalloc peaks of one step of three workloads, beside the bits manifest.
 
     PYTHONPATH=src python tests/memory_manifest.py            # print the record it measures
     PYTHONPATH=src python tests/memory_manifest.py --write    # rewrite tests/bits/memory.json
 
 Run it from the repository root. It starts one Python process with
-``OPENBLAS_NUM_THREADS=1``, which builds pre-training on each of perfbench's
-tiny16 and mid32 shapes with perfbench's seed-1 images and parameters and
-the recipe of its ``Pretrain`` workload (one batch of the whole image
-slice, the reconstruction attack and the HSIC penalty), runs one warm-up
-step, and then reports in MB the least tracemalloc peak of ``STEPS`` more
-steps: the most memory that a step's own allocations held at once. numpy
-reports its arrays to tracemalloc, so the peak is that of the step's arrays
-and graphs.
+``OPENBLAS_NUM_THREADS=1``, which builds each workload from perfbench's
+seed-1 inputs:
+
+- pre-training on each of perfbench's tiny16 and mid32 shapes with
+  perfbench's images and parameters and the recipe of its ``Pretrain``
+  workload (one batch of the whole image slice, the reconstruction attack
+  and the HSIC penalty);
+- perfbench's ``MIEstimate`` workload, one ``cli.run_config`` call of
+  ``mi-estimate`` per step, which loads a mid32 checkpoint and estimates
+  the MI of 64 images.
+
+For each it runs one warm-up step and then reports in MB the least or the
+most (see ``WORKLOADS``) of the tracemalloc peaks of a few more steps: the
+most memory that a step's own allocations held at once. numpy reports its
+arrays to tracemalloc, so the peak is that of the step's arrays and graphs.
 
 Next to the peaks the record keeps the environment that produced them (see
 ``bits_manifest._environment``), which sets the BLAS and the number of image
@@ -41,18 +48,21 @@ from bits_manifest import BITS, ROOT, _environment, python_at
 
 RECORD = BITS / "memory.json"
 SLACK = 0.02
-STEPS = 3
-WORKLOADS = ("pretrain-tiny16", "pretrain-mid32")
+# name -> (steps traced after the warm-up step, which of their peaks is recorded)
+WORKLOADS = {"pretrain-tiny16": (3, min), "pretrain-mid32": (3, min),
+             "mi-estimate-mid32": (9, max)}
 
 
-def _pretrain_step(name: str, seed: int) -> Callable[[], object]:
-    """One pre-training step of perfbench's ``Pretrain`` recipe on the shape of ``name``,
-    over one batch of the whole image slice."""
+def _step(name: str, seed: int, workdir: str) -> Callable[[], object]:
+    """One step of ``name``: perfbench's ``MIEstimate`` writing into ``workdir``, or a
+    pre-training step of its ``Pretrain`` recipe over one batch of the whole image slice."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     from mimir import attacks, model, train
 
+    if name == "mi-estimate-mid32":
+        return workloads.MIEstimate(seed, workdir).step
     shape, dataset = {
         "pretrain-tiny16": (workloads.TINY16, workloads._dataset(4, 4, 16, 1, seed)),
         "pretrain-mid32": (workloads.MID32, workloads._dataset(10, 4, 32, 3, seed, keep=32)),
@@ -65,18 +75,24 @@ def _pretrain_step(name: str, seed: int) -> Callable[[], object]:
     return lambda: train.pretrain_epoch(state, dataset, config)
 
 
-def _peak_mb(name: str) -> float:
-    """The least tracemalloc peak of ``STEPS`` steps of ``name`` after a warm-up step, in MB.
+def _peak_mb(name: str, workdir: str) -> float:
+    """The least or the most tracemalloc peak of a few steps of ``name`` after a warm-up
+    step (see ``WORKLOADS``), in MB.
 
     Each step is traced on its own, so its peak counts only its own
     allocations. The shares of a pass run on threads, and where their
-    allocations overlap moves the peak of a step now and then, by up to 2%
-    on mid32; the least of a few steps is the one that repeats.
+    allocations overlap moves the peak of a step. A pre-training step peaks
+    higher now and then, by up to 2% on mid32, so the least of a few steps
+    is the one that repeats. mi-estimate's encoder pass runs each share in
+    chunks, and its steps peak at one of several levels up to 4% apart, by
+    which chunks of the two shares overlap; the most of 9 steps read within
+    about 1% from process to process (21.98-22.21 MB in 15 processes).
     """
-    step = _pretrain_step(name, 1)
+    steps, pick = WORKLOADS[name]
+    step = _step(name, 1, workdir)
     step()
     peaks = []
-    for _ in range(STEPS):
+    for _ in range(steps):
         gc.collect()
         tracemalloc.start()
         try:
@@ -84,12 +100,14 @@ def _peak_mb(name: str) -> float:
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    return round(min(peaks) / 2**20, 3)
+    return round(pick(peaks) / 2**20, 3)
 
 
 def _one_setting() -> dict:
     """The environment and every peak, in this process (the caller sets its BLAS threads)."""
-    return {"environment": _environment(), "peaks_mb": {name: _peak_mb(name) for name in WORKLOADS}}
+    with tempfile.TemporaryDirectory() as tmp:
+        peaks = {name: _peak_mb(name, tmp) for name in WORKLOADS}
+    return {"environment": _environment(), "peaks_mb": peaks}
 
 
 def compute() -> dict:

@@ -28,7 +28,7 @@ from mimir.model import classify, encode_full, init_params
 from mimir.train import TrainConfig, TrainState, load_checkpoint, pretrain_epoch, save_checkpoint
 
 from bits_manifest import python_at
-from conftest import tiny_vit_config
+from conftest import tiny_vit_config, traced_peak
 
 
 def write_cifar_batch(path, labels, rng):
@@ -59,6 +59,19 @@ class TestCifarLoader:
         write_cifar_batch(tmp_path / "data_batch_2.bin", [2], rng)
         ds = load_cifar10_binary(tmp_path)
         assert len(ds) == 3 and list(ds.labels) == [0, 1, 2]
+
+    def test_one_float_copy_with_the_bits_of_the_old_formula(self, tmp_path):
+        """The images are one float64 array, divided into place from each file's bytes."""
+        rng = np.random.default_rng(3)
+        for i in (1, 2, 3):
+            write_cifar_batch(tmp_path / f"data_batch_{i}.bin", rng.integers(0, 10, size=400), rng)
+        ds, peak = traced_peak(lambda: load_cifar10_binary(tmp_path))
+        blobs = [(tmp_path / f"data_batch_{i}.bin").read_bytes() for i in (1, 2, 3)]
+        assert peak <= ds.images.nbytes + len(blobs[0]) + 2**20
+        raw = np.frombuffer(b"".join(blobs), dtype=np.uint8).reshape(-1, 3073)
+        old = raw[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
+        assert ds.images.tobytes() == old.tobytes()
+        assert np.array_equal(ds.labels, raw[:, 0])
 
     def test_truncated_rejected(self, tmp_path):
         write_cifar_batch(tmp_path / "data_batch_1.bin", [0], np.random.default_rng(0))
@@ -1124,8 +1137,8 @@ class TestArtifactWriters:
             write = lambda: write_csv(path, "a,b", [("1", "\ud800")])
         else:
             _write_checkpoint(path)
-            # the payload is written, then the checksum trailer fails
-            monkeypatch.setattr(zlib, "crc32", lambda blob: 1 / 0)
+            # the magic is written, then folding it into the checksum fails
+            monkeypatch.setattr(zlib, "crc32", lambda *blocks: 1 / 0)
             write = lambda: _write_checkpoint(path)
         earlier = path.read_bytes()
         with pytest.raises((UnicodeEncodeError, ZeroDivisionError)):

@@ -27,7 +27,7 @@ from mimir.train import (CheckpointError, TrainConfig, TrainState, adamw_step, c
                          pretrain_epoch, save_checkpoint, _mimir_loss_parts)
 
 from bits_manifest import CHILD_WARNINGS
-from conftest import tiny_vit_config
+from conftest import tiny_vit_config, traced_peak
 
 
 def _sealed(body: bytes) -> bytes:
@@ -606,6 +606,64 @@ class TestCheckpoint:
         path.write_bytes(bytes(corrupt))
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _table_offsets(blob: bytes) -> dict[str, int]:
+        """Offsets of the parameter table's count and of its first entry's name length and rank."""
+        count = 12 + struct.unpack("<I", blob[8:12])[0]
+        (name_len,) = struct.unpack("<H", blob[count + 4:count + 6])
+        return {"table-count": count + 3, "name-length": count + 5,
+                "rank": count + 6 + name_len + 2}
+
+    @pytest.mark.parametrize("field", ["table-count", "name-length", "rank"])
+    def test_a_flip_that_breaks_the_parse_still_names_the_checksum(self, field, tmp_path):
+        """The parse stops at the flipped byte, yet the load reads on and reports the damage."""
+        _, blob = self._fresh_blob(tmp_path)
+        corrupt = bytearray(blob)
+        corrupt[self._table_offsets(blob)[field]] ^= 0x40
+        path = tmp_path / "flip.ckpt"
+        path.write_bytes(_sealed(bytes(corrupt[:-4])))
+        with pytest.raises(CheckpointError) as sealed:
+            load_checkpoint(path)
+        assert "checksum" not in str(sealed.value)
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(CheckpointError, match="^checksum mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["config", "name", "rng"])
+    def test_a_length_past_the_end_is_truncated_before_it_is_allocated(self, field, tmp_path):
+        """A sealed file whose length field claims more bytes than remain allocates none of them."""
+        state, blob = self._fresh_blob(tmp_path)
+        config_end = 12 + struct.unpack("<I", blob[8:12])[0]
+        rng_start = self._rng_block_start(state, blob)
+        body = {
+            "config": blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:-4],
+            "name": blob[:config_end] + struct.pack("<IH", 1, 2**16 - 1) + b"w",
+            "rng": blob[:rng_start] + struct.pack("<I", 2**32 - 1) + blob[rng_start + 4:-4],
+        }[field]
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(_sealed(body))
+
+        def load():
+            with pytest.raises(CheckpointError, match="^truncated checkpoint$"):
+                load_checkpoint(path)
+
+        _, peak = traced_peak(load)
+        assert peak < len(body) + 4 + 2**20
+
+    def test_save_holds_no_copy_of_the_payload(self, mid32_config, tmp_path):
+        state = TrainState.create(init_params(mid32_config, np.random.default_rng(0)), 0)
+        _, peak = traced_peak(lambda: save_checkpoint(state, tmp_path / "mid32.ckpt"))
+        assert peak < 2**20
+
+    def test_load_holds_only_the_arrays_it_returns(self, mid32_config, tmp_path):
+        path = tmp_path / "mid32.ckpt"
+        save_checkpoint(TrainState.create(init_params(mid32_config, np.random.default_rng(0)), 0),
+                        path)
+        state, peak = traced_peak(lambda: load_checkpoint(path))
+        arrays = [t.data for t in state.params.tensors.values()] + [*state.m.values(),
+                                                                    *state.v.values()]
+        assert peak <= sum(a.nbytes for a in arrays) + 2**20
 
     def test_version_one_file_rejected_by_its_version(self, pretrain_setup, tmp_path):
         """Version 1 was version 2 without the CRC-32 trailer; only version 2 loads."""
