@@ -31,8 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .mi import PenaltyConfig, penalty_mi
-from .model import (MaskPlan, ModelParams, _pixel_mask, _pooled_logits, autoencoder_pass,
-                    encode_full, patchify)
+from .model import (MaskPlan, ModelParams, _check_count, _pixel_mask, _pooled_logits,
+                    autoencoder_pass, encode_full, patchify)
 
 Array = np.ndarray
 
@@ -60,8 +60,7 @@ class AttackSpec:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if not 0.0 < self.step_size < np.inf:
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
-        if int(self.iters) < 1:
-            raise ValueError(f"iters must be a positive integer, got {self.iters}")
+        _check_count("iters", self.iters)
         if self.init not in ("zero", "random"):
             raise ValueError(f"init must be 'zero' or 'random', got {self.init!r}")
         if self.box[0] >= self.box[1]:
@@ -165,7 +164,7 @@ def pgd(objective: Callable[[Tensor], Tensor], x: Array, spec: AttackSpec,
         return val, grad
 
     best_loss = -np.inf
-    for _ in range(int(spec.iters)):
+    for _ in range(spec.iters):
         loss, grad = value_and_grad(x_adv)
         if loss > best_loss:
             best_loss, best_point = loss, x_adv

@@ -58,6 +58,7 @@ from . import _runtime
 
 Array = np.ndarray
 
+LAYER_NORM_EPS = 1e-6  # added to each row's variance before the reciprocal square root
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -544,19 +545,17 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(out, "softmax", [(a, grad_a)])
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis, then apply the affine (gamma, beta)."""
-    if eps <= 0.0:
-        raise ValueError("layer_norm: eps must be positive")
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last axis (variance plus ``LAYER_NORM_EPS``), then apply (gamma, beta)."""
     dim = a.shape[-1]
     if gamma.shape != (dim,) or beta.shape != (dim,):
         raise ValueError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match feature dim {dim}")
     # In place, in the operation order of centered = a - mean(a);
-    # xhat = centered * (1 / sqrt(mean(centered²) + eps)); out = xhat * gamma + beta.
+    # xhat = centered * (1 / sqrt(mean(centered²) + LAYER_NORM_EPS)); out = xhat * gamma + beta.
     xhat = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / dim
     out = np.multiply(xhat, xhat)  # the squares first, then the output
     inv = np.add.reduce(out, axis=-1, keepdims=True) / dim
-    inv += eps
+    inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv

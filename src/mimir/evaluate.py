@@ -16,7 +16,7 @@ from .autodiff import Tensor
 from .attacks import AttackSpec, attack_ce, attack_fea, attack_mi
 from .data import Dataset, write_csv
 from .mi import PenaltyConfig
-from .model import ModelParams, classify
+from .model import ModelParams, _check_count, classify
 
 Array = np.ndarray
 
@@ -58,7 +58,9 @@ def _run_job(params: ModelParams, job: AttackJob, images: Array, labels: Array,
 
 
 def attack_batches(dataset: Dataset, batch_size: int, seed: int, jobs: int):
-    """Fixed-order batches ``(x, y, rngs)``; ``rngs[j]`` is seeded ``(seed, j, batch)``."""
+    """The fixed-order batches ``(x, y, rngs)`` of ``evaluate``, ``landscape_grid`` and the
+    CLI's ``attack``; ``rngs[j]`` is seeded ``(seed, j, batch)``."""
+    _check_count("batch_size", batch_size)
     for b, start in enumerate(range(0, len(dataset), batch_size)):
         yield (dataset.images[start:start + batch_size], dataset.labels[start:start + batch_size],
                [np.random.default_rng([seed, j, b]) for j in range(jobs)])
@@ -96,11 +98,8 @@ def write_eval_csv(report: EvalReport, path) -> None:
 def _dataset_ce(params: ModelParams, dataset: Dataset, batch_size: int) -> float:
     params = params.constants()
     total = 0.0
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.images[start:start + batch_size]
-        y = dataset.labels[start:start + batch_size]
-        ce = ad.cross_entropy(classify(params, Tensor(x)), y)
-        total += ce.item() * len(y)
+    for x, y, _ in attack_batches(dataset, batch_size, seed=0, jobs=0):
+        total += ad.cross_entropy(classify(params, Tensor(x)), y).item() * len(y)
     return total / len(dataset)
 
 

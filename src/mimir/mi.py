@@ -24,6 +24,7 @@ from .autodiff import Tensor
 Array = np.ndarray
 
 _LN2 = float(np.log(2.0))
+EIGEN_TOL_PER_ROW = 1e-12  # an N-row Gram's eigenvalues below N times this are snapped to zero
 
 
 def _as_sample_matrix(samples, name: str) -> Array:
@@ -107,20 +108,18 @@ def median_bandwidth(samples) -> float:
     return _median_of_sq_dists(_pairwise_sq_dists(x))
 
 
-def symmetric_eigenvalues(matrix, tol: float | None = None) -> Array:
+def symmetric_eigenvalues(matrix) -> Array:
     """All eigenvalues of a symmetric matrix, from LAPACK's ``eigvalsh``, descending.
 
-    Eigenvalues within ``tol`` (default 1e-12 * N) of zero, negative or
+    Eigenvalues within ``EIGEN_TOL_PER_ROW * N`` of zero, negative or
     positive, are numerical noise on PSD Gram matrices and are snapped to
     exactly zero; fractional orders would otherwise amplify them.
     """
     (a,) = _as_grams("symmetric_eigenvalues", matrix)
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise ValueError("symmetric_eigenvalues: matrix is not symmetric within 1e-10")
-    if tol is None:
-        tol = 1e-12 * a.shape[0]
     lam = np.maximum(np.linalg.eigvalsh(0.5 * (a + a.T))[::-1], 0.0)  # eigvalsh is ascending
-    lam[lam < tol] = 0.0
+    lam[lam < EIGEN_TOL_PER_ROW * a.shape[0]] = 0.0
     return lam
 
 

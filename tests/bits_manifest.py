@@ -20,7 +20,8 @@ core count, and the thread count that the BLAS reported in each process.
 it passes. Where a digest differs, it fails if the environment is the
 recorded one. In any other environment it skips, and its reason names both
 the environment difference and the digests that differ, because BLAS kernels
-and thread splits may round differently there.
+and thread splits may round differently there. ``hold`` is that rule, which
+``tests/test_memory.py`` applies to the memory record as well.
 
 A change that moves bits on purpose rewrites the manifest with ``--write``
 and lists the changed entries in CHANGES.md.
@@ -137,28 +138,56 @@ def _one_setting() -> dict:
                 "digests": {**_cli_digests(cli_dir), **_library_digests(library_dir)}}
 
 
+def child_setting(script: str, blas_threads: int) -> dict:
+    """What ``script --one`` prints, run in a fresh process at ``blas_threads`` BLAS threads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return json.loads(python_at(tmp, blas_threads, str(Path(script).resolve()), "--one"))
+
+
 def compute() -> dict:
     """The manifest of this checkout: one process per BLAS thread count."""
     environment, reported, digests = {}, {}, {}
     for threads in BLAS_THREADS:
-        with tempfile.TemporaryDirectory() as tmp:
-            setting = json.loads(python_at(tmp, threads, str(Path(__file__).resolve()), "--one"))
+        setting = child_setting(__file__, threads)
         environment = setting["environment"]
         reported[str(threads)] = environment.pop("blas_threads")
         digests.update((f"blas{threads}/{key}", value) for key, value in setting["digests"].items())
     return {"environment": {**environment, "blas_threads": reported}, "digests": digests}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help=f"rewrite {MANIFEST.relative_to(ROOT)}")
+def hold(recorded: dict, now: dict, moved: list[str], what: str, remedy: str) -> None:
+    """Pass where no entry ``moved``; otherwise skip, naming each environment difference, where
+    ``now`` was measured in an environment unlike ``recorded``'s, and fail where it was not.
+
+    Both messages give the count of moved entries, ``what`` happened to them and every entry;
+    the failure adds ``remedy``, what a change that moves them on purpose does.
+    """
+    if not moved:
+        return
+    import pytest  # here, not at the top: the child processes run this file without pytest
+
+    was, is_now = recorded["environment"], now["environment"]
+    differences = [f"{name} {was.get(name)} -> {is_now.get(name)}"
+                   for name in sorted(was.keys() | is_now.keys()) if was.get(name) != is_now.get(name)]
+    if differences:
+        pytest.skip(f"{len(moved)} {what} in an environment unlike the record's "
+                    f"({'; '.join(differences)}): {', '.join(moved)}")
+    pytest.fail(f"{len(moved)} {what}: {', '.join(moved)}. {remedy}")
+
+
+def main(argv=None, doc: str = __doc__, record: Path = MANIFEST, one_setting=_one_setting,
+         compute=compute) -> int:
+    """Print the ``record`` that ``compute`` makes, or rewrite it with ``--write``; ``--one``
+    runs ``one_setting`` in this process only, as each child process does."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help=f"rewrite {record.relative_to(ROOT)}")
     parser.add_argument("--one", action="store_true",
-                        help="compute this process's digests only (what each child runs)")
+                        help="compute in this process only (what each child runs)")
     args = parser.parse_args(argv)
-    manifest = _one_setting() if args.one else compute()
-    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    result = one_setting() if args.one else compute()
+    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if args.write:
-        MANIFEST.write_text(text, encoding="utf-8")
+        record.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

@@ -7,10 +7,11 @@ Run it from the repository root. It starts one Python process with
 ``OPENBLAS_NUM_THREADS=1``, which builds each workload from perfbench's
 seed-1 inputs:
 
-- pre-training on each of perfbench's tiny16 and mid32 shapes with
-  perfbench's images and parameters and the recipe of its ``Pretrain``
-  workload (one batch of the whole image slice, the reconstruction attack
-  and the HSIC penalty);
+- perfbench's ``Pretrain`` workload, one pre-training step of mid32 over
+  one batch of 32 images, with the reconstruction attack and the HSIC
+  penalty;
+- the same recipe on perfbench's tiny16 shape and images, for which
+  perfbench has no pre-training workload;
 - perfbench's ``MIEstimate`` workload, one ``cli.run_config`` call of
   ``mi-estimate`` per step, which loads a mid32 checkpoint and estimates
   the MI of 64 images.
@@ -33,20 +34,17 @@ and gives the figures in CHANGES.md; so does one that lowers a peak.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import sys
 import tempfile
 import tracemalloc
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from bits_manifest import BITS, ROOT, _environment, python_at
+import bits_manifest
 
-RECORD = BITS / "memory.json"
+RECORD = bits_manifest.BITS / "memory.json"
 SLACK = 0.02
 # name -> (steps traced after the warm-up step, which of their peaks is recorded)
 WORKLOADS = {"pretrain-tiny16": (3, min), "pretrain-mid32": (3, min),
@@ -54,20 +52,19 @@ WORKLOADS = {"pretrain-tiny16": (3, min), "pretrain-mid32": (3, min),
 
 
 def _step(name: str, seed: int, workdir: str) -> Callable[[], object]:
-    """One step of ``name``: perfbench's ``MIEstimate`` writing into ``workdir``, or a
-    pre-training step of its ``Pretrain`` recipe over one batch of the whole image slice."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    """One step of ``name``: perfbench's ``Pretrain`` or ``MIEstimate`` writing into
+    ``workdir``, or for tiny16 a pre-training step of the ``Pretrain`` recipe over one
+    batch of its 16 images."""
+    sys.path.insert(0, str(bits_manifest.ROOT / "perfbench"))
     import workloads
 
     from mimir import attacks, model, train
 
-    if name == "mi-estimate-mid32":
-        return workloads.MIEstimate(seed, workdir).step
-    shape, dataset = {
-        "pretrain-tiny16": (workloads.TINY16, workloads._dataset(4, 4, 16, 1, seed)),
-        "pretrain-mid32": (workloads.MID32, workloads._dataset(10, 4, 32, 3, seed, keep=32)),
-    }[name]
-    params = model.init_params(model.ViTConfig(**shape), np.random.default_rng([seed, 0]))
+    if name != "pretrain-tiny16":
+        return {"pretrain-mid32": workloads.Pretrain,
+                "mi-estimate-mid32": workloads.MIEstimate}[name](seed, workdir).step
+    dataset = workloads._dataset(4, 4, 16, 1, seed)
+    params = model.init_params(model.ViTConfig(**workloads.TINY16), np.random.default_rng([seed, 0]))
     state = train.TrainState.create(params, seed)
     config = train.TrainConfig(base_lr=1e-3, total_epochs=workloads.HORIZON_EPOCHS,
                                batch_size=len(dataset), attack=attacks.pretrain_attack_spec(),
@@ -107,28 +104,16 @@ def _one_setting() -> dict:
     """The environment and every peak, in this process (the caller sets its BLAS threads)."""
     with tempfile.TemporaryDirectory() as tmp:
         peaks = {name: _peak_mb(name, tmp) for name in WORKLOADS}
-    return {"environment": _environment(), "peaks_mb": peaks}
+    return {"environment": bits_manifest._environment(), "peaks_mb": peaks}
 
 
 def compute() -> dict:
     """The record of this checkout, measured in a fresh process at one BLAS thread."""
-    with tempfile.TemporaryDirectory() as tmp:
-        return json.loads(python_at(tmp, 1, str(Path(__file__).resolve()), "--one"))
+    return bits_manifest.child_setting(__file__, 1)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help=f"rewrite {RECORD.relative_to(ROOT)}")
-    parser.add_argument("--one", action="store_true",
-                        help="measure in this process only (what the child runs)")
-    args = parser.parse_args(argv)
-    record = _one_setting() if args.one else compute()
-    text = json.dumps(record, indent=1, sort_keys=True) + "\n"
-    if args.write:
-        RECORD.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return bits_manifest.main(argv, __doc__, RECORD, _one_setting, compute)
 
 
 if __name__ == "__main__":

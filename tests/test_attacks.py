@@ -19,6 +19,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             AttackSpec(epsilon=0.1, step_size=0.01, iters=0)
 
+    @pytest.mark.parametrize("iters", [2.5, True])
+    def test_iters_that_is_not_an_int_rejected_by_name(self, iters):
+        """A float or a bool is not a count, though ``range(int(iters))`` would run one."""
+        with pytest.raises(ValueError, match=f"^iters must be a positive integer, got {iters}$"):
+            AttackSpec(epsilon=0.1, step_size=0.01, iters=iters)
+
     def test_bad_init_rejected(self):
         with pytest.raises(ValueError):
             AttackSpec(epsilon=0.1, step_size=0.01, iters=1, init="gaussian")

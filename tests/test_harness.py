@@ -151,6 +151,16 @@ class TestEvaluate:
 
         assert robust(100) <= robust(10) + 0.5
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_epsilon_leaves_robust_accuracy_at_or_below_chance(self, trained_model,
+                                                                     tiny_dataset, seed):
+        """PGD-20 at epsilon 0.5 (step epsilon / 8) can move an image most of the way across
+        the pixel box, so robust accuracy falls to chance, 25% for 4 classes, or below."""
+        job = AttackJob(name="pgd20", kind="ce",
+                        spec=AttackSpec(epsilon=0.5, step_size=0.5 / 8, iters=20, init="random"))
+        report = evaluate(trained_model, tiny_dataset, [job], seed=seed)
+        assert report.robust[0][1] <= 100.0 / tiny_dataset.num_classes
+
     def test_robust_never_exceeds_natural_on_trained_model(self, trained_model, tiny_dataset):
         jobs = [AttackJob(name="pgd5", kind="ce",
                           spec=AttackSpec(epsilon=8 / 255, step_size=2 / 255, iters=5, init="random")),
@@ -188,6 +198,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(trained_model, empty, [])
 
+    def test_zero_batch_size_rejected_by_name(self, trained_model, tiny_dataset):
+        with pytest.raises(ValueError, match="^batch_size must be a positive integer, got 0$"):
+            evaluate(trained_model, tiny_dataset, [], batch_size=0)
+
 
 class TestLandscape:
     def test_center_cell_is_exact_unperturbed_loss(self, trained_model, tiny_dataset):
@@ -217,6 +231,11 @@ class TestLandscape:
     def test_even_resolution_rejected(self, trained_model, tiny_dataset):
         with pytest.raises(ValueError):
             landscape_grid(trained_model, tiny_dataset, 0.5, 4, np.random.default_rng(0))
+
+    def test_zero_batch_size_rejected_by_name(self, trained_model, tiny_dataset):
+        with pytest.raises(ValueError, match="^batch_size must be a positive integer, got 0$"):
+            landscape_grid(trained_model, tiny_dataset, 0.5, 3, np.random.default_rng(0),
+                           batch_size=0)
 
     def test_parameters_restored(self, trained_model, tiny_dataset):
         before = {n: trained_model[n].data.copy() for n, _ in trained_model.trainable()}

@@ -1,7 +1,6 @@
 import json
 
-import pytest
-
+import bits_manifest
 import memory_manifest
 
 
@@ -16,14 +15,7 @@ def test_no_pretraining_step_peaks_above_its_record():
     higher = [f"{name} {mb} -> {now['peaks_mb'].get(name)} MB"
               for name, mb in sorted(recorded["peaks_mb"].items())
               if not now["peaks_mb"].get(name, float("inf")) <= mb * (1.0 + memory_manifest.SLACK)]
-    if not higher:
-        return
-    was, is_now = recorded["environment"], now["environment"]
-    differences = [f"{name} {was.get(name)} -> {is_now.get(name)}"
-                   for name in sorted(was.keys() | is_now.keys()) if was.get(name) != is_now.get(name)]
-    if differences:
-        pytest.skip(f"{len(higher)} peaks rose in an environment unlike the record's "
-                    f"({'; '.join(differences)}): {', '.join(higher)}")
-    pytest.fail(f"{len(higher)} peaks rose more than {memory_manifest.SLACK:.0%} above the record: "
-                f"{', '.join(higher)}. Rewrite the record only for a change that raises memory on "
-                "purpose, and give the figures in CHANGES.md")
+    bits_manifest.hold(recorded, now, higher,
+                       f"peaks rose more than {memory_manifest.SLACK:.0%} above the record",
+                       "Rewrite the record only for a change that raises memory on purpose, "
+                       "and give the figures in CHANGES.md")

@@ -51,6 +51,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="warmup_epochs"):
             small_train_config(warmup_epochs=-3, total_epochs=2, base_lr=2e-3)
 
+    @pytest.mark.parametrize("name, value", [("batch_size", 2.5), ("total_epochs", 1.5)])
+    def test_count_that_is_not_an_int_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {value}$"):
+            small_train_config(**{name: value})
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             small_train_config(lam=-1.0)
